@@ -46,6 +46,17 @@ class ZMap:
         """Return a new ZMap with ``key`` back at the default."""
         return self.set(key, self._default)
 
+    def unset_range(self, start, stop):
+        """Return a new ZMap with every key in ``range(start, stop)``
+        back at the default (one copy, not one per key)."""
+        entries = dict(self._entries)
+        for key in range(start, stop):
+            entries.pop(key, None)
+        new = ZMap.__new__(ZMap)
+        new._default = self._default
+        new._entries = entries
+        return new
+
     def keys(self):
         """Keys bound to non-default values, sorted for determinism."""
         return sorted(self._entries)

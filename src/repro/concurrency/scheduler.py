@@ -794,11 +794,25 @@ def guard_mutation(name):
     sched.locks.check_mutation(task.vid, name)
 
 
-def record_phys_write(index, old_value):
-    """Journal a physical-memory word about to be overwritten."""
+def txn_journal() -> Optional[Dict[int, int]]:
+    """The running task's undo journal, or None if writes go unjournalled.
+
+    The journal maps word index to its pre-transaction value, first
+    write wins (see :class:`~repro.hyperenclave.txn.TxnScope`).  Bulk
+    frame operations look it up once per frame and record each word
+    with ``journal.setdefault``; single words go through
+    :func:`record_phys_write`.
+    """
     if _suspended():
-        return
+        return None
     task = current_task()
     if task is None or task.txn_scope is None:
-        return
-    task.txn_scope.record_word(index, old_value)
+        return None
+    return task.txn_scope.journal
+
+
+def record_phys_write(index, old_value):
+    """Journal a physical-memory word about to be overwritten."""
+    journal = txn_journal()
+    if journal is not None:
+        journal.setdefault(index, old_value)

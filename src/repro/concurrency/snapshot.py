@@ -461,7 +461,7 @@ def _estimate_bytes(state, sched, reuse) -> int:
     monitor = state.monitor
     total = 8192
     if "phys" not in reuse:
-        total += 96 * len(monitor.phys._words)
+        total += 96 * monitor.phys.nonzero_words()
     if "pt_allocator" not in reuse:
         total += monitor.pt_allocator.size
     if "epcm" not in reuse:

@@ -82,17 +82,38 @@ class PhysMemory:
         return index
 
     # -- frame helpers --------------------------------------------------------------
+    #
+    # Bulk frame operations look the running task's undo journal and the
+    # fault plane up once per frame and then work on the word dict
+    # directly; only ``copy_frame`` keeps a per-word hook, because each
+    # copied word is a ``phys.write``/``phys.flip`` fault site.
+
+    def _frame_indices(self, frame) -> range:
+        """Word indices of one frame (range-checked like addresses)."""
+        if not 0 <= frame < self.config.phys_frames:
+            raise HypervisorError(f"frame {frame} out of range")
+        wpp = self.config.words_per_page
+        return range(frame * wpp, (frame + 1) * wpp)
 
     def zero_frame(self, frame):
-        """Clear every word of one frame (one yield per frame)."""
-        base = self.config.frame_base(frame) // WORD_BYTES
+        """Clear every word of one frame (one yield per frame).
+
+        Inside a transaction every word is journalled, zeros included:
+        a rollback must restore them even if another vCPU wrote one of
+        them in between (a lock-discipline bug).
+        """
+        indices = self._frame_indices(frame)
         conc.yield_point("phys.write", f"zero frame {frame}")
         self._version += 1
         self._dirty_frames.add(frame)
-        for offset in range(self.config.words_per_page):
-            conc.record_phys_write(base + offset,
-                                   self._words.get(base + offset, 0))
-            self._words.pop(base + offset, None)
+        pop = self._words.pop
+        journal = conc.txn_journal()
+        if journal is None:
+            for index in indices:
+                pop(index, None)
+        else:
+            for index in indices:
+                journal.setdefault(index, pop(index, 0))
 
     def copy_frame(self, dst_frame, src_frame):
         """Copy a whole frame (zeros included).
@@ -101,33 +122,30 @@ class PhysMemory:
         :meth:`write_word`, so the EADD frame copy is injectable
         word-by-word.
         """
-        dst = self.config.frame_base(dst_frame) // WORD_BYTES
-        src = self.config.frame_base(src_frame) // WORD_BYTES
+        dst = self._frame_indices(dst_frame)
+        src = self._frame_indices(src_frame)
         conc.yield_point("phys.write",
                          f"copy frame {src_frame}->{dst_frame}")
         self._version += 1
         self._dirty_frames.add(dst_frame)
-        for offset in range(self.config.words_per_page):
-            value = self._words.get(src + offset, 0)
-            value = faults.filter_write((dst + offset) * WORD_BYTES, value)
-            conc.record_phys_write(dst + offset,
-                                   self._words.get(dst + offset, 0))
+        words = self._words
+        journal = conc.txn_journal()
+        plane = faults.active_plane()
+        for index, src_index in zip(dst, src):
+            value = words.get(src_index, 0)
+            if plane is not None:
+                value = faults.filter_write(index * WORD_BYTES, value)
+            if journal is not None:
+                journal.setdefault(index, words.get(index, 0))
             if value == 0:
-                self._words.pop(dst + offset, None)
+                words.pop(index, None)
             else:
-                self._words[dst + offset] = value
+                words[index] = value
 
     def frame_words(self, frame) -> Tuple[int, ...]:
         """The frame's contents as an immutable word tuple."""
-        base = self.config.frame_base(frame) // WORD_BYTES
-        return tuple(self._words.get(base + offset, 0)
-                     for offset in range(self.config.words_per_page))
-
-    def fill_frame(self, frame, pattern):
-        """Fill a frame with one repeated word."""
-        base = self.config.frame_base(frame) // WORD_BYTES
-        for offset in range(self.config.words_per_page):
-            self.write_word((base + offset) * WORD_BYTES, pattern)
+        get = self._words.get
+        return tuple([get(index, 0) for index in self._frame_indices(frame)])
 
     # -- bulk views --------------------------------------------------------------------
 
@@ -136,12 +154,9 @@ class PhysMemory:
         equal snapshots mean equal dense contents."""
         return tuple(sorted(self._words.items()))
 
-    def region_words(self, frame_range) -> Tuple[int, ...]:
-        """Concatenated word tuples over a frame range."""
-        words = []
-        for frame in frame_range:
-            words.extend(self.frame_words(frame))
-        return tuple(words)
+    def nonzero_words(self) -> int:
+        """How many words are nonzero (the size of the sparse store)."""
+        return len(self._words)
 
     def load_snapshot(self, items):
         """Replace the contents with a :meth:`snapshot`'s items."""
@@ -212,9 +227,9 @@ class PhysMemory:
             words = self._words
             for frame in self._dirty_frames:
                 base = frame * wpp
-                content = tuple(
-                    (offset, words[base + offset])
-                    for offset in range(wpp) if base + offset in words)
+                content = tuple([(index - base, words[index])
+                                 for index in range(base, base + wpp)
+                                 if index in words])
                 if content:
                     self._frame_fps[frame] = hashlib.blake2b(
                         repr(content).encode(), digest_size=8).digest()

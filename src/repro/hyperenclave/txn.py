@@ -135,8 +135,10 @@ class TxnScope:
 
     * ``journal`` — physical words overwritten by *this* task, first
       write wins (fed by :func:`repro.concurrency.scheduler
-      .record_phys_write`).  Covers every page-table entry, frame copy,
-      and scrub, because all tables live in physical memory.
+      .record_phys_write` per word and through
+      :func:`repro.concurrency.scheduler.txn_journal` per frame).
+      Covers every page-table entry, frame copy, and scrub, because all
+      tables live in physical memory.
     * ``structures`` — value snapshots of each lock-guarded structure,
       taken lazily when the lock is acquired.  Under strict 2PL no
       other task can have mutated a structure between acquire and
@@ -152,9 +154,6 @@ class TxnScope:
     @classmethod
     def begin(cls, monitor, vid) -> "TxnScope":
         return cls(vid=vid, cpu=monitor.cpus[vid].snapshot())
-
-    def record_word(self, index, old_value):
-        self.journal.setdefault(index, old_value)
 
     def snapshot_structure(self, monitor, lock_name):
         """Capture the acquire-time value of one lock-guarded structure

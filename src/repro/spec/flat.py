@@ -61,10 +61,9 @@ def flat_alloc_frame(state) -> Tuple[int, FlatPtState]:
             frame = state.pool_base + offset
             bitmap = state.bitmap[:offset] + (True,) \
                 + state.bitmap[offset + 1:]
-            words = state.words
             base_word = state.config.frame_base(frame) // WORD_BYTES
-            for word_offset in range(state.config.words_per_page):
-                words = words.unset(base_word + word_offset)
+            words = state.words.unset_range(
+                base_word, base_word + state.config.words_per_page)
             return frame, FlatPtState(state.config, state.pool_base,
                                       state.pool_size, words, bitmap)
     raise PagingError("flat spec: page-table pool exhausted")

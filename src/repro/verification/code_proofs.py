@@ -80,10 +80,9 @@ class _Ops:
         if not self.in_pool(frame):
             raise SpecPreconditionError(
                 f"zero_frame({frame}) escapes the frame area")
-        words = state.get("pt_words")
         base = self.config.frame_base(frame) // WORD_BYTES
-        for offset in range(self.config.words_per_page):
-            words = words.unset(base + offset)
+        words = state.get("pt_words").unset_range(
+            base, base + self.config.words_per_page)
         return state.set("pt_words", words)
 
     def alloc(self, state):

@@ -69,3 +69,17 @@ def test_equality_is_extensional(mapping):
     for key, value in sorted(mapping.items(), reverse=True):
         b = b.set(key, value)
     assert a == b and hash(a) == hash(b)
+
+
+@given(st.dictionaries(st.integers(0, 20), st.integers(-5, 5)),
+       st.integers(-2, 22), st.integers(-2, 22))
+def test_unset_range_is_unset_per_key(mapping, start, stop):
+    """One copy for a whole range equals one ``unset`` per key."""
+    m = ZMap(default=0, entries=mapping)
+    expected = m
+    for key in range(start, stop):
+        expected = expected.unset(key)
+    cleared = m.unset_range(start, stop)
+    assert cleared == expected and hash(cleared) == hash(expected)
+    assert cleared.items() == expected.items()
+    assert m == ZMap(default=0, entries=mapping)
