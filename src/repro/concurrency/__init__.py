@@ -45,7 +45,6 @@ from repro.concurrency.arena import (
 )
 from repro.concurrency.scheduler import (
     BRANCH_KINDS,
-    ENV_ENGINE,
     SCHED_STATS,
     VCPU_CRASH_SITE,
     Decision,
@@ -62,7 +61,6 @@ from repro.concurrency.scheduler import (
     installed,
     record_phys_write,
     release_locks,
-    resolve_engine,
     suspended,
     yield_point,
 )
@@ -70,7 +68,6 @@ from repro.concurrency.shootdown import detect_stale_translations, tlb_shootdown
 from repro.concurrency.snapshot import (
     SnapshotPlan,
     SnapshotTree,
-    extended_gate_enabled,
     locality_key,
     prefix_cache_enabled,
     process_tree,
@@ -79,7 +76,6 @@ from repro.concurrency.snapshot import (
 
 __all__ = [
     "BRANCH_KINDS",
-    "ENV_ENGINE",
     "SCHED_STATS",
     "VCPU_CRASH_SITE",
     "Decision",
@@ -105,7 +101,6 @@ __all__ = [
     "enclave_lock",
     "explore",
     "explore_batched",
-    "extended_gate_enabled",
     "guard_mutation",
     "installed",
     "lock_rank",
@@ -119,7 +114,6 @@ __all__ = [
     "reset_process_tree",
     "release_locks",
     "replay",
-    "resolve_engine",
     "result_violations",
     "suspended",
     "tlb_shootdown",

@@ -1,6 +1,6 @@
-"""Reusable fiber arena for the continuation scheduler engine.
+"""Reusable fiber arena for the deterministic scheduler.
 
-The continuation engine runs almost every script step as a plain
+The scheduler runs almost every script step as a plain
 function call on the scheduling loop's own thread.  The exception is a
 step that might genuinely context-switch mid-stack — a pending forced
 preemption, or a lock already held somewhere — which needs a real call
@@ -8,11 +8,11 @@ stack that can block while the loop keeps scheduling.  A :class:`Fiber`
 is that stack: a parked daemon thread that executes one step at a time
 on request and can suspend itself cooperatively at a yield point.
 
-Unlike the legacy threaded engine, fibers are **pooled per process**
-(:class:`FiberArena`): a schedule that needs one borrows it, runs the
-step, and returns it, so the thread-creation/join cost that used to be
-paid twice per schedule is paid once per worker process.  Handoffs on
-the fiber path are counted in the ``sched.*`` metrics family.
+Fibers are **pooled per process** (:class:`FiberArena`): a schedule
+that needs one borrows it, runs the step, and returns it, so the
+thread-creation/join cost is paid once per worker process, not per
+schedule.  Handoffs on the fiber path are counted in the ``sched.*``
+metrics family.
 """
 
 import itertools
@@ -29,8 +29,8 @@ class Fiber:
     Strict token passing: at any instant either the caller is running
     (fiber blocked in :meth:`park` or idle between steps) or the fiber
     is running (caller blocked in ``_wait``) — never both, which is what
-    lets the scheduler treat a fiber segment exactly like the legacy
-    engine treated a vCPU thread.
+    lets the scheduler treat a fiber segment as a vCPU that holds the
+    one scheduling token.
     """
 
     def __init__(self):

@@ -130,46 +130,23 @@ def explore(run_schedule: Callable[[Schedule], RunResult], *,
     result).  ``check(schedule, result)``, if given, yields extra
     ``(kind, detail)`` findings per run (invariant sweeps,
     noninterference) that become :class:`Violation` entries.
+
+    A :class:`FrontierState` driven one schedule at a time: each
+    schedule runs and is checked before its children are enqueued.
     """
-    outcome = ExplorationResult(preemption_bound=preemption_bound,
-                                max_schedules=max_schedules)
-    frontier = deque([Schedule(seed=seed, crash=crash)])
-    seen_prefixes = set()
-    while frontier:
-        if len(outcome.runs) >= max_schedules:
-            outcome.truncated = True
+    state = FrontierState.start(seed=seed,
+                                preemption_bound=preemption_bound,
+                                max_schedules=max_schedules, crash=crash)
+    while True:
+        wave = state.take_wave(limit=1)
+        if not wave:
             break
-        schedule = frontier.popleft()
+        schedule = wave[0]
         result = run_schedule(schedule)
-        outcome.runs.append((schedule, result))
-        known = len(outcome.violations)
-        outcome.violations.extend(result_violations(schedule, result))
-        if check is not None:
-            outcome.violations.extend(
-                Violation(schedule, kind, detail)
-                for kind, detail in check(schedule, result))
-        _note_schedule(schedule, outcome.violations[known:])
-        if len(schedule.preemptions) >= preemption_bound:
-            continue
-        last = schedule.preemptions[-1][0] if schedule.preemptions else -1
-        for decision in result.decisions:
-            if decision.index <= last:
-                continue
-            if decision.chosen_kind not in BRANCH_KINDS:
-                continue
-            for vid in decision.enabled:
-                if vid == decision.chosen:
-                    continue
-                prefix = result.trace[:decision.index] + (vid,)
-                if prefix in seen_prefixes:
-                    continue
-                seen_prefixes.add(prefix)
-                frontier.append(Schedule(
-                    seed=seed,
-                    preemptions=schedule.preemptions
-                    + ((decision.index, vid),),
-                    crash=schedule.crash))
-    return outcome
+        findings = list(check(schedule, result)) if check is not None \
+            else []
+        state.absorb(wave, [(result, findings)])
+    return state.result()
 
 
 @dataclass
@@ -180,10 +157,10 @@ class FrontierState:
     violations, the FIFO frontier, and the child-dedup prefix set — so
     a durable orchestrator can checkpoint the exploration between waves
     and resume it in another process: :meth:`take_wave` pops the next
-    wavefront, :meth:`absorb` replays the exact append/dedup/branch
-    bookkeeping of :func:`explore_batched` (which is itself built on
-    this class, so resumed-equals-uninterrupted is structural, not
-    re-implemented).
+    wavefront, :meth:`absorb` does the append/dedup/branch bookkeeping.
+    :func:`explore`, :func:`explore_batched` and the durable and service
+    loops all drive this one class, so their equivalence (and
+    resumed-equals-uninterrupted) is structural, not re-implemented.
     """
 
     preemption_bound: int
@@ -214,8 +191,7 @@ class FrontierState:
         """Pop the next wavefront (empty when the exploration is done).
 
         Marks the exploration truncated — without popping — when the
-        run cap is already met, exactly where the sequential loop's
-        truncation check sits.
+        run cap is already met.
 
         ``limit`` caps how many schedules are popped: the multi-campaign
         scheduler runs a frontier in fair-share chunks, and because the
@@ -301,9 +277,9 @@ def explore_batched(run_batch, *,
     its input*, ``(result, findings)`` pairs where ``findings`` are the
     extra ``(kind, detail)`` items a ``check`` hook would have produced.
 
-    Identity with the sequential explorer holds by construction: a
-    schedule's children always enqueue *behind* every schedule already
-    in the FIFO frontier, so the sequential loop pops the entire current
+    Identity with :func:`explore` holds by construction: a schedule's
+    children always enqueue *behind* every schedule already in the FIFO
+    frontier, so the one-at-a-time loop pops the entire current
     frontier before reaching any child generated along the way — which
     is exactly a wavefront.  Runs execute out of order in workers, but
     run results are pure functions of their schedules, and the

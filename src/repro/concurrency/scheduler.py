@@ -1,5 +1,4 @@
-"""Deterministic cooperative multi-vCPU scheduler — two engines, one
-record format.
+"""Deterministic cooperative multi-vCPU scheduler.
 
 Instrumented code inside the monitor calls :func:`yield_point` at every
 lock acquire, lock release (hypercall return), physical-memory write,
@@ -11,21 +10,14 @@ seed, a tuple of preemptions, and an optional vCPU crash — which is
 what makes every explored interleaving replayable from a single small
 value.
 
-Two interchangeable engines execute a schedule
-(``REPRO_SCHED_ENGINE``, or the ``engine=`` argument):
-
-* ``continuation`` (default) — every vCPU is driven as a generator
-  continuation by one plain-Python loop on the calling thread.  A step
-  whose scheduling is already settled — no forced preemption pending,
-  no lock held anywhere — is a plain function call (its yields resolve
-  inline, see ``_ContinuationEngine``); a step that might genuinely
-  context-switch mid-stack borrows a pooled fiber from
-  :mod:`repro.concurrency.arena`.  No thread is created or joined per
-  run, and the common case does zero ``Event`` handoffs.
-* ``threads`` — the legacy engine and parity reference: one OS thread
-  per vCPU, strict token passing through per-task events (the CHESS
-  execution model).  CI gates the two engines byte-identical on the
-  full buggy-monitor matrix.
+Every vCPU is driven as a generator continuation by one plain-Python
+loop on the calling thread.  A step whose scheduling is already
+settled — no forced preemption pending, no lock held anywhere — is a
+plain function call (its yields resolve inline, see
+:meth:`DeterministicScheduler._decide_inline`); a step that might
+genuinely context-switch mid-stack borrows a pooled fiber from
+:mod:`repro.concurrency.arena`.  No thread is created or joined per
+run, and the common case does zero ``Event`` handoffs.
 
 The module doubles as the instrumentation plane (mirroring
 ``repro.faults.plane``): all hooks are module-level functions that
@@ -34,7 +26,6 @@ of its vCPU tasks.  Monitor code can therefore call them
 unconditionally; sequential callers pay nothing.
 """
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.arena import process_arena
 from repro.concurrency.locks import LockManager
-from repro.errors import ConfigError, FaultInjected
+from repro.errors import FaultInjected
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which the interleaving explorer considers preempting.
@@ -55,31 +46,12 @@ BRANCH_KINDS = frozenset(
 #: Synthetic fault site used when a schedule crashes a vCPU.
 VCPU_CRASH_SITE = "vcpu.crash"
 
-#: Engine selection knob (``continuation`` is the default).
-ENV_ENGINE = "REPRO_SCHED_ENGINE"
-
-#: Scheduler-engine telemetry, surfaced through ``/metrics`` next to
-#: the ``snapshot_cache.*`` family.  ``handoffs`` counts cross-thread
-#: wakeup pairs (Event round trips on either engine); the continuation
-#: engine's inline path does none.
+#: Scheduler telemetry, surfaced through ``/metrics`` next to the
+#: ``snapshot_cache.*`` family.  ``handoffs`` counts fiber start/resume
+#: round trips; the inline path does none.
 SCHED_STATS = REGISTRY.counter_group(
     "sched", ("handoffs", "inline_decisions", "arena_reuses",
-              "fiber_steps", "runs_continuation", "runs_threads"))
-
-
-def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the engine name: explicit value, else ``REPRO_SCHED_ENGINE``
-    (unset or empty means ``continuation``)."""
-    raw = explicit if explicit is not None else os.environ.get(ENV_ENGINE)
-    if raw is None or not raw.strip():
-        return "continuation"
-    name = raw.strip().lower()
-    if name in ("threads", "thread", "threaded"):
-        return "threads"
-    if name in ("continuation", "continuations"):
-        return "continuation"
-    raise ConfigError(ENV_ENGINE, raw,
-                      "expected 'continuation' or 'threads'")
+              "fiber_steps", "runs"))
 
 
 class _VCpuParked(BaseException):
@@ -147,13 +119,14 @@ class YieldPoint:
 class Task:
     """One vCPU's workload and its cooperative-scheduling state.
 
-    Pure scheduling state: how the task *executes* (an OS thread, a
-    generator continuation, a pooled fiber) is the installed engine's
-    private business and deliberately not represented here.
+    Pure scheduling state: how the task *executes* (inline on the loop
+    or on a pooled fiber) is the scheduler's private business and
+    deliberately not represented here.  ``fn`` is the task's callable,
+    or None when a step-drivable workload runs its script.
     """
 
     vid: int
-    fn: Callable[[], None]
+    fn: Optional[Callable[[], None]]
     pending_kind: str = "task.start"
     pending_detail: Optional[str] = None
     yield_index: int = 0
@@ -208,28 +181,54 @@ class DeterministicScheduler:
     ``workloads`` is either a list of callables (``workloads[i]``
     becomes vCPU ``i``'s task) or a step-drivable workload object
     exposing ``scripts``/``positions``/``run_step``/``advance``/
-    ``steps_remaining``/``tasks`` (see
+    ``steps_remaining`` (see
     :class:`~repro.faults.campaign.ScriptWorkloads`) — the latter lets
-    the continuation engine drive scripts step by step and the snapshot
-    tree park/restore tasks between steps.  ``probe``, if given, is
-    called with the monitor after every decision — outside any task, so
-    it must not hit any yield points — and returns an iterable of
+    the loop drive scripts step by step and the snapshot tree
+    park/restore tasks between steps.  ``probe``, if given, is called
+    with the monitor after every decision — outside any task, so it
+    must not hit any yield points — and returns an iterable of
     findings (the stale-translation detector).
+
+    Every not-done task gets a *driver generator* (:meth:`_drive`) and
+    the loop simply ``next()``s the chosen task's driver at each
+    decision.  The driver suspends (``yield``) exactly when a decision
+    must be made by the loop — i.e. when the pick at a yield point is
+    *not* the yielding task itself.
+
+    The load-bearing dichotomy is decided at each step boundary
+    (:meth:`_can_inline`): once every forced preemption index is behind
+    ``len(decisions)`` (monotone — decisions only grow) and no lock is
+    held anywhere, a step's every yield must pick the running task
+    itself: ``_pick`` falls through *forced* (none pending) to *last*
+    (the running task), and the running task can never be lock-blocked
+    because only its own locks exist.  Such a step is executed as a
+    plain function call — its yields resolve through
+    :meth:`_decide_inline` with zero control transfers.  A step that
+    cannot be proven settled runs on a pooled fiber
+    (:mod:`repro.concurrency.arena`), which can suspend mid-stack under
+    strict token passing.
+
+    For step-drivable workloads the ``hc.return`` yield is *hoisted* to
+    the driver: :meth:`_release_locks` releases the locks and defers
+    the yield, and the driver emits it after the step's stack has fully
+    unwound — which is what makes tasks parked at ``hc.return``
+    capture-eligible for the snapshot tree (no stack to clone).
+    Nothing observable runs between the in-stack site and the hoisted
+    one: the post-release tail of a hypercall is pure bookkeeping
+    (``check_none_held`` after ``release_all`` cannot fire, and a
+    rejected ``StepOutcome`` is returned to a caller that discards it).
     """
 
     def __init__(self, monitor, workloads, schedule=None, *,
-                 lock_manager=None, probe=None, timeout=60.0,
-                 fast_handoff=False, engine=None):
+                 lock_manager=None, probe=None, timeout=60.0):
         self.monitor = monitor
         self.schedule = schedule if schedule is not None else Schedule()
         self.locks = lock_manager if lock_manager is not None else LockManager()
         self.probe = probe
         self.timeout = timeout
-        self.fast_handoff = fast_handoff
-        self.engine_name = resolve_engine(engine)
         if hasattr(workloads, "run_step"):
             self.script_workloads = workloads
-            fns = workloads.tasks()
+            fns = [None] * len(workloads.scripts)
         else:
             self.script_workloads = None
             fns = list(workloads)
@@ -244,10 +243,12 @@ class DeterministicScheduler:
         # Optional snapshot-tree capture hook (repro.concurrency
         # .snapshot.SnapshotPlan).  Offered the frozen world right
         # before each scheduling decision; None costs one ``is None``
-        # test per decision and keeps this the exact legacy path.
+        # test per decision.
         self.snapshots = None
-        self._engine = (_ThreadsEngine(self) if self.engine_name == "threads"
-                        else _ContinuationEngine(self))
+        self._current: Optional[Task] = None
+        self._gens: Dict[int, object] = {}
+        self._fiber_of: Dict[int, object] = {}
+        self._deferred: Dict[int, str] = {}
 
     # -- the run ----------------------------------------------------------------
 
@@ -257,12 +258,19 @@ class DeterministicScheduler:
             raise RuntimeError("a DeterministicScheduler is single-use; "
                                "build a fresh one to replay")
         self._ran = True
-        SCHED_STATS["runs_" + self.engine_name] += 1
-        # label-style gauge: lets /metrics readers see which engine the
-        # process last ran without diffing the runs_* counters
-        REGISTRY.set_gauge("sched.engine", self.engine_name)
+        SCHED_STATS["runs"] += 1
         with installed(self):
-            self._engine.run()
+            for task in self.tasks:
+                if not task.done:
+                    # a task pre-completed by a snapshot restore ran its
+                    # whole script inside the cached prefix
+                    self._gens[task.vid] = self._drive(task)
+            while True:
+                chosen = self._loop_decide()
+                if chosen is None:
+                    break
+                self._advance(chosen)
+                self._probe_now()
         return self.result()
 
     def result(self) -> RunResult:
@@ -277,6 +285,16 @@ class DeterministicScheduler:
                          if t.exc is not None},
             parked=tuple(t.vid for t in self.tasks if t.parked),
         )
+
+    def _advance(self, task):
+        gen = self._gens[task.vid]
+        self._current = task
+        try:
+            next(gen)
+        except StopIteration:
+            pass
+        finally:
+            self._current = None
 
     # -- scheduling policy ------------------------------------------------------
 
@@ -296,7 +314,7 @@ class DeterministicScheduler:
                     return task
         return min(enabled, key=lambda t: t.vid)
 
-    # -- decision machinery (shared by both engines) ----------------------------
+    # -- decision machinery -----------------------------------------------------
 
     def _loop_decide(self) -> Optional[Task]:
         """One scheduling decision made from the loop; returns the
@@ -361,7 +379,7 @@ class DeterministicScheduler:
         continues the running vCPU — the decision, its record, and the
         probe all happen inline and no control transfer occurs.  Any
         other pick (a preemption, a lock handover, a finished task)
-        falls back to the engine's suspension path, so the recorded
+        suspends the task so the loop decides, and the recorded
         :class:`RunResult` is byte-identical either way.
         """
         live = [t for t in self.tasks if not t.done]
@@ -390,218 +408,49 @@ class DeterministicScheduler:
         if self.probe is not None:
             self.stale.extend(self.probe(self.monitor) or ())
 
-
-class _ThreadsEngine:
-    """The legacy execution engine: one OS thread per vCPU task, strict
-    token passing through per-task events.  Kept as the parity
-    reference (``REPRO_SCHED_ENGINE=threads``); its thread/event/ident
-    plumbing is private to this class, not part of :class:`Task`.
-    """
-
-    def __init__(self, sched):
-        self.sched = sched
-        self._by_ident: Dict[int, Task] = {}
-        self._events: Dict[int, threading.Event] = {
-            task.vid: threading.Event() for task in sched.tasks}
-        self._threads: Dict[int, threading.Thread] = {}
-        self._control = threading.Event()
-
-    def run(self):
-        """Spawn one OS thread per live task and referee the handoffs."""
-        sched = self.sched
-        for task in sched.tasks:
-            if task.done:
-                # pre-completed by a snapshot restore: its whole
-                # script ran inside the cached prefix
-                continue
-            thread = threading.Thread(
-                target=self._runner, args=(task,),
-                name=f"vcpu-{task.vid}", daemon=True)
-            self._threads[task.vid] = thread
-            thread.start()
-        while True:
-            chosen = sched._loop_decide()
-            if chosen is None:
-                break
-            self._control.clear()
-            self._events[chosen.vid].set()
-            SCHED_STATS["handoffs"] += 1
-            if not self._control.wait(sched.timeout):
-                raise RuntimeError(
-                    f"vcpu{chosen.vid} did not yield within "
-                    f"{sched.timeout}s")
-            sched._probe_now()
-        for thread in self._threads.values():
-            thread.join(sched.timeout)
-
     # -- hook dispatch ----------------------------------------------------------
 
-    def hook_task(self) -> Optional[Task]:
-        return self._by_ident.get(threading.get_ident())
-
-    def task_yield(self, task, kind, detail):
-        """Park ``task`` at a yield point until the referee resumes it."""
-        sched = self.sched
-        if sched._record_yield(task, kind, detail):
-            return
-        if sched.fast_handoff and sched._decide_inline(task):
-            return
-        self._control.set()
-        event = self._events[task.vid]
-        SCHED_STATS["handoffs"] += 1
-        if not event.wait(sched.timeout):
-            raise RuntimeError(f"vcpu{task.vid} was never rescheduled")
-        event.clear()
-
-    def release_locks(self, task, where):
-        """Drop every lock ``task`` holds and emit the hc.return yield."""
-        sched = self.sched
-        released = sched.locks.release_all(task.vid)
-        try:
-            if not _suspended():
-                self.task_yield(task, "hc.return", where)
-        finally:
-            sched.locks.check_none_held(task.vid, f"return from {where}")
-        return released
-
-    # -- task side --------------------------------------------------------------
-
-    def _runner(self, task):
-        self._by_ident[threading.get_ident()] = task
-        event = self._events[task.vid]
-        event.wait()
-        event.clear()
-        try:
-            task.fn()
-        except _VCpuParked:
-            task.parked = True
-        except FaultInjected as exc:
-            if exc.site == VCPU_CRASH_SITE:
-                # crash delivered outside any hypercall: the vCPU just
-                # stops, with nothing to roll back
-                task.parked = True
-            else:
-                task.exc = exc
-        except BaseException as exc:          # noqa: BLE001 - report, don't die
-            task.exc = exc
-        finally:
-            task.done = True
-            self._control.set()
-
-
-class _ContinuationEngine:
-    """Generator-continuation engine: the default.
-
-    Every not-done task gets a *driver generator* (:meth:`_drive`) and
-    the loop simply ``next()``s the chosen task's driver at each
-    decision.  The driver suspends (``yield``) exactly when a decision
-    must be made by the loop — i.e. when the pick at a yield point is
-    *not* the yielding task itself.
-
-    The load-bearing dichotomy is decided at each step boundary
-    (:meth:`_can_inline`): once every forced preemption index is behind
-    ``len(decisions)`` (monotone — decisions only grow) and no lock is
-    held anywhere, a step's every yield must pick the running task
-    itself: ``_pick`` falls through *forced* (none pending) to *last*
-    (the running task), and the running task can never be lock-blocked
-    because only its own locks exist.  Such a step is executed as a
-    plain function call — its yields resolve through
-    ``_decide_inline`` with zero control transfers.  A step that cannot
-    be proven settled runs on a pooled fiber
-    (:mod:`repro.concurrency.arena`), which can suspend mid-stack with
-    exactly the legacy engine's semantics.
-
-    For step-drivable workloads the ``hc.return`` yield is *hoisted* to
-    the driver: :meth:`release_locks` releases the locks and defers the
-    yield, and the driver emits it after the step's stack has fully
-    unwound — which is what makes tasks parked at ``hc.return``
-    capture-eligible for the snapshot tree (no stack to clone).
-    Nothing observable runs between the in-stack site and the hoisted
-    one: the post-release tail of a hypercall is pure bookkeeping
-    (``check_none_held`` after ``release_all`` cannot fire, and a
-    rejected ``StepOutcome`` is returned to a caller that discards it).
-    """
-
-    def __init__(self, sched):
-        self.sched = sched
-        self._current: Optional[Task] = None
-        self._gens: Dict[int, object] = {}
-        self._fiber_of: Dict[int, object] = {}
-        self._deferred: Dict[int, str] = {}
-
-    def run(self):
-        """Drive every live task as a continuation from one loop."""
-        sched = self.sched
-        for task in sched.tasks:
-            if not task.done:
-                self._gens[task.vid] = self._drive(task)
-        while True:
-            chosen = sched._loop_decide()
-            if chosen is None:
-                break
-            self._advance(chosen)
-            sched._probe_now()
-
-    def _advance(self, task):
-        gen = self._gens[task.vid]
-        self._current = task
-        try:
-            next(gen)
-        except StopIteration:
-            pass
-        finally:
-            self._current = None
-
-    # -- hook dispatch ----------------------------------------------------------
-
-    def hook_task(self) -> Optional[Task]:
-        return self._current
-
-    def task_yield(self, task, kind, detail):
+    def _task_yield(self, task, kind, detail):
         """Record the yield; decide inline or park the task's fiber."""
-        sched = self.sched
-        if sched._record_yield(task, kind, detail):
+        if self._record_yield(task, kind, detail):
             return
-        if sched._decide_inline(task):
+        if self._decide_inline(task):
             return
         fiber = self._fiber_of.get(task.vid)
         if fiber is None:
             raise RuntimeError(
-                f"continuation engine invariant violated: vcpu{task.vid} "
-                f"needed a context switch at {kind!r} inside an inline "
-                f"step")
-        fiber.park(sched.timeout)
+                f"scheduler invariant violated: vcpu{task.vid} needed a "
+                f"context switch at {kind!r} inside an inline step")
+        fiber.park(self.timeout)
 
-    def release_locks(self, task, where):
+    def _release_locks(self, task, where):
         """Drop the task's locks; defer the hc.return yield if scripted."""
-        sched = self.sched
-        released = sched.locks.release_all(task.vid)
-        if sched.script_workloads is not None and not _suspended():
+        released = self.locks.release_all(task.vid)
+        if self.script_workloads is not None and not _suspended():
             # hoisted: the driver emits the hc.return yield once the
             # step's stack has unwound (see class docstring)
             self._deferred[task.vid] = where
             return released
         try:
             if not _suspended():
-                self.task_yield(task, "hc.return", where)
+                self._task_yield(task, "hc.return", where)
         finally:
-            sched.locks.check_none_held(task.vid, f"return from {where}")
+            self.locks.check_none_held(task.vid, f"return from {where}")
         return released
 
     # -- the inline/fiber dichotomy ---------------------------------------------
 
     def _can_inline(self) -> bool:
-        sched = self.sched
-        return (len(sched.decisions) > sched._max_forced
-                and not sched.locks.any_held())
+        return (len(self.decisions) > self._max_forced
+                and not self.locks.any_held())
 
     # -- drivers ----------------------------------------------------------------
 
     def _drive(self, task):
-        """The driver generator: one per task, same terminal semantics
-        as the threaded engine's ``_runner``."""
+        """The driver generator: one per task; records how the task
+        ended (finished, parked by a crash, or died with an error)."""
         try:
-            if self.sched.script_workloads is not None:
+            if self.script_workloads is not None:
                 yield from self._script_body(task)
             else:
                 yield from self._callable_body(task)
@@ -620,8 +469,7 @@ class _ContinuationEngine:
             task.done = True
 
     def _script_body(self, task):
-        sched = self.sched
-        workloads = sched.script_workloads
+        workloads = self.script_workloads
         vid = task.vid
         while workloads.steps_remaining(vid):
             try:
@@ -633,14 +481,14 @@ class _ContinuationEngine:
             finally:
                 # Emit a deferred hc.return even while an exception
                 # unwinds the step (a crashed vCPU's _VCpuParked): the
-                # legacy engine records that yield from inside the
-                # hypercall wrapper's finally, so parity demands it.
+                # yield belongs to the hypercall wrapper's finally, so
+                # a crashed vCPU still records it.
                 where = self._deferred.pop(vid, None)
                 if where is not None:
                     try:
                         yield from self._emit(task, "hc.return", where)
                     finally:
-                        sched.locks.check_none_held(
+                        self.locks.check_none_held(
                             vid, f"return from {where}")
             workloads.advance(vid)
 
@@ -655,16 +503,15 @@ class _ContinuationEngine:
 
     def _emit(self, task, kind, detail):
         """A driver-level yield point (empty stack below it)."""
-        if self.sched._record_yield(task, kind, detail):
+        if self._record_yield(task, kind, detail):
             return
-        if self.sched._decide_inline(task):
+        if self._decide_inline(task):
             return
         yield
 
     def _fiber_step(self, task, fn):
         """Run one step on a pooled fiber, yielding to the loop at
         every suspension until the step completes."""
-        sched = self.sched
         fiber, reused = process_arena().lease()
         if reused:
             SCHED_STATS["arena_reuses"] += 1
@@ -672,11 +519,11 @@ class _ContinuationEngine:
         self._fiber_of[task.vid] = fiber
         try:
             SCHED_STATS["handoffs"] += 1
-            status, exc = fiber.start(fn, sched.timeout)
+            status, exc = fiber.start(fn, self.timeout)
             while status == "parked":
                 yield
                 SCHED_STATS["handoffs"] += 1
-                status, exc = fiber.resume(sched.timeout)
+                status, exc = fiber.resume(self.timeout)
         finally:
             self._fiber_of.pop(task.vid, None)
             process_arena().release(fiber)
@@ -714,7 +561,7 @@ def current_task() -> Optional[Task]:
     sched = _ACTIVE
     if sched is None:
         return None
-    return sched._engine.hook_task()
+    return sched._current
 
 
 def current_vid() -> Optional[int]:
@@ -742,10 +589,10 @@ def yield_point(kind, detail=None):
     sched = _ACTIVE
     if sched is None or _suspended():
         return
-    task = sched._engine.hook_task()
+    task = sched._current
     if task is None:
         return
-    sched._engine.task_yield(task, kind, detail)
+    sched._task_yield(task, kind, detail)
 
 
 def acquire_locks(monitor, names):
@@ -758,13 +605,13 @@ def acquire_locks(monitor, names):
     sched = _ACTIVE
     if sched is None or _suspended():
         return
-    task = sched._engine.hook_task()
+    task = sched._current
     if task is None:
         return
     from repro.concurrency.locks import order_locks
     for name in order_locks(names):
         task.waiting_lock = name
-        sched._engine.task_yield(task, "lock.acquire", name)
+        sched._task_yield(task, "lock.acquire", name)
         task.waiting_lock = None
         sched.locks.acquire(task.vid, name)
         scope = task.txn_scope
@@ -777,10 +624,10 @@ def release_locks(where):
     sched = _ACTIVE
     if sched is None:
         return ()
-    task = sched._engine.hook_task()
+    task = sched._current
     if task is None:
         return ()
-    return sched._engine.release_locks(task, where)
+    return sched._release_locks(task, where)
 
 
 def guard_mutation(name):
@@ -788,7 +635,7 @@ def guard_mutation(name):
     sched = _ACTIVE
     if sched is None or _suspended():
         return
-    task = sched._engine.hook_task()
+    task = sched._current
     if task is None:
         return
     sched.locks.check_mutation(task.vid, name)

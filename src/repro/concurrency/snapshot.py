@@ -17,10 +17,9 @@ Correctness rests on three properties:
   alone.  That is always true at a ``step`` or ``task.start`` park (no
   lock held or waited on, no transaction in flight): the ``step`` yield
   sits at the very top of ``apply_step``, before any mutation, so the
-  parked task's continuation is "run the rest of my script".  With the
-  extended gate (``REPRO_SNAPSHOT_GATE``, on by default) two more park
-  kinds qualify — a ``hc.return`` park (the hypercall fully committed
-  and its locks released; the continuation engine hoists this yield to
+  parked task's continuation is "run the rest of my script".  Two more
+  park kinds qualify — a ``hc.return`` park (the hypercall fully
+  committed and its locks released; the scheduler hoists this yield to
   an empty stack, and a restored task simply starts the *next* step)
   and a ``lock.acquire`` park on the task's *first* lock (nothing
   journalled, nothing snapshotted, the transaction scope still empty —
@@ -52,8 +51,9 @@ resumed after ``kill -9`` starts new workers whose trees are rebuilt
 from live execution, so pre-crash snapshots are structurally impossible
 to reuse.  The cache is opt-in per unit (``REPRO_PREFIX_CACHE``; on by
 default for parallel/durable/service campaigns, off for sequential
-campaigns and single-schedule ``replay``), and the cache-off path is
-the untouched legacy code path.
+campaigns and single-schedule ``replay``); with the cache off
+:func:`~repro.faults.campaign.execute_interleaved` runs each schedule
+from a plain prototype clone.
 """
 
 import os
@@ -65,16 +65,14 @@ from repro.concurrency import scheduler as conc
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which a vCPU's continuation is just "finish the
-#: current script step, then the rest of the script".
+#: current script step, then the rest of the script".  ``hc.return``
+#: and first-lock ``lock.acquire`` parks are capturable too, under the
+#: conditions :meth:`SnapshotPlan._capturable` checks (see the module
+#: docstring for why these are sound and others are not).
 SAFE_PARK_KINDS = frozenset({"task.start", "step"})
-
-#: Additional park kinds accepted by the extended capture gate (see
-#: module docstring for why these are sound and others are not).
-EXTENDED_PARK_KINDS = frozenset({"hc.return", "lock.acquire"})
 
 ENV_FLAG = "REPRO_PREFIX_CACHE"
 ENV_BUDGET = "REPRO_SNAPSHOT_BUDGET_MB"
-ENV_GATE = "REPRO_SNAPSHOT_GATE"
 DEFAULT_BUDGET_MB = 256.0
 
 #: Recorded parent traces kept for prefix prediction (tiny tuples; a
@@ -91,18 +89,6 @@ def prefix_cache_enabled(explicit: Optional[bool] = None) -> bool:
     if env is None or not env.strip():
         return True
     return env.strip().lower() not in ("0", "false", "no", "off")
-
-
-def extended_gate_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the capture-gate flag: explicit value, else
-    ``REPRO_SNAPSHOT_GATE`` (default extended; ``legacy``/``0``/``off``
-    restricts captures to :data:`SAFE_PARK_KINDS` parks only)."""
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(ENV_GATE)
-    if env is None or not env.strip():
-        return True
-    return env.strip().lower() not in ("0", "false", "no", "off", "legacy")
 
 
 def snapshot_budget_bytes() -> int:
@@ -314,25 +300,22 @@ class SnapshotPlan:
 
     Installed as ``DeterministicScheduler.snapshots``; offered the
     frozen world right before every scheduling decision (both the
-    token-passing and the inline-handoff paths).  Captures only at
+    loop's and the inline ones).  Captures only at
     decisions a child schedule could branch from — at least two live
     vCPUs, every live vCPU at a snapshot-safe park — and dedups by
     node key *before* cloning, so re-executed shared prefixes cost a
     dict probe, not a clone.
     """
 
-    __slots__ = ("tree", "world_key", "state", "workloads", "_prev",
-                 "extended")
+    __slots__ = ("tree", "world_key", "state", "workloads", "_prev")
 
     def __init__(self, tree, world_key, state, workloads, schedule,
-                 resumed_from: Optional[SnapshotNode] = None,
-                 extended: Optional[bool] = None):
+                 resumed_from: Optional[SnapshotNode] = None):
         self.tree = tree
         self.world_key = world_key
         self.state = state
         self.workloads = workloads
         self._prev = resumed_from
-        self.extended = extended_gate_enabled(extended)
 
     def offer(self, sched):
         """Capture the scheduler's state at the current decision point
@@ -378,8 +361,6 @@ class SnapshotPlan:
         if (kind in SAFE_PARK_KINDS and task.waiting_lock is None
                 and task.txn_scope is None):
             return True
-        if not self.extended:
-            return False
         if kind == "hc.return":
             # locks released, transaction scope closed, step committed:
             # the continuation is "start the next step"
@@ -501,9 +482,9 @@ def reset_process_tree(tree: Optional[SnapshotTree] = None):
 
 
 __all__ = [
-    "SAFE_PARK_KINDS", "EXTENDED_PARK_KINDS", "ENV_FLAG", "ENV_BUDGET",
-    "ENV_GATE", "TaskMeta", "SnapshotNode", "SnapshotTree",
-    "SnapshotPlan", "extended_gate_enabled", "prefix_cache_enabled",
+    "SAFE_PARK_KINDS", "ENV_FLAG", "ENV_BUDGET",
+    "TaskMeta", "SnapshotNode", "SnapshotTree",
+    "SnapshotPlan", "prefix_cache_enabled",
     "snapshot_budget_bytes", "locality_key", "process_tree",
     "reset_process_tree",
 ]

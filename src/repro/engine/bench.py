@@ -71,22 +71,6 @@ from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.engine.executor import resolve_workers
 
 
-def _engine_config() -> dict:
-    """The scheduler-engine knobs that shape every timing: which
-    engine runs vCPUs, whether the extended snapshot-capture gate is
-    on, and whether fiber stacks are pooled.  Folded into every bench
-    ``config`` block so :func:`_merged_out` refuses to silently
-    overwrite a section measured under a different engine setup."""
-    from repro.concurrency.scheduler import resolve_engine
-    from repro.concurrency.snapshot import extended_gate_enabled
-    return {
-        "sched_engine": resolve_engine(),
-        "snapshot_gate": ("extended" if extended_gate_enabled()
-                          else "legacy"),
-        "fiber_arena": True,
-    }
-
-
 def _arch_name(config):
     if config is None:
         from repro.hyperenclave.constants import TINY
@@ -179,8 +163,7 @@ def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
         "config": {"preemption_bound": preemption_bound,
                    "max_schedules": max_schedules, "seed": seed,
                    "workers": workers, "repeats": repeats,
-                   "arch": _arch_name(config),
-                   **_engine_config()},
+                   "arch": _arch_name(config)},
         "schedules": schedules,
         "states": states,
         "sequential": _rates(seq_s, schedules, states),
@@ -247,7 +230,7 @@ def bench_durability(*, preemption_bound=2, max_schedules=600, seed=0,
 
     workers = resolve_workers(workers)
     grid = dict(preemption_bound=preemption_bound,
-                max_schedules=max_schedules, seed=seed, config=config)
+                max_schedules=max_schedules, seed=seed)
     spec = CampaignSpec(**grid)
     root = tempfile.mkdtemp(prefix="bench-durability.", dir=tmp_root)
     plain_times, durable_times, warm_times = [], [], []
@@ -379,9 +362,7 @@ def bench_durability(*, preemption_bound=2, max_schedules=600, seed=0,
         "benchmark": "durable-orchestrator",
         "config": {"preemption_bound": preemption_bound,
                    "max_schedules": max_schedules, "seed": seed,
-                   "workers": workers, "repeats": repeats,
-                   "arch": _arch_name(config),
-                   **_engine_config()},
+                   "workers": workers, "repeats": repeats},
         "plain": {"seconds_per_repeat": [round(t, 4)
                                          for t in plain_times],
                   "seconds": round(plain_s, 4)},
@@ -544,8 +525,7 @@ def bench_service(*, preemption_bound=2, max_schedules=240, seed=0,
                    "max_schedules": max_schedules, "seed": seed,
                    "workers": workers,
                    "concurrency": list(concurrency),
-                   "request_probes": request_probes,
-                   **_engine_config()},
+                   "request_probes": request_probes},
         "concurrency": levels,
         "request_path": {
             "probes": request_probes,
@@ -662,312 +642,10 @@ def bench_prefix_cache(*, bounds=(2, 3), max_schedules=600, seed=0,
         "benchmark": "prefix-cache",
         "config": {"bounds": list(bounds),
                    "max_schedules": max_schedules, "seed": seed,
-                   "workers": workers, "repeats": repeats,
-                   **_engine_config()},
+                   "workers": workers, "repeats": repeats},
         "bounds": per_bound,
         "byte_identical": True,
     }
-
-
-def bench_fixed_cost(*, bound=2, max_schedules=600, seed=0,
-                     workers=None, repeats=3) -> dict:
-    """Price the per-run fixed costs the continuation engine retires.
-
-    Four full campaign variants on the same grid, every one gated on
-    repr-identity against the first:
-
-    * ``threads`` engine, prefix cache off, legacy capture gate — the
-      pre-cache fabric;
-    * ``threads`` engine, cache on, legacy gate — the PR 8 shipping
-      configuration, the baseline the acceptance speedup is measured
-      against;
-    * ``continuation`` engine, cache off, extended gate;
-    * ``continuation`` engine, cache on, extended gate — the new
-      default.
-
-    The headline ``speedup_vs_pr8_baseline`` times the bound-2
-    sequential interleaving bench head-to-head: the PR 8 shipping path
-    (threads engine, per-schedule world rebuild, a third world
-    execution inside the NI check, unmemoised final diff) against the
-    amortized default (continuation engine, prototype clones, prepared
-    NI reuse, digest-tier diff) — repr-identical required.  The
-    ``variants`` section times the *parallel* campaign matrix, with
-    ``speedup_parallel`` comparing the PR 8 configuration
-    (threads/cache-on/legacy-gate) to the new default.  The ``gate``
-    section compares
-    the legacy and extended capture gates' decision-states-saved
-    fraction, hit rate, and resident bytes so a raised capture ceiling
-    that quietly tanked the hit rate would show up here.
-
-    The ``components`` section prices each retired fixed cost in
-    isolation: per-run scheduler drive cost on both engines (the
-    thread-creation/join + Event handoff tax vs the arena'd loop), the
-    NI digest fast path vs a direct observation diff, warm incremental
-    vs cold full-rehash state fingerprinting, and bare world assembly
-    (clone + scheduler construction, the floor neither engine can
-    remove).
-    """
-    import gc
-
-    from repro.concurrency.scheduler import ENV_ENGINE, Schedule
-    from repro.concurrency.snapshot import ENV_GATE, reset_process_tree
-    from repro.engine import workers as worker_module
-    from repro.engine.executor import ShardedExecutor
-    from repro.engine.fingerprint import fingerprint, state_fingerprint
-    from repro.engine.memo import CheckMemo
-    from repro.faults.campaign import (
-        build_interleaved_world, execute_interleaved,
-        interleaving_campaign)
-    from repro.hyperenclave.monitor import HOST_ID
-    from repro.obs.metrics import REGISTRY
-    from repro.security.noninterference import observation_diff
-
-    workers = resolve_workers(workers)
-    original_memo = worker_module.MEMO
-    saved_env = {name: os.environ.get(name)
-                 for name in (ENV_ENGINE, ENV_GATE)}
-
-    def set_env(engine, gate):
-        # plain assignment, not a context manager: ``fork`` propagates
-        # the environment, so pool workers inherit the variant's knobs
-        os.environ[ENV_ENGINE] = engine
-        os.environ[ENV_GATE] = gate
-
-    def cold_run(engine, use_cache, gate):
-        set_env(engine, gate)
-        worker_module.MEMO = CheckMemo()
-        reset_process_tree()
-        gc.collect()
-        with ShardedExecutor(workers) as pool:
-            before = REGISTRY.snapshot()
-            t0 = time.perf_counter()
-            result = parallel_interleaving_campaign(
-                preemption_bound=bound, max_schedules=max_schedules,
-                seed=seed, executor=pool, prefix_cache=use_cache)
-            seconds = time.perf_counter() - t0
-            delta = REGISTRY.delta(before)
-        return result, seconds, delta
-
-    VARIANTS = [
-        ("threads", False, "legacy"),
-        ("threads", True, "legacy"),          # PR 8 shipping config
-        ("continuation", False, "extended"),
-        ("continuation", True, "extended"),   # new default
-    ]
-
-    variants = {}
-    baseline_repr = None
-    schedules = states = 0
-    try:
-        for engine, use_cache, gate in VARIANTS:
-            name = f"{engine}/{'on' if use_cache else 'off'}/{gate}"
-            times = []
-            counters = {}
-            bytes_resident = 0
-            for _ in range(repeats):
-                result, seconds, delta = cold_run(engine, use_cache, gate)
-                times.append(seconds)
-                if baseline_repr is None:
-                    baseline_repr = repr(result)
-                    schedules = len(result.runs)
-                    states = sum(len(r.decisions)
-                                 for _, r in result.runs)
-                elif repr(result) != baseline_repr:
-                    raise RuntimeError(
-                        f"fixed-cost variant {name} diverged from the "
-                        f"threads/cache-off baseline")
-                result = None
-                for cname, value in delta["counters"].items():
-                    if cname.startswith("snapshot_cache."):
-                        key = cname[len("snapshot_cache."):]
-                        counters[key] = counters.get(key, 0) + value
-                bytes_resident = max(
-                    bytes_resident,
-                    delta["gauges"].get(
-                        "snapshot_cache.bytes_resident", 0))
-            hits = counters.get("hits", 0)
-            lookups = hits + counters.get("misses", 0)
-            steps_saved = counters.get("steps_saved", 0)
-            variants[name] = {
-                "engine": engine,
-                "prefix_cache": use_cache,
-                "snapshot_gate": gate,
-                "seconds_per_repeat": [round(t, 4) for t in times],
-                "seconds": round(statistics.median(times), 4),
-                "hit_rate": (round(hits / lookups, 4)
-                             if lookups else 0.0),
-                "decision_states_saved": (
-                    round(steps_saved / (states * repeats), 4)
-                    if states else 0.0),
-                "counters": counters,
-                "bytes_resident": int(bytes_resident),
-            }
-
-        baseline = variants["threads/on/legacy"]
-        default = variants["continuation/on/extended"]
-        legacy_gate = baseline
-        extended_gate = default
-
-        # -- the headline: bound-2 sequential bench, PR 8 path vs the
-        # amortized default --------------------------------------------
-        seq_grid = dict(preemption_bound=bound,
-                        max_schedules=max_schedules, seed=seed)
-        pr8_times, new_times = [], []
-        pr8_repr = new_repr = None
-        for _ in range(repeats):
-            set_env("threads", "legacy")
-            t0 = time.perf_counter()
-            result = interleaving_campaign(**seq_grid, amortize=False)
-            pr8_times.append(time.perf_counter() - t0)
-            pr8_repr = repr(result)
-            set_env("continuation", "extended")
-            t0 = time.perf_counter()
-            result = interleaving_campaign(**seq_grid)
-            new_times.append(time.perf_counter() - t0)
-            new_repr = repr(result)
-        if new_repr != pr8_repr:
-            raise RuntimeError(
-                "amortized sequential campaign diverged from the "
-                "PR 8-style baseline")
-        pr8_s = statistics.median(pr8_times)
-        new_s = statistics.median(new_times)
-        sequential = {
-            "pr8_style": {
-                "engine": "threads", "amortize": False,
-                "seconds_per_repeat": [round(t, 4) for t in pr8_times],
-                "seconds": round(pr8_s, 4),
-            },
-            "amortized": {
-                "engine": "continuation", "amortize": True,
-                "seconds_per_repeat": [round(t, 4) for t in new_times],
-                "seconds": round(new_s, 4),
-            },
-            "byte_identical": True,
-        }
-
-        # -- per-component fixed costs, measured in isolation ---------
-        def timed(fn, rounds):
-            t0 = time.perf_counter()
-            for _ in range(rounds):
-                fn()
-            return (time.perf_counter() - t0) / rounds
-
-        rounds = max(10, 5 * repeats)
-        root = Schedule(seed=seed, preemptions=(), crash=None)
-
-        def drive(engine):
-            set_env(engine, "legacy" if engine == "threads"
-                    else "extended")
-            state, ctx = build_interleaved_world()
-
-            def run():
-                s, _ = build_interleaved_world()
-                execute_interleaved(s, ctx, root)
-            before = REGISTRY.snapshot()
-            per_run = timed(run, rounds)
-            delta = REGISTRY.delta(before)["counters"]
-            return {
-                "ms_per_run": round(per_run * 1e3, 3),
-                "handoffs": delta.get("sched.handoffs", 0),
-                "inline_decisions": delta.get(
-                    "sched.inline_decisions", 0),
-                "arena_reuses": delta.get("sched.arena_reuses", 0),
-                "fiber_steps": delta.get("sched.fiber_steps", 0),
-            }
-
-        thread_handoff = {
-            "threads": drive("threads"),
-            "continuation": drive("continuation"),
-        }
-        thread_handoff["ms_saved_per_run"] = round(
-            thread_handoff["threads"]["ms_per_run"]
-            - thread_handoff["continuation"]["ms_per_run"], 3)
-
-        # NI diff: the digest fast path (two fingerprint-distinct but
-        # observation-equal states) vs a direct pairwise diff.
-        set_env("continuation", "extended")
-        state_a, ctx_a = build_interleaved_world()
-        execute_interleaved(state_a, ctx_a, root)
-        state_b, ctx_b = build_interleaved_world()
-        execute_interleaved(state_b, ctx_b, root)
-        memo = CheckMemo()
-        fingerprint(state_a.monitor), fingerprint(state_b.monitor)
-        digest_us = timed(
-            lambda: memo.final_state_diff(
-                state_a, state_b, HOST_ID, HOST_ID), rounds * 10) * 1e6
-        direct_us = timed(
-            lambda: observation_diff(state_a, state_b, HOST_ID),
-            rounds * 10) * 1e6
-        ni_diff = {
-            "digest_us_per_pair": round(digest_us, 2),
-            "direct_us_per_pair": round(direct_us, 2),
-            "speedup": (round(direct_us / digest_us, 2)
-                        if digest_us else 0.0),
-        }
-
-        # Fingerprint: warm incremental (clean frame-digest cache) vs
-        # a cold full rehash (every frame marked dirty).
-        state_fingerprint(state_a)
-
-        def cold_fp():
-            state_a.monitor.phys._mark_all_dirty()
-            state_fingerprint(state_a)
-        warm_us = timed(lambda: state_fingerprint(state_a),
-                        rounds * 10) * 1e6
-        cold_us = timed(cold_fp, rounds * 10) * 1e6
-        fp_component = {
-            "warm_us": round(warm_us, 2),
-            "cold_rehash_us": round(cold_us, 2),
-            "speedup": round(cold_us / warm_us, 2) if warm_us else 0.0,
-        }
-
-        assembly_ms = timed(lambda: build_interleaved_world(),
-                            rounds) * 1e3
-
-        record = {
-            "benchmark": "fixed-cost",
-            "config": {"preemption_bound": bound,
-                       "max_schedules": max_schedules, "seed": seed,
-                       "workers": workers, "repeats": repeats,
-                       **_engine_config()},
-            "schedules": schedules,
-            "states": states,
-            "sequential": sequential,
-            "variants": variants,
-            "speedup_vs_pr8_baseline": round(pr8_s / new_s, 2),
-            "speedup_parallel": round(
-                baseline["seconds"] / default["seconds"], 2),
-            "gate": {
-                "legacy": {
-                    "decision_states_saved":
-                        legacy_gate["decision_states_saved"],
-                    "hit_rate": legacy_gate["hit_rate"],
-                    "bytes_resident": legacy_gate["bytes_resident"],
-                },
-                "extended": {
-                    "decision_states_saved":
-                        extended_gate["decision_states_saved"],
-                    "hit_rate": extended_gate["hit_rate"],
-                    "bytes_resident": extended_gate["bytes_resident"],
-                },
-            },
-            "components": {
-                "thread_handoff": thread_handoff,
-                "ni_diff": ni_diff,
-                "fingerprint": fp_component,
-                "assembly": {"ms_per_world": round(assembly_ms, 3)},
-            },
-            "byte_identical": True,
-        }
-    finally:
-        worker_module.MEMO = original_memo
-        reset_process_tree()
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    return record
 
 
 def _canonical_verdicts(report):
@@ -1092,8 +770,7 @@ def bench_symbolic(*, seed=0, cosim_samples=24, repeats=3,
     return {
         "benchmark": "symbolic-fast-path",
         "config": {"geometry": "TINY", "seed": seed,
-                   "cosim_samples": cosim_samples, "repeats": repeats,
-                   **_engine_config()},
+                   "cosim_samples": cosim_samples, "repeats": repeats},
         "functions": functions,
         "naive": {"seconds_per_repeat": [round(t, 4) for t in naive_times],
                   "seconds": round(naive_s, 4)},
@@ -1261,13 +938,6 @@ def main(argv=None):
                              "cache (campaign with the cache on vs "
                              "off per preemption bound) and merge the "
                              "section into --out")
-    parser.add_argument("--fixed-cost", action="store_true",
-                        help="measure the per-run fixed costs across "
-                             "the engine matrix (threads vs "
-                             "continuation, cache on/off, legacy vs "
-                             "extended capture gate, plus per-"
-                             "component breakdowns) and merge the "
-                             "section into --out")
     parser.add_argument("--preemption-bound", type=int, default=2)
     parser.add_argument("--max-schedules", type=int, default=600)
     parser.add_argument("--workers", type=int, default=None)
@@ -1300,7 +970,7 @@ def main(argv=None):
             parser.error(f"unknown --arch {args.arch!r} "
                          f"(choose from {sorted(ARCH_CONFIGS)})")
         if (args.symbolic or args.durability or args.service
-                or args.prefix_cache or args.fixed_cost):
+                or args.prefix_cache):
             parser.error("--arch only applies to the checking-fabric "
                          "bench")
         arch_config = ARCH_CONFIGS[args.arch]
@@ -1375,28 +1045,6 @@ def main(argv=None):
             f"{entry['counters'].get('steps_saved', 0)} steps saved, "
             f"{entry['bytes_resident']} bytes resident)"
             for entry in record["bounds"].values()))
-        return merged
-
-    if args.fixed_cost:
-        record = bench_fixed_cost(bound=args.preemption_bound,
-                                  max_schedules=args.max_schedules,
-                                  workers=args.workers,
-                                  repeats=args.repeats)
-        merged = _merged_out(out, "fixed_cost", record)
-        gate = record["gate"]
-        print(f"sequential PR8-style "
-              f"{record['sequential']['pr8_style']['seconds']}s  "
-              f"amortized "
-              f"{record['sequential']['amortized']['seconds']}s  "
-              f"speedup vs PR8 baseline "
-              f"{record['speedup_vs_pr8_baseline']}x  "
-              f"parallel {record['speedup_parallel']}x  "
-              f"states-saved legacy "
-              f"{gate['legacy']['decision_states_saved']} -> extended "
-              f"{gate['extended']['decision_states_saved']}  "
-              f"handoff saving "
-              f"{record['components']['thread_handoff']['ms_saved_per_run']}"
-              f"ms/run")
         return merged
 
     if args.service:

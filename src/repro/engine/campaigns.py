@@ -11,12 +11,12 @@ results **byte-identically** to the sequential run:
 * the merge reassembles results by unit index, so worker count and
   completion order cannot leak into the report.
 
-The speed comes from three places: process parallelism, per-worker
-world prototypes (clone instead of reboot), and the
-fingerprint-memoised checkers in :mod:`repro.engine.memo` — the
-interleaving campaign additionally reuses its own secret-41 execution
-as world A of the noninterference re-run, saving one of the three
-world executions the sequential campaign pays per schedule.
+Workers clone per-worker world prototypes instead of rebooting and
+run the same fingerprint-memoised checkers (:mod:`repro.engine.memo`)
+as the sequential campaigns; the interleaving campaign's units run the
+sequential campaign's per-schedule battery
+(:func:`~repro.faults.campaign.schedule_findings`) through the
+worker's memo.
 
 All functions accept ``workers`` (see
 :func:`~repro.engine.executor.resolve_workers`) or a pre-built

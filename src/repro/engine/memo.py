@@ -28,9 +28,10 @@ memory directly; nothing touches a TLB or an allocator).
 
 Memoisation by fingerprint is hash compaction (as in every stateful
 model checker's visited-state table): a 64-bit blake2b collision would
-alias two distinct states.  The planted-bug matrix re-run through the
-parallel fabric guards the other failure mode — a memo bug masking a
-real violation.
+alias two distinct states.  Every interleaving campaign path checks
+through a memo — sequential, parallel, durable and service alike — so
+the planted-bug matrix and the committed golden digests guard the
+other failure mode: a memo bug masking a real violation.
 """
 
 from hashlib import blake2b

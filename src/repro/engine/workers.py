@@ -9,18 +9,20 @@ every unit the worker's shards carry:
 
 * :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`;
   the executor returns its counter deltas with every shard.
-* world prototypes — :func:`~repro.faults.campaign.build_interleaved_world`
-  output cached per ``(monitor, config, secret)``; each schedule then
-  starts from a :meth:`~repro.security.state.SystemState.clone` (~20x
-  cheaper than a fresh boot, and byte-identical to one by the clone
-  layer's contract).
+* interleaving worlds — one cached :func:`run_world` per (monitor,
+  config, prefix cache): each secret's
+  :func:`~repro.faults.campaign.build_interleaved_world` prototype is
+  built once per worker and every schedule runs on a
+  :meth:`~repro.security.state.SystemState.clone` of it (~20x cheaper
+  than a fresh boot, and byte-identical to one by the clone layer's
+  contract);
 * world factories / workloads / mir models — resolved and cached per
   dotted path.
 
 The unit runners reuse the *same* per-unit helpers the sequential
-campaigns run (:func:`~repro.faults.campaign.run_crash_step_unit` and
-friends), so sequential/parallel equivalence is structural, not
-re-implemented.
+campaigns run (:func:`~repro.faults.campaign.schedule_findings`,
+:func:`~repro.faults.campaign.run_crash_step_unit` and friends), so
+sequential/parallel equivalence is structural, not re-implemented.
 """
 
 from repro.engine.executor import resolve_callable
@@ -30,71 +32,52 @@ from repro.engine.memo import CheckMemo
 # runs); the executor snapshots its stats around every shard.
 MEMO = CheckMemo()
 
-_PROTOTYPES = {}        # (monitor path, config repr, secret) -> (state, ctx)
+_RUN_WORLDS = {}        # (monitor path, config repr, prefix cache) -> run_world
 _FACTORIES = {}         # (maker path, args repr) -> world factory
 _WORKLOADS = {}         # workload path -> [(name, invoke)]
 _MODELS = {}            # config repr -> mir corpus model
 
 
-def _resolve_cls(path):
-    return resolve_callable(path) if path else None
+def run_world(monitor_path, config, prefix_cache=False):
+    """This process's ``run_world(secret, schedule) -> (state,
+    RunResult)`` for one interleaved-campaign world flavour.
 
-
-def _interleaved_prototype(monitor_path, config, secret):
-    """The cached ``(state, ctx)`` prototype for one world flavour
-    (built on first use per worker; never executed directly)."""
-    from repro.faults.campaign import build_interleaved_world
-    key = (monitor_path, repr(config), secret)
-    if key not in _PROTOTYPES:
-        _PROTOTYPES[key] = build_interleaved_world(
-            _resolve_cls(monitor_path), config, secret=secret)
-    return _PROTOTYPES[key]
-
-
-def _interleaved_world(monitor_path, config, secret):
-    """A fresh interleaved-campaign world, cloned from a cached
-    prototype (built on first use per worker)."""
-    state, ctx = _interleaved_prototype(monitor_path, config, secret)
-    return state.clone(), dict(ctx)
-
-
-def _interleaved_run_world(monitor_path, config):
-    """A prototype-backed ``run_world(secret, schedule)`` using the
-    scheduler's inline-handoff fast path."""
-    from repro.faults.campaign import execute_interleaved
-
-    def run_world(secret, schedule):
-        state, ctx = _interleaved_world(monitor_path, config, secret)
-        return execute_interleaved(state, ctx, schedule,
-                                   fast_handoff=True)
-
-    return run_world
-
-
-def _execute_cached(monitor_path, config, secret, schedule):
-    """One schedule through this process's snapshot tree.
-
-    The tree key space is world-scoped — monitor class, config, secret,
-    plus the schedule's (seed, crash) — so the secret-41 primary runs
-    and the secret-42 noninterference re-runs each warm their own
-    subtree on the same worker (unit-level sharding keeps both here).
+    With ``prefix_cache`` every run goes through this process's
+    snapshot tree.  The tree key space is world-scoped — monitor
+    class, config, secret, plus the schedule's (seed, crash) — so the
+    secret-41 primary runs and the secret-42 noninterference re-runs
+    each warm their own subtree on the same worker (unit-level
+    sharding keeps both here).
     """
-    from repro.concurrency.snapshot import process_tree
-    from repro.faults.campaign import execute_interleaved_cached
-    state, ctx = _interleaved_prototype(monitor_path, config, secret)
-    world_key = (monitor_path, repr(config), secret, schedule.seed,
-                 schedule.crash)
-    return execute_interleaved_cached(state, dict(ctx), schedule,
-                                      tree=process_tree(),
-                                      world_key=world_key)
+    config_key = repr(config)
+    key = (monitor_path, config_key, bool(prefix_cache))
+    runner = _RUN_WORLDS.get(key)
+    if runner is None:
+        from repro.concurrency.snapshot import process_tree
+        from repro.faults.campaign import (
+            build_interleaved_world,
+            execute_interleaved,
+        )
 
+        monitor_cls = resolve_callable(monitor_path) if monitor_path \
+            else None
+        prototypes = {}
 
-def _interleaved_run_world_cached(monitor_path, config):
-    """The snapshot-tree flavour of :func:`_interleaved_run_world`."""
-    def run_world(secret, schedule):
-        return _execute_cached(monitor_path, config, secret, schedule)
+        def runner(secret, schedule):
+            proto = prototypes.get(secret)
+            if proto is None:
+                proto = prototypes[secret] = build_interleaved_world(
+                    monitor_cls, config, secret=secret)
+            if not prefix_cache:
+                return execute_interleaved(*proto, schedule)
+            world_key = (monitor_path, config_key, secret, schedule.seed,
+                         schedule.crash)
+            return execute_interleaved(*proto, schedule,
+                                       tree=process_tree(),
+                                       world_key=world_key)
 
-    return run_world
+        _RUN_WORLDS[key] = runner
+    return runner
 
 
 def _world_factory(maker_path, args):
@@ -123,48 +106,23 @@ def zero_clock():
 
 
 def run_interleaving_unit(unit):
-    """One explored schedule: execute it, then run the full battery —
-    memoised invariants, memoised vCPU consistency, and (``check_ni``)
-    the schedule-NI re-run reusing this very execution as world A.
+    """One explored schedule: execute it, then run the per-schedule
+    battery (:func:`~repro.faults.campaign.schedule_findings`) through
+    this worker's :data:`MEMO`.
 
     Returns ``(RunResult, findings)`` for
     :func:`~repro.concurrency.explorer.explore_batched`; the findings
     are byte-identical to the sequential campaign's ``check`` hook.
     """
-    from repro.engine.fingerprint import structure_fingerprints
-    from repro.faults.campaign import execute_interleaved
-    from repro.security.noninterference import (
-        check_schedule_noninterference_prepared)
+    from repro.faults.campaign import schedule_findings
 
-    monitor_path = unit.get("monitor")
-    config = unit.get("config")
-    use_cache = bool(unit.get("prefix_cache"))
-    if use_cache:
-        state, result = _execute_cached(monitor_path, config, 41,
-                                        unit["schedule"])
-    else:
-        state, ctx = _interleaved_world(monitor_path, config, 41)
-        state, result = execute_interleaved(state, ctx,
-                                            unit["schedule"],
-                                            fast_handoff=True)
-    fps = structure_fingerprints(state.monitor)
-    findings = []
-    report = MEMO.check_invariants(state.monitor, fps)
-    for family in report.violated_families():
-        for item in report.violations[family]:
-            findings.append(("invariant", f"[{family}] {item}"))
-    for item in MEMO.check_vcpu(state.monitor, fps):
-        findings.append(("vcpu-consistency", item))
-    if unit.get("check_ni"):
-        run_world = (_interleaved_run_world_cached(monitor_path, config)
-                     if use_cache
-                     else _interleaved_run_world(monitor_path, config))
-        for violation in check_schedule_noninterference_prepared(
-                state, result, run_world,
-                unit["schedule"], list(unit["observers"]),
-                diff=MEMO.final_state_diff):
-            findings.append(("noninterference", str(violation)))
-    return result, findings
+    schedule = unit["schedule"]
+    runner = run_world(unit.get("monitor"), unit.get("config"),
+                       unit.get("prefix_cache"))
+    state, result = runner(41, schedule)
+    return result, schedule_findings(
+        state, result, runner, schedule, memo=MEMO,
+        check_ni=unit.get("check_ni"), observers=unit.get("observers"))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +175,9 @@ def run_crash_ni_unit(unit):
 def run_crash_point_unit(unit):
     """One crash delivered at one critical-section yield point."""
     from repro.faults.campaign import crash_point_record
-    run_world = _interleaved_run_world(unit.get("monitor"),
-                                       unit.get("config"))
-    return crash_point_record(run_world, unit["point"],
-                              seed=unit.get("seed", 0))
+    return crash_point_record(run_world(unit.get("monitor"),
+                                        unit.get("config")),
+                              unit["point"], seed=unit.get("seed", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.faults.campaign import (
     crash_point_record,
     crash_step_campaign,
     crash_step_units,
-    default_concurrent_workloads,
     default_ni_trace,
     default_two_worlds,
     default_workload,
@@ -84,7 +83,6 @@ __all__ = [
     "crash_point_record",
     "crash_step_campaign",
     "crash_step_units",
-    "default_concurrent_workloads",
     "default_ni_trace",
     "default_two_worlds",
     "default_workload",

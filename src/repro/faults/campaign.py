@@ -570,12 +570,16 @@ def run_crash_ni_index(two_worlds_factory, trace, index, *,
 
 
 def default_concurrent_scripts(ctx):
-    """The two racing vCPU step scripts, as plain lists.
+    """The two racing vCPU step scripts over one shared monitor.
 
-    Shared by the legacy closure workloads below and the snapshot
-    tree's resumable workloads — both must execute the *identical* step
-    sequence for restore-from-snapshot runs to be byte-identical to
-    from-scratch ones.
+    vCPU 0 (the management core) builds an enclave and then trims its
+    only page — the SGX2 shrink path whose TLB shootdown is
+    load-bearing.  vCPU 1 (the application core) races an
+    enter → load → load → exit session through the same enclave.  Every
+    step goes through the transition system (so each is a preemption
+    point), and mis-sequenced steps — entering before ``init`` landed,
+    loading after a rejected enter — are tolerated skips, which is what
+    lets *every* interleaving of the two scripts run to completion.
     """
     from repro.hyperenclave.monitor import HOST_ID
     from repro.security.transitions import Hypercall, MemLoad
@@ -597,48 +601,22 @@ def default_concurrent_scripts(ctx):
     return [host_script, guest_script]
 
 
-def default_concurrent_workloads(state, ctx):
-    """Two racing vCPU scripts over one shared monitor.
-
-    vCPU 0 (the management core) builds an enclave and then trims its
-    only page — the SGX2 shrink path whose TLB shootdown is
-    load-bearing.  vCPU 1 (the application core) races an
-    enter → load → load → exit session through the same enclave.  Every
-    step goes through the transition system (so each is a preemption
-    point), and mis-sequenced steps — entering before ``init`` landed,
-    loading after a rejected enter — are tolerated skips, which is what
-    lets *every* interleaving of the two scripts run to completion.
-    """
-    host_script, guest_script = default_concurrent_scripts(ctx)
-
-    def script_task(script):
-        def run():
-            for step in script:
-                _apply_tolerant(state, step)
-        return run
-
-    return [script_task(host_script), script_task(guest_script)]
-
-
 class ScriptWorkloads:
     """Script runners whose per-vCPU progress is observable/restorable.
+
+    This is the scheduler's *step-drivable workload protocol*
+    (``scripts``/``positions``/``run_step``/``advance``/
+    ``steps_remaining``): handed to
+    :class:`~repro.concurrency.DeterministicScheduler` directly, it lets
+    the scheduling loop drive each script one step at a time — inline
+    when the scheduling is settled, on a pooled fiber otherwise.
 
     The snapshot tree needs to know, at a capture point, *where in its
     script* each vCPU is — and needs restored tasks to pick up from an
     arbitrary step.  ``positions[vid]`` is the index of the step the
     vCPU is currently inside (incremented only after the step
     completes), so a task parked at the top-of-step yield restores by
-    re-entering exactly that step.  Step-for-step this executes the
-    same sequence as the closures above.
-
-    This is also the scheduler's *step-drivable workload protocol*
-    (``run_step``/``advance``/``steps_remaining``/``tasks``): handed to
-    :class:`~repro.concurrency.DeterministicScheduler` directly, the
-    continuation engine drives each script one step at a time from its
-    own loop — inline when the scheduling is settled, on a pooled fiber
-    otherwise — while the threaded engine falls back to the
-    :meth:`tasks` closures.  Both paths execute the identical step
-    sequence through these same three methods.
+    re-entering exactly that step.
     """
 
     def __init__(self, state, scripts, positions=None):
@@ -657,25 +635,15 @@ class ScriptWorkloads:
     def advance(self, vid):
         self.positions[vid] += 1
 
-    def tasks(self):
-        return [self._runner(vid) for vid in range(len(self.scripts))]
-
-    def _runner(self, vid):
-        def run():
-            while self.steps_remaining(vid):
-                self.run_step(vid)
-                self.advance(vid)
-        return run
-
 
 def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
     """The interleaved-campaign world, pre-schedule: ``(state, ctx)``.
 
     A two-vCPU monitor, one app, and a source page holding ``secret``.
-    The returned state has executed nothing yet, so it can serve as a
-    clean prototype: :meth:`SystemState.clone` of it is exactly the
-    world a fresh build would produce (the parallel fabric builds one
-    prototype per worker and clones per schedule).
+    The returned state has executed nothing yet, so it serves as the
+    clean prototype :func:`execute_interleaved` clones per schedule:
+    :meth:`SystemState.clone` of it is exactly the world a fresh build
+    would produce.
     """
     from repro.hyperenclave.constants import TINY
     from repro.hyperenclave.monitor import RustMonitor
@@ -698,193 +666,154 @@ def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
     return SystemState(monitor, DataOracle.seeded(13)), ctx
 
 
-def execute_interleaved(state, ctx, schedule, *, workloads=None,
-                        probe=True, fast_handoff=False):
-    """Run ``schedule`` over a :func:`build_interleaved_world` state.
+def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
+                        probe=True, tree=None, world_key=None):
+    """Run ``schedule`` on a clone of a :func:`build_interleaved_world`
+    prototype; returns ``(state, RunResult)``.
 
-    The vCPU scripts come from ``workloads`` (default
-    :func:`default_concurrent_workloads`); the stale-translation
-    detector probes after every decision unless ``probe`` is false.
-    ``fast_handoff`` enables the scheduler's inline-decision path (used
-    by the parallel fabric's workers; byte-identical results either
-    way).
-    """
-    from repro.concurrency import DeterministicScheduler
-    from repro.concurrency.shootdown import detect_stale_translations
+    ``prototype`` itself never executes, so one build serves every
+    schedule.  The vCPUs run :func:`default_concurrent_scripts` unless
+    ``workloads(state, ctx)`` builds a list of callables instead; the
+    stale-translation detector probes after every decision unless
+    ``probe`` is false.
 
-    if workloads is None:
-        # the default scripts go in step-drivable form so the
-        # continuation engine can run them inline (custom ``workloads``
-        # builders keep the legacy list-of-callables contract)
-        built = ScriptWorkloads(state, default_concurrent_scripts(ctx))
-    else:
-        built = workloads(state, ctx)
-    scheduler = DeterministicScheduler(
-        state.monitor, built, schedule,
-        probe=detect_stale_translations if probe else None,
-        fast_handoff=fast_handoff)
-    result = scheduler.run()
-    # Scrub the source page the harness used to seed the secret —
-    # the concurrent analogue of :func:`default_two_worlds` zeroing
-    # it right after ``hc_add_page``.  Once inside the enclave the
-    # secret is exactly what noninterference must hide; the staging
-    # copy in host memory is a harness artifact, not a channel.
-    state.monitor.primary_os.gpa_write_word(ctx["src_pa"], 0)
-    return state, result
-
-
-def execute_interleaved_cached(prototype, ctx, schedule, *, tree,
-                               world_key, probe=True,
-                               fast_handoff=True):
-    """:func:`execute_interleaved`, restored from the snapshot tree.
-
-    Looks up the deepest cached ancestor of ``schedule``'s predicted
-    trace prefix in ``tree``; on a hit the run starts from a clone of
-    the node's frozen state with the cached prefix records pre-seeded,
-    on a miss it starts from a clone of ``prototype``.  Either way a
+    With ``tree`` (a :class:`~repro.concurrency.snapshot.SnapshotTree`;
+    default scripts only) the run starts from a clone of the deepest
+    cached ancestor of the schedule's predicted trace prefix under
+    ``world_key``, with the cached prefix records pre-seeded, and
+    executes only the rest; a
     :class:`~repro.concurrency.snapshot.SnapshotPlan` captures new
     nodes at snapshot-safe decisions, and the finished trace is
     recorded so children of this schedule can predict their prefixes.
-    Results are byte-identical to :func:`execute_interleaved` — the
-    equivalence suite pins this, including under forced eviction.
+    Results are byte-identical with or without the tree — the golden
+    digests pin this, including under forced eviction.
     """
     from repro.concurrency import DeterministicScheduler
     from repro.concurrency.shootdown import detect_stale_translations
     from repro.concurrency.snapshot import SnapshotPlan
 
-    scripts = default_concurrent_scripts(ctx)
-    node = tree.lookup(world_key, schedule)
-    if node is not None:
-        state = node.state.clone()
-        workloads = ScriptWorkloads(state, scripts, node.positions())
+    node = None if tree is None else tree.lookup(world_key, schedule)
+    state = (prototype if node is None else node.state).clone()
+    if workloads is not None:
+        built = workloads(state, dict(ctx))
     else:
-        state = prototype.clone()
-        workloads = ScriptWorkloads(state, scripts)
+        built = ScriptWorkloads(state, default_concurrent_scripts(ctx),
+                                None if node is None else node.positions())
     scheduler = DeterministicScheduler(
-        state.monitor, workloads, schedule,
-        probe=detect_stale_translations if probe else None,
-        fast_handoff=fast_handoff)
-    if node is not None:
-        node.apply_to(scheduler)
-    scheduler.snapshots = SnapshotPlan(tree, world_key, state,
-                                       workloads, schedule,
-                                       resumed_from=node)
+        state.monitor, built, schedule,
+        probe=detect_stale_translations if probe else None)
+    if tree is not None:
+        if node is not None:
+            node.apply_to(scheduler)
+        scheduler.snapshots = SnapshotPlan(tree, world_key, state, built,
+                                           schedule, resumed_from=node)
     result = scheduler.run()
-    tree.record_trace(world_key, schedule, result.trace)
-    # Same post-run scrub as execute_interleaved (see there).  Nodes
-    # are captured mid-run, pre-scrub — exactly the state a from-
-    # scratch run holds at the same point.
+    if tree is not None:
+        tree.record_trace(world_key, schedule, result.trace)
+    # Scrub the source page the harness used to seed the secret —
+    # the concurrent analogue of :func:`default_two_worlds` zeroing
+    # it right after ``hc_add_page``.  Once inside the enclave the
+    # secret is exactly what noninterference must hide; the staging
+    # copy in host memory is a harness artifact, not a channel.  Tree
+    # nodes are captured mid-run, pre-scrub — exactly the state a
+    # from-scratch run holds at the same point.
     state.monitor.primary_os.gpa_write_word(ctx["src_pa"], 0)
     return state, result
 
 
 def make_interleaved_run(monitor_cls=None, config=None, *,
-                         workloads=None, probe=True, amortize=True,
-                         fast_handoff=False):
+                         workloads=None, probe=True):
     """A ``run_world(secret, schedule) -> (state, RunResult)`` factory.
 
-    With ``amortize`` (the default) each distinct ``secret``'s world is
-    built once and cloned per call — :func:`build_interleaved_world`'s
-    clean-prototype contract, the same idiom the parallel fabric's
-    workers use — so a campaign pays the assembly cost twice, not per
-    schedule.  ``amortize=False`` rebuilds every world from scratch
-    (the stateless-model-checking baseline the fixed-cost bench prices
-    the amortisation against).  Results are byte-identical either way:
-    a clone of the untouched prototype *is* a fresh build.
+    Each distinct ``secret``'s world is built once and every call runs
+    on a clone of it (:func:`execute_interleaved`), so a campaign pays
+    the assembly cost twice, not per schedule.
     """
     prototypes = {}
 
     def run_world(secret, schedule):
-        if amortize:
-            proto = prototypes.get(secret)
-            if proto is None:
-                proto = prototypes[secret] = build_interleaved_world(
-                    monitor_cls, config, secret=secret)
-            state, ctx = proto[0].clone(), dict(proto[1])
-        else:
-            state, ctx = build_interleaved_world(monitor_cls, config,
-                                                 secret=secret)
-        return execute_interleaved(state, ctx, schedule,
-                                   workloads=workloads, probe=probe,
-                                   fast_handoff=fast_handoff)
+        proto = prototypes.get(secret)
+        if proto is None:
+            proto = prototypes[secret] = build_interleaved_world(
+                monitor_cls, config, secret=secret)
+        return execute_interleaved(*proto, schedule, workloads=workloads,
+                                   probe=probe)
 
     return run_world
 
 
+def schedule_findings(state, result, run_world, schedule, *, memo,
+                      check_ni=True, observers=None):
+    """The per-schedule check battery: ``(kind, detail)`` findings for
+    one executed schedule, beyond those its ``RunResult`` carries.
+
+    Every Sec. 5.2 invariant family plus the per-vCPU consistency check
+    on the final ``state``, memoised through ``memo`` (a
+    :class:`~repro.engine.memo.CheckMemo`), and with ``check_ni`` the
+    two-world noninterference re-run, which reuses this execution as
+    the secret-41 world and diffs final states through ``memo``'s
+    digest tier.  ``run_world(secret, schedule)`` runs the secret-42
+    world; ``observers`` defaults to the host.
+    """
+    from repro.engine.fingerprint import structure_fingerprints
+    from repro.hyperenclave.monitor import HOST_ID
+    from repro.security.noninterference import (
+        check_schedule_noninterference_prepared)
+
+    fps = structure_fingerprints(state.monitor)
+    findings = []
+    report = memo.check_invariants(state.monitor, fps)
+    for family in report.violated_families():
+        for item in report.violations[family]:
+            findings.append(("invariant", f"[{family}] {item}"))
+    for item in memo.check_vcpu(state.monitor, fps):
+        findings.append(("vcpu-consistency", item))
+    if check_ni:
+        watchers = list(observers) if observers is not None else [HOST_ID]
+        for violation in check_schedule_noninterference_prepared(
+                state, result, run_world, schedule, watchers,
+                diff=memo.final_state_diff):
+            findings.append(("noninterference", str(violation)))
+    return findings
+
+
 def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
                           max_schedules=600, seed=0, check_ni=True,
-                          crash=None, config=None, observers=None,
-                          amortize=True):
+                          crash=None, config=None, observers=None):
     """The systematic interleaving sweep — the concurrency tentpole.
 
     Bounded-preemption exploration over the racing-vCPU workload, with
     the full verification battery applied to *every* explored schedule:
     the run's own findings (lock-discipline violations, stale
-    translations, vCPU errors), all Sec. 5.2 invariant families plus
-    the per-vCPU consistency check on the final state, and (with
-    ``check_ni``) the two-world noninterference re-run — the same
-    schedule executed in a secret-41 and a secret-42 world must produce
-    the identical scheduler trace and observer-indistinguishable final
-    states.  Returns the explorer's
-    :class:`~repro.concurrency.explorer.ExplorationResult`; every
-    violation carries its replayable ``(seed, schedule)``.
+    translations, vCPU errors) and :func:`schedule_findings` — all
+    Sec. 5.2 invariant families plus the per-vCPU consistency check on
+    the final state, and (with ``check_ni``) the two-world
+    noninterference re-run: the same schedule executed in a secret-41
+    and a secret-42 world must produce the identical scheduler trace
+    and observer-indistinguishable final states.  Returns the
+    explorer's :class:`~repro.concurrency.explorer.ExplorationResult`;
+    every violation carries its replayable ``(seed, schedule)``.
 
-    ``amortize`` (default) retires the per-schedule fixed costs the
-    parallel fabric's workers never paid: worlds clone from cached
-    prototypes, the scheduler uses the inline-handoff fast path, the
-    noninterference check reuses the already-executed secret-41 state
-    (``check_schedule_noninterference_prepared``) instead of running a
-    third world, and final-state diffs go through a campaign-local
-    :class:`~repro.engine.memo.CheckMemo` digest tier.  Every one of
-    these is byte-identical to the naive path (``amortize=False``,
-    kept as the fixed-cost bench's baseline).
+    Worlds clone from one prototype per secret, and the checks go
+    through a campaign-local :class:`~repro.engine.memo.CheckMemo` —
+    the same battery, memo included, that the parallel fabric's
+    workers run per unit.
     """
     from repro.concurrency import explore
     from repro.engine.memo import CheckMemo
-    from repro.hyperenclave.monitor import HOST_ID
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
-    from repro.security.noninterference import (
-        check_schedule_noninterference,
-        check_schedule_noninterference_prepared,
-    )
 
-    run_world = make_interleaved_run(monitor_cls, config,
-                                     amortize=amortize,
-                                     fast_handoff=amortize)
-    memo = CheckMemo() if amortize else None
+    run_world = make_interleaved_run(monitor_cls, config)
+    memo = CheckMemo()
     holder = {}
 
     def run_schedule(schedule):
-        state, result = run_world(41, schedule)
-        holder["state"] = state
-        holder["result"] = result
+        holder["state"], result = run_world(41, schedule)
         return result
 
-    watchers = list(observers) if observers is not None else [HOST_ID]
-
     def check(schedule, result):
-        findings = []
-        monitor = holder["state"].monitor
-        report = check_all_invariants(monitor)
-        for family in report.violated_families():
-            for item in report.violations[family]:
-                findings.append(("invariant", f"[{family}] {item}"))
-        for item in check_vcpu_consistency(monitor):
-            findings.append(("vcpu-consistency", item))
-        if check_ni:
-            if amortize:
-                violations = check_schedule_noninterference_prepared(
-                    holder["state"], holder["result"], run_world,
-                    schedule, watchers, diff=memo.final_state_diff)
-            else:
-                violations = check_schedule_noninterference(
-                    run_world, schedule, watchers)
-            for violation in violations:
-                findings.append(("noninterference", str(violation)))
-        return findings
+        return schedule_findings(holder["state"], result, run_world,
+                                 schedule, memo=memo, check_ni=check_ni,
+                                 observers=observers)
 
     with _trace.span("campaign.interleaving", seed=seed,
                      preemption_bound=preemption_bound, parallel=False):

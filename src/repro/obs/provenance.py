@@ -42,6 +42,9 @@ from repro.obs import trace as trace_mod
 
 SCHEMA_VERSION = 1
 
+#: The arch a bundle replays on when it records none.
+DEFAULT_ARCH = "x86_64"
+
 #: Records kept from the trace ring when a bundle is created.
 TRACE_SLICE_LIMIT = 64
 
@@ -153,13 +156,39 @@ def _schedule_from_dict(payload):
         if payload.get("crash") is not None else None)
 
 
+def _arch_name(config) -> str:
+    """The :data:`~repro.hyperenclave.constants.ARCH_CONFIGS` name a
+    bundle records for ``config`` (None is the default x86-64 world)."""
+    from repro.hyperenclave.constants import ARCH_CONFIGS
+    if config is None:
+        return DEFAULT_ARCH
+    for name, candidate in ARCH_CONFIGS.items():
+        if candidate == config:
+            return name
+    raise ValueError(f"config {config.name!r} is not in ARCH_CONFIGS; "
+                     f"a bundle replays named configs only")
+
+
+def _arch_config(name):
+    """The world config a bundle's recorded arch names (bundles written
+    before arches were recorded replay on x86-64, as they always did)."""
+    from repro.hyperenclave.constants import ARCH_CONFIGS
+    config = ARCH_CONFIGS.get(name or DEFAULT_ARCH)
+    if config is None:
+        raise ValueError(f"bundle names unknown arch {name!r} "
+                         f"(known: {sorted(ARCH_CONFIGS)})")
+    return config
+
+
 def interleaving_bundle(violation, *, monitor_cls=None, check_ni=True,
-                        observers=None, result=None) -> ProvenanceBundle:
+                        observers=None, result=None,
+                        config=None) -> ProvenanceBundle:
     """A bundle for one :class:`~repro.concurrency.explorer.Violation`
-    out of an interleaving campaign (default TINY geometry)."""
+    out of an interleaving campaign run on ``config`` (default TINY
+    geometry); the arch travels in ``check["arch"]``."""
     from repro.engine.campaigns import callable_path
 
-    check = {"check_ni": bool(check_ni)}
+    check = {"check_ni": bool(check_ni), "arch": _arch_name(config)}
     if observers is not None:
         check["observers"] = list(observers)
     bundle = ProvenanceBundle(
@@ -178,11 +207,14 @@ def interleaving_bundle(violation, *, monitor_cls=None, check_ni=True,
 
 
 def bundles_from_exploration(result, *, monitor_cls=None, check_ni=True,
-                             observers=None) -> List[ProvenanceBundle]:
+                             observers=None,
+                             config=None) -> List[ProvenanceBundle]:
     """One bundle per violation of an
-    :class:`~repro.concurrency.explorer.ExplorationResult`."""
+    :class:`~repro.concurrency.explorer.ExplorationResult` explored on
+    ``config``."""
     return [interleaving_bundle(violation, monitor_cls=monitor_cls,
-                                check_ni=check_ni, observers=observers)
+                                check_ni=check_ni, observers=observers,
+                                config=config)
             for violation in result.violations]
 
 
@@ -215,8 +247,9 @@ def crash_step_bundle(index, site, kind, step, *, seed=0,
 
 
 def crash_point_bundle(point, record=None, *, monitor_cls=None,
-                       seed=0) -> ProvenanceBundle:
-    """A bundle for one crash-in-critical-section record."""
+                       seed=0, config=None) -> ProvenanceBundle:
+    """A bundle for one crash-in-critical-section record on ``config``;
+    the arch travels in ``fault_plan["arch"]``."""
     from repro.engine.campaigns import callable_path
 
     violation = {}
@@ -228,7 +261,8 @@ def crash_point_bundle(point, record=None, *, monitor_cls=None,
         monitor=callable_path(monitor_cls),
         fault_plan={"vid": point.vid, "yield_index": point.yield_index,
                     "kind": point.kind, "detail": point.detail,
-                    "locks_held": list(point.locks_held)},
+                    "locks_held": list(point.locks_held),
+                    "arch": _arch_name(config)},
         violation=violation,
         trace_slice=_trace_slice())
 
@@ -274,32 +308,21 @@ def replay_bundle(bundle: ProvenanceBundle) -> ReplayOutcome:
 def _replay_interleaving(bundle) -> ReplayOutcome:
     from repro.concurrency.explorer import result_violations
     from repro.engine.executor import resolve_callable
-    from repro.faults.campaign import make_interleaved_run
-    from repro.hyperenclave.monitor import HOST_ID
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
-    from repro.security.noninterference import check_schedule_noninterference
+    from repro.engine.memo import CheckMemo
+    from repro.faults.campaign import make_interleaved_run, schedule_findings
 
     schedule = _schedule_from_dict(bundle.schedule or {})
     monitor_cls = resolve_callable(bundle.monitor) if bundle.monitor \
         else None
-    run_world = make_interleaved_run(monitor_cls, None)
+    run_world = make_interleaved_run(
+        monitor_cls, _arch_config(bundle.check.get("arch")))
     state, result = run_world(41, schedule)
     findings = [(v.kind, v.detail)
                 for v in result_violations(schedule, result)]
-    report = check_all_invariants(state.monitor)
-    for family in report.violated_families():
-        for item in report.violations[family]:
-            findings.append(("invariant", f"[{family}] {item}"))
-    for item in check_vcpu_consistency(state.monitor):
-        findings.append(("vcpu-consistency", item))
-    if bundle.check.get("check_ni", True):
-        observers = list(bundle.check.get("observers", [HOST_ID]))
-        for violation in check_schedule_noninterference(
-                run_world, schedule, observers):
-            findings.append(("noninterference", str(violation)))
+    findings += schedule_findings(
+        state, result, run_world, schedule, memo=CheckMemo(),
+        check_ni=bundle.check.get("check_ni", True),
+        observers=bundle.check.get("observers"))
     expected = (bundle.violation.get("kind"),
                 bundle.violation.get("detail"))
     return ReplayOutcome(
@@ -341,7 +364,8 @@ def _replay_crash_point(bundle) -> ReplayOutcome:
     plan = bundle.fault_plan or {}
     monitor_cls = resolve_callable(bundle.monitor) if bundle.monitor \
         else None
-    run_world = make_interleaved_run(monitor_cls, None)
+    run_world = make_interleaved_run(monitor_cls,
+                                     _arch_config(plan.get("arch")))
     point = YieldPoint(vid=plan["vid"],
                        yield_index=plan["yield_index"],
                        kind=plan.get("kind", "step"),

@@ -194,24 +194,6 @@ def check_theorem_noninterference(worlds, trace, observers,
     return violations
 
 
-def check_schedule_noninterference(run_world, schedule,
-                                   observers) -> List[NIViolation]:
-    """Two-world noninterference over one *interleaved* execution.
-
-    ``run_world(secret, schedule)`` must build a fresh world whose
-    victim enclave holds ``secret`` and execute ``schedule`` under the
-    deterministic scheduler, returning ``(state, RunResult)``.  The two
-    worlds (secrets 41 and 42, the paper's example pair) must first
-    produce the *identical* scheduler trace — if the interleaving
-    itself depends on the secret, that is already a scheduling side
-    channel — and must then be indistinguishable to every observer on
-    every vCPU's view of the final state.
-    """
-    state_a, result_a = run_world(41, schedule)
-    return check_schedule_noninterference_prepared(
-        state_a, result_a, run_world, schedule, observers)
-
-
 def _default_final_diff(state_a, state_b, vid, observer):
     with state_a.monitor.on_cpu(vid), state_b.monitor.on_cpu(vid):
         return observation_diff(state_a, state_b, observer)
@@ -220,14 +202,20 @@ def _default_final_diff(state_a, state_b, vid, observer):
 def check_schedule_noninterference_prepared(state_a, result_a, run_world,
                                             schedule, observers,
                                             diff=None) -> List[NIViolation]:
-    """:func:`check_schedule_noninterference` with world A pre-run.
+    """Two-world noninterference over one *interleaved* execution.
 
-    ``run_world`` is deterministic, so a caller that already executed the
+    ``(state_a, result_a)`` is ``schedule`` already executed in the
     secret-41 world (the interleaving campaign checks invariants on it
-    first) can hand in ``(state_a, result_a)`` and pay for only the
-    secret-42 run — identical violations, one world build fewer.
+    first); ``run_world(secret, schedule)`` must build a fresh world
+    whose victim enclave holds ``secret`` and execute ``schedule``
+    under the deterministic scheduler, returning ``(state, RunResult)``
+    — it runs the secret-42 world.  The two worlds (the paper's
+    example pair) must first produce the *identical* scheduler trace —
+    if the interleaving itself depends on the secret, that is already
+    a scheduling side channel — and must then be indistinguishable to
+    every observer on every vCPU's view of the final state.
     ``diff(state_a, state_b, vid, observer)`` overrides the final-state
-    observation diff (the parallel fabric memoises it by fingerprint).
+    observation diff (campaigns memoise it by fingerprint).
     """
     final_diff = diff or _default_final_diff
     state_b, result_b = run_world(42, schedule)

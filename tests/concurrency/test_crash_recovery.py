@@ -3,14 +3,27 @@ with the concurrency plane."""
 
 from repro.concurrency import DeterministicScheduler, Schedule
 from repro.concurrency.shootdown import detect_stale_translations
-from repro.faults import (
-    crash_in_critical_section_campaign,
-    default_concurrent_workloads,
-)
+from repro.faults import crash_in_critical_section_campaign
+from repro.faults.campaign import ScriptWorkloads, default_concurrent_scripts
 from repro.hyperenclave.constants import TINY
 from repro.hyperenclave.monitor import RustMonitor
 from repro.security import DataOracle, SystemState, check_all_invariants
 from repro.security.invariants import check_vcpu_consistency
+
+
+def script_tasks(state, ctx):
+    """The default scripts as two plain callables: the scheduler's
+    callable-workload contract, whose hypercalls return in-stack."""
+    scripts = ScriptWorkloads(state, default_concurrent_scripts(ctx))
+
+    def task(vid):
+        def run():
+            while scripts.steps_remaining(vid):
+                scripts.run_step(vid)
+                scripts.advance(vid)
+        return run
+
+    return [task(0), task(1)]
 
 
 def build_scheduled_world(schedule):
@@ -27,7 +40,7 @@ def build_scheduled_world(schedule):
     primary_os.gpa_write_word(ctx["src_pa"], 0x5EC2E7)
     state = SystemState(monitor, DataOracle.seeded(13))
     scheduler = DeterministicScheduler(
-        monitor, default_concurrent_workloads(state, ctx), schedule,
+        monitor, script_tasks(state, ctx), schedule,
         probe=detect_stale_translations)
     return monitor, scheduler
 

@@ -6,7 +6,14 @@ every schedule, decision, yield and finding of an interleaving sweep,
 every run of a fault sweep, every crash record.  Exceptions enter only
 as their type name and ``str`` — never their ``repr``, which differs
 between Python versions — so the same tree gives the same digests on
-every supported interpreter and under both scheduler engines.
+every supported interpreter.
+
+Besides whole campaigns, the digests pin a fixed corpus of single
+schedules (random preemptions and crashes, plus three crashes inside a
+hypercall), each with its final state fingerprint and noninterference
+verdicts, and snapshot-tree campaigns under forced eviction.  The
+parallel campaign, with the prefix cache on and off, must reproduce
+the sequential ``interleaving_bound2`` digest exactly.
 
 ``digests.json`` beside this file holds the reference values.  A change
 that is meant to keep behaviour byte-identical (a faster frame store, a
@@ -19,20 +26,31 @@ for a change that is meant to move a verdict, and say why::
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
+from repro.concurrency import Schedule
+from repro.concurrency.snapshot import SnapshotTree, reset_process_tree
 from repro.engine.bug_matrix import run_matrix
-from repro.engine.fingerprint import phys_fingerprint
+from repro.engine.campaigns import parallel_interleaving_campaign
+from repro.engine.fingerprint import phys_fingerprint, state_fingerprint
 from repro.faults import (
+    build_interleaved_world,
     crash_in_critical_section_campaign,
     crash_step_campaign,
     default_workload,
     default_world_factory,
+    execute_interleaved,
     interleaving_campaign,
+    make_interleaved_run,
 )
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.hyperenclave.monitor import HOST_ID
+from repro.security.noninterference import (
+    check_schedule_noninterference_prepared,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "digests.json")
@@ -42,19 +60,23 @@ def _error(exc):
     return None if exc is None else (type(exc).__name__, str(exc))
 
 
+def _run(run):
+    """One :class:`RunResult`: trace, decisions, yields and findings."""
+    return (run.trace,
+            tuple((d.index, d.chosen, d.chosen_kind, d.enabled, d.kinds)
+                  for d in run.decisions),
+            tuple((y.vid, y.yield_index, y.kind, y.detail, y.locks_held)
+                  for y in run.yields),
+            tuple(str(v) for v in run.lock_violations),
+            tuple(str(s) for s in run.stale_translations),
+            tuple((vid, _error(run.task_errors[vid]))
+                  for vid in sorted(run.task_errors)),
+            run.parked)
+
+
 def _exploration(result):
-    runs = tuple(
-        (schedule.describe(), run.trace,
-         tuple((d.index, d.chosen, d.chosen_kind, d.enabled, d.kinds)
-               for d in run.decisions),
-         tuple((y.vid, y.yield_index, y.kind, y.detail, y.locks_held)
-               for y in run.yields),
-         tuple(str(v) for v in run.lock_violations),
-         tuple(str(s) for s in run.stale_translations),
-         tuple((vid, _error(run.task_errors[vid]))
-               for vid in sorted(run.task_errors)),
-         run.parked)
-        for schedule, run in result.runs)
+    runs = tuple((schedule.describe(),) + _run(run)
+                 for schedule, run in result.runs)
     return (result.preemption_bound, result.max_schedules,
             result.truncated, runs,
             tuple(str(v) for v in result.violations))
@@ -87,6 +109,66 @@ def _workload_fingerprints(config):
     return tuple(fps)
 
 
+#: Crashes that land inside a hypercall of the root schedule, with its
+#: undo journal open: rollback, then the parked vCPU's ``hc.return``.
+MID_HYPERCALL_CRASHES = ((0, 7), (1, 3), (0, 15))
+
+
+def corpus_schedules(count=40):
+    """The fixed schedule corpus: ``count`` schedules drawn from
+    ``random.Random(0)`` (seed 0-7, at most two preemptions at
+    decisions 1-20, an optional crash of vCPU 0-1 at yield 1-16), then
+    the :data:`MID_HYPERCALL_CRASHES` on the root schedule."""
+    rng = random.Random(0)
+    schedules = []
+    for _ in range(count):
+        seed = rng.randint(0, 7)
+        preemptions = sorted((rng.randint(1, 20), rng.randint(0, 1))
+                             for _ in range(rng.randint(0, 2)))
+        crash = ((rng.randint(0, 1), rng.randint(1, 16))
+                 if rng.random() < 0.5 else None)
+        schedules.append(Schedule(seed=seed,
+                                  preemptions=tuple(preemptions),
+                                  crash=crash))
+    schedules.extend(Schedule(seed=0, crash=crash)
+                     for crash in MID_HYPERCALL_CRASHES)
+    return schedules
+
+
+def _corpus(config):
+    """Per corpus schedule: the run, the final state fingerprint and
+    the two-world noninterference verdicts."""
+    run_world = make_interleaved_run(config=config)
+    encoded = []
+    for schedule in corpus_schedules():
+        state, ctx = build_interleaved_world(config=config)
+        state, result = execute_interleaved(state, ctx, schedule)
+        fp = state_fingerprint(state)
+        verdicts = tuple(str(v) for v in
+                         check_schedule_noninterference_prepared(
+                             state, result, run_world, schedule,
+                             [HOST_ID]))
+        encoded.append((schedule.describe(), _run(result), fp, verdicts))
+    return tuple(encoded)
+
+
+def _parallel_campaign(tree, config, **grid):
+    """A one-worker (in-process) parallel campaign on a fresh process
+    snapshot tree ``tree``."""
+    reset_process_tree(tree)
+    try:
+        return parallel_interleaving_campaign(
+            seed=0, config=config, workers=1, **grid)
+    finally:
+        reset_process_tree(None)
+
+
+def _forced_eviction(**tree_kwargs):
+    return lambda config: _exploration(_parallel_campaign(
+        SnapshotTree(**tree_kwargs), config, preemption_bound=1,
+        max_schedules=10, check_ni=False, prefix_cache=True))
+
+
 #: name -> config -> the encoded result.
 CASES = {
     "run_matrix": lambda config: tuple(run_matrix(config=config)),
@@ -103,6 +185,12 @@ CASES = {
     "crash_in_critical_section": lambda config: _critical_crashes(
         crash_in_critical_section_campaign(seed=0, config=config)),
     "workload_fingerprints": _workload_fingerprints,
+    "interleaving_bound3": lambda config: _exploration(
+        interleaving_campaign(preemption_bound=3, max_schedules=300,
+                              seed=0, config=config)),
+    "schedule_corpus": _corpus,
+    "eviction_budget0": _forced_eviction(budget_bytes=0),
+    "eviction_max_nodes1": _forced_eviction(max_nodes=1),
 }
 
 
@@ -131,6 +219,16 @@ def load():
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
 def test_golden_digests_unchanged(arch):
     assert arch_digests(ARCH_CONFIGS[arch]) == load()[arch]
+
+
+@pytest.mark.parametrize("prefix_cache", [False, True])
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_parallel_campaign_matches_sequential_digest(arch, prefix_cache):
+    result = _parallel_campaign(SnapshotTree(), ARCH_CONFIGS[arch],
+                                preemption_bound=2,
+                                prefix_cache=prefix_cache)
+    assert digest(_exploration(result)) == \
+        load()[arch]["interleaving_bound2"]
 
 
 if __name__ == "__main__":

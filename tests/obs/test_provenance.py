@@ -14,6 +14,7 @@ from repro.obs.provenance import (
     ReplayOutcome,
     bundles_from_exploration,
     crash_step_bundle,
+    interleaving_bundle,
     pure_check_bundle,
     replay_bundle,
 )
@@ -39,6 +40,23 @@ def _crash_step_record():
         "index": index, "site": site, "kind": kind, "step": step,
         "seed": 0, "runner": None})
     return (index, site, kind, step), record
+
+
+def _stale_translation_bundle(config):
+    """A bundle for the stale translation ``NoShootdownMonitor`` shows
+    on one preempted schedule, explored on ``config``."""
+    from repro.concurrency import Schedule, result_violations
+    from repro.faults.campaign import make_interleaved_run
+    from repro.hyperenclave.buggy import NoShootdownMonitor
+
+    schedule = Schedule(seed=0, preemptions=((42, 1), (48, 0)))
+    run_world = make_interleaved_run(NoShootdownMonitor, config)
+    _state, result = run_world(41, schedule)
+    stale = [v for v in result_violations(schedule, result)
+             if v.kind == "stale-translation"]
+    assert stale, "the missing shootdown must leave a stale translation"
+    return interleaving_bundle(stale[0], monitor_cls=NoShootdownMonitor,
+                               check_ni=False, config=config)
 
 
 class TestRoundTrip:
@@ -147,6 +165,45 @@ class TestReplay:
         outcome = replay_bundle(bundles_from_exploration(
             type("R", (), {"violations": [fake]})(), check_ni=False)[0])
         assert not outcome.matched
+
+    def test_interleaving_bundle_replays_on_its_own_arch(self):
+        """A VMSAv8-64 violation replays on VMSAv8-64.  The bundle
+        records its arch; replayed on x86-64, this schedule finds a
+        different stale translation and the replay diverges."""
+        from repro.hyperenclave.constants import ARCH_CONFIGS
+
+        config = ARCH_CONFIGS["vmsav8_64"]
+        bundle = _stale_translation_bundle(config)
+        assert bundle.check["arch"] == "vmsav8_64"
+        outcome = replay_bundle(ProvenanceBundle.from_json(bundle.to_json()))
+        assert outcome.matched, outcome.summary()
+
+    def test_bundle_without_arch_replays_on_x86(self):
+        """Bundles written before arches were recorded replay on
+        x86-64, as they always did."""
+        bundle = _stale_translation_bundle(None)
+        assert bundle.check.pop("arch") == "x86_64"
+        outcome = replay_bundle(ProvenanceBundle.from_json(bundle.to_json()))
+        assert outcome.matched, outcome.summary()
+
+    def test_crash_point_bundle_replays_on_its_own_arch(self):
+        from repro.concurrency import Schedule
+        from repro.faults.campaign import (
+            crash_point_record,
+            make_interleaved_run,
+        )
+        from repro.hyperenclave.constants import ARCH_CONFIGS
+        from repro.obs.provenance import crash_point_bundle
+
+        config = ARCH_CONFIGS["vmsav8_64"]
+        run_world = make_interleaved_run(None, config)
+        _state, baseline = run_world(41, Schedule(seed=0))
+        point = baseline.critical_yields()[-1]
+        record = crash_point_record(run_world, point)
+        bundle = crash_point_bundle(point, record, config=config)
+        assert bundle.fault_plan["arch"] == "vmsav8_64"
+        outcome = replay_bundle(ProvenanceBundle.from_json(bundle.to_json()))
+        assert outcome.matched, outcome.summary()
 
     def test_pure_check_degradation_divergence_is_detected(self, model):
         """Every recorded verdict field counts — a bundle whose

@@ -120,23 +120,18 @@ class TestRoutes:
         snapshot = client._request("GET", "/metrics")
         assert isinstance(snapshot, dict)
 
-    def test_metrics_expose_scheduler_engine_family(self, client):
+    def test_metrics_expose_scheduler_family(self, client):
         """After a campaign, ``/metrics`` carries the ``sched.*``
-        counter family next to ``snapshot_cache.*``, plus the
-        ``sched.engine`` gauge labelling which engine ran."""
+        counter family next to ``snapshot_cache.*``."""
         client.submit(dict(SPEC, id="metered"))
         final = client.wait("metered", deadline=120)
         assert final["status"] == DONE
         snapshot = client._request("GET", "/metrics")
         counters = snapshot["counters"]
         for name in ("sched.handoffs", "sched.inline_decisions",
-                     "sched.arena_reuses"):
+                     "sched.arena_reuses", "sched.fiber_steps"):
             assert name in counters, sorted(counters)
-        runs = (counters["sched.runs_continuation"]
-                + counters["sched.runs_threads"])
-        assert runs > 0
-        assert snapshot["gauges"]["sched.engine"] in (
-            "continuation", "threads")
+        assert counters["sched.runs"] > 0
 
     def test_violations_surface_replayable_bundles(self, client):
         from repro.obs.provenance import ProvenanceBundle, replay_bundle
