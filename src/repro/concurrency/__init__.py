@@ -69,7 +69,6 @@ from repro.concurrency.snapshot import (
     SnapshotPlan,
     SnapshotTree,
     locality_key,
-    prefix_cache_enabled,
     process_tree,
     reset_process_tree,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "lock_rank",
     "locality_key",
     "order_locks",
-    "prefix_cache_enabled",
     "process_arena",
     "process_tree",
     "record_phys_write",

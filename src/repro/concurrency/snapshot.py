@@ -49,11 +49,10 @@ default 256).  The tree is **process-local by design**: pool workers
 fork with an empty tree and warm it across waves; a durable campaign
 resumed after ``kill -9`` starts new workers whose trees are rebuilt
 from live execution, so pre-crash snapshots are structurally impossible
-to reuse.  The cache is opt-in per unit (``REPRO_PREFIX_CACHE``; on by
-default for parallel/durable/service campaigns, off for sequential
-campaigns and single-schedule ``replay``); with the cache off
-:func:`~repro.faults.campaign.execute_interleaved` runs each schedule
-from a plain prototype clone.
+to reuse.  Parallel, durable and service campaigns always run through
+the cache; sequential campaigns and single-schedule ``replay`` run
+without it, and then :func:`~repro.faults.campaign.execute_interleaved`
+runs each schedule from a plain prototype clone.
 """
 
 import os
@@ -71,24 +70,12 @@ from repro.obs.metrics import REGISTRY
 #: docstring for why these are sound and others are not).
 SAFE_PARK_KINDS = frozenset({"task.start", "step"})
 
-ENV_FLAG = "REPRO_PREFIX_CACHE"
 ENV_BUDGET = "REPRO_SNAPSHOT_BUDGET_MB"
 DEFAULT_BUDGET_MB = 256.0
 
 #: Recorded parent traces kept for prefix prediction (tiny tuples; a
 #: FIFO cap keeps unbounded campaigns bounded).
 TRACE_CAP = 100_000
-
-
-def prefix_cache_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the cache flag: explicit value, else ``REPRO_PREFIX_CACHE``
-    (default on — unset or empty means enabled)."""
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(ENV_FLAG)
-    if env is None or not env.strip():
-        return True
-    return env.strip().lower() not in ("0", "false", "no", "off")
 
 
 def snapshot_budget_bytes() -> int:
@@ -482,9 +469,9 @@ def reset_process_tree(tree: Optional[SnapshotTree] = None):
 
 
 __all__ = [
-    "SAFE_PARK_KINDS", "ENV_FLAG", "ENV_BUDGET",
+    "SAFE_PARK_KINDS", "ENV_BUDGET",
     "TaskMeta", "SnapshotNode", "SnapshotTree",
-    "SnapshotPlan", "prefix_cache_enabled",
+    "SnapshotPlan",
     "snapshot_budget_bytes", "locality_key", "process_tree",
     "reset_process_tree",
 ]

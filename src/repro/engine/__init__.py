@@ -22,9 +22,9 @@ merged deterministically.  This package provides:
   sequential campaign, each byte-identical to its sequential twin.
 * :mod:`repro.engine.bug_matrix` — the 13-planted-bug conviction
   matrix, runnable through the parallel fabric.
-* :mod:`repro.engine.bench` — the perf harness emitting
-  ``BENCH_checking.json`` (schedules/sec, states/sec, cache hit rates,
-  speedup vs sequential).
+
+Time to verdict is measured from outside the package, by the benchmark
+under ``perfbench/``.
 """
 
 from repro.engine.executor import ShardedExecutor, resolve_workers
@@ -46,15 +46,6 @@ from repro.engine.campaigns import (
 )
 from repro.engine.bug_matrix import run_matrix, run_matrix_parallel
 
-
-def __getattr__(name):
-    # Lazy so `python -m repro.engine.bench` does not trip runpy's
-    # already-imported warning.
-    if name == "bench_checking":
-        from repro.engine.bench import bench_checking
-        return bench_checking
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ShardedExecutor",
     "resolve_workers",
@@ -73,5 +64,4 @@ __all__ = [
     "sequential_pure_check_grid",
     "run_matrix",
     "run_matrix_parallel",
-    "bench_checking",
 ]

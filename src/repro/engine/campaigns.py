@@ -67,28 +67,25 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
                                    seed=0, check_ni=True, crash=None,
                                    config=None, observers=None,
                                    workers=None, executor=None,
-                                   stats_out=None, prefix_cache=None):
+                                   stats_out=None, prefix_cache=True):
     """:func:`repro.faults.campaign.interleaving_campaign`, fanned out
     one BFS wavefront at a time; the returned
     :class:`~repro.concurrency.explorer.ExplorationResult` is
     byte-identical to the sequential campaign's.
 
-    ``prefix_cache`` toggles the snapshot-tree execution cache in the
-    workers (None resolves ``REPRO_PREFIX_CACHE``; default on).  With
-    the cache on, shard keys become prefix-locality keys so each
-    preemption subtree lands on one worker; merge order is by unit
-    index either way, so results are byte-identical on or off.
+    The workers run every schedule through their snapshot-tree
+    execution cache, with prefix-locality shard keys so each preemption
+    subtree lands on one worker.  ``prefix_cache=False`` is the
+    cache-off reference the golden digests compare against; merge order
+    is by unit index either way, so results are byte-identical on or
+    off.
     """
     from repro.concurrency import explore_batched
-    from repro.concurrency.snapshot import (
-        locality_key,
-        prefix_cache_enabled,
-    )
+    from repro.concurrency.snapshot import locality_key
     from repro.hyperenclave.monitor import HOST_ID
 
     monitor_path = callable_path(monitor_cls)
     watchers = list(observers) if observers is not None else [HOST_ID]
-    use_cache = prefix_cache_enabled(prefix_cache)
 
     with _trace.span("campaign.interleaving", seed=seed,
                      preemption_bound=preemption_bound, parallel=True), \
@@ -96,11 +93,11 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
         def run_batch(schedules):
             units = [{"schedule": schedule, "monitor": monitor_path,
                       "config": config, "check_ni": check_ni,
-                      "observers": watchers, "prefix_cache": use_cache}
+                      "observers": watchers, "prefix_cache": prefix_cache}
                      for schedule in schedules]
             return pool.map("repro.engine.workers:run_interleaving_unit",
                             units,
-                            keys=[locality_key(s) if use_cache
+                            keys=[locality_key(s) if prefix_cache
                                   else s.describe() for s in schedules])
 
         result = explore_batched(run_batch, seed=seed,

@@ -38,6 +38,12 @@ _WORKLOADS = {}         # workload path -> [(name, invoke)]
 _MODELS = {}            # config repr -> mir corpus model
 
 
+def _resolve_cls(path):
+    """The monitor class a ``module:qualname`` path names (``None``
+    stays ``None``: the default monitor)."""
+    return resolve_callable(path) if path else None
+
+
 def run_world(monitor_path, config, prefix_cache=False):
     """This process's ``run_world(secret, schedule) -> (state,
     RunResult)`` for one interleaved-campaign world flavour.
@@ -59,8 +65,7 @@ def run_world(monitor_path, config, prefix_cache=False):
             execute_interleaved,
         )
 
-        monitor_cls = resolve_callable(monitor_path) if monitor_path \
-            else None
+        monitor_cls = _resolve_cls(monitor_path)
         prototypes = {}
 
         def runner(secret, schedule):

@@ -5,10 +5,11 @@ hash-consed term interning (:mod:`repro.symbolic.terms`), incremental
 solving with verdict memoisation (:mod:`repro.symbolic.solver`), and a
 compiled per-CFG dispatch loop (:mod:`repro.mir.compile`).  Each layer
 is required to produce byte-identical verdicts with and without the
-optimisation — the symbolic bench (:func:`repro.engine.bench.bench_symbolic`)
-asserts exactly that on every run.
+optimisation — the golden digests' ``corpus_verdicts`` case checks the
+full corpus under :func:`forced` and :func:`disabled` against one
+committed digest.
 
-This module is the one switch the bench (and a suspicious debugger)
+This module is the one switch that test (and a suspicious debugger)
 flips to get the naive baseline back.  It is deliberately tiny and
 dependency-free: the symbolic and mir layers both import it, and it
 must not import either of them.

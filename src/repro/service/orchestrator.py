@@ -12,14 +12,18 @@ explorer runs on, the resumed campaign's
 repr-identical to an uninterrupted run (property-tested by killing at
 randomized checkpoints in ``tests/service/``).
 
+The step itself is :class:`CampaignStep`, and it has two drivers:
+:func:`run_durable_campaign` runs one campaign a whole wavefront at a
+time, and :class:`~repro.service.scheduler.CampaignScheduler` runs
+many campaigns on one shared pool in fair-share chunks.
+
 Cross-run warm reuse rides the same store: worker memo misses are
 journalled, shipped back with each shard, and appended to the
 :class:`~repro.service.store.MemoStore`; the next campaign preloads
 them into the parent's :class:`~repro.engine.memo.CheckMemo` *before*
-forking workers, so every worker inherits the warm tables and repeat
-campaigns become mostly cache hits (measured in
-``BENCH_checking.json``).  :func:`warm_pure_check_grid` does the same
-for whole hardened pure-check verdicts, keyed by
+forking workers, so every worker inherits the warm tables.
+:func:`warm_pure_check_grid` does the same for whole hardened
+pure-check verdicts, keyed by
 :func:`~repro.verification.harness.pure_check_key`.
 
 Chaos hooks: ``REPRO_CHAOS_KILL_AFTER=<n>`` (or the
@@ -28,15 +32,15 @@ n-th checkpoint commits — the crash-safety tests and the CI chaos job
 drive the orchestrator through real ``kill -9`` with it.
 """
 
-import copy
 import os
 import signal
+import threading
 import time
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.concurrency.snapshot import locality_key, prefix_cache_enabled
+from repro.concurrency.snapshot import locality_key
 from repro.engine.memo import merge_stats
 from repro.errors import CorruptArtifact, ShardQuarantined
 from repro.obs import trace as _trace
@@ -50,6 +54,9 @@ MEMO_FILE = "memo.log"
 
 #: Environment hook: SIGKILL self after this many checkpoint commits.
 CHAOS_ENV = "REPRO_CHAOS_KILL_AFTER"
+
+#: The unit runner every wave step fans out to.
+WORKER_FN = "repro.engine.workers:run_interleaving_unit"
 
 
 @dataclass(frozen=True)
@@ -237,8 +244,145 @@ def _hash_cons_outputs(outputs, cache: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The durable interleaving campaign
+# The checkpointed wave step and its solo driver
 # ---------------------------------------------------------------------------
+
+
+class CampaignStep:
+    """One campaign's checkpointed wave step over a worker pool.
+
+    Construction loads the store's checkpoint (or starts cold), preloads
+    the store's memo log into the parent's worker memo *before* the
+    pool forks, and hash-conses the resumed runs.  Each :meth:`run`
+    executes one wave (or one chunk of it), absorbs it into the
+    :class:`~repro.concurrency.explorer.FrontierState`, adds the wave's
+    memo counters to :attr:`stats` and commits the checkpoint plus the
+    memo journal before it returns: a ``kill -9`` at any instant loses
+    at most the wave in flight.
+
+    Raises :class:`~repro.errors.CheckpointMismatch` when the store
+    holds another spec's checkpoint.  ``campaign_id`` scopes the shard
+    keys, so campaigns sharing one pool keep separate key spaces;
+    ``lock`` (the scheduler's) guards every mutation a status reader on
+    another thread may see.
+    """
+
+    def __init__(self, spec: CampaignSpec, store: CampaignStore, pool, *,
+                 campaign_id: Optional[str] = None, lock=None):
+        from repro.concurrency.explorer import FrontierState
+
+        self.spec = spec
+        self.store = store
+        self.pool = pool
+        self.campaign_id = campaign_id
+        self.lock = lock if lock is not None else threading.RLock()
+        checkpoint = store.load_checkpoint(expected_digest=spec.digest())
+        self.resumed = checkpoint is not None
+        if checkpoint is not None:
+            self.state = checkpoint.state
+            self.stats = checkpoint.stats
+            self.waves = checkpoint.waves
+            self.done = checkpoint.done     # the last commit's flag
+            REGISTRY.inc("service.resumes")
+            _trace.event("service.resume", campaign=campaign_id,
+                         waves=self.waves, runs=len(self.state.runs),
+                         frontier=len(self.state.frontier))
+        else:
+            self.state = FrontierState.start(
+                seed=spec.seed, preemption_bound=spec.preemption_bound,
+                max_schedules=spec.max_schedules)
+            self.stats = {}
+            self.waves = 0
+            self.done = False
+        self._cons: dict = {}
+        if not self.done:
+            self._warm()
+
+    def _warm(self):
+        from repro.engine import workers as worker_module
+
+        # Preloaded entries and the journalling flag are inherited by
+        # every worker the pool forks after this point.
+        preloaded = self.store.memo.preload_memo(worker_module.MEMO)
+        worker_module.MEMO.enable_journal()
+        if preloaded:
+            REGISTRY.inc("service.memo_preloaded", preloaded)
+            _trace.event("service.memo-preload", entries=preloaded)
+        # Seed the event cache from the resumed runs so fresh waves
+        # share with the history, not just with each other.
+        _hash_cons_outputs(
+            ((result, ()) for _schedule, result in self.state.runs),
+            self._cons)
+
+    def run(self, wave: List) -> None:
+        """Execute ``wave`` (popped from :attr:`state`) and commit.
+
+        Snapshot trees are process-local, so a campaign resumed after
+        ``kill -9`` (or a respawned dead worker) rebuilds them from live
+        execution; pre-crash snapshots are never trusted.  On
+        ``KeyboardInterrupt`` the wave goes back on the frontier and the
+        checkpoint records the exact pre-wave state before the
+        interrupt propagates.
+        """
+        from repro.hyperenclave.monitor import HOST_ID
+
+        spec = self.spec
+        watchers = list(spec.observers) if spec.observers is not None \
+            else [HOST_ID]
+        units = [{"schedule": schedule, "monitor": spec.monitor,
+                  "config": None, "check_ni": spec.check_ni,
+                  "observers": watchers, "prefix_cache": True}
+                 for schedule in wave]
+        # Prefix-locality keys co-locate each preemption subtree on one
+        # worker; merge stays by unit index.
+        scope = "" if self.campaign_id is None \
+            else f"{self.campaign_id}\x1f"
+        keys = [scope + locality_key(schedule) for schedule in wave]
+        # Per-wave counters: a pool reused across campaigns (or across
+        # an interrupt and its resume) must not carry old counts in.
+        self.pool.stats = {}
+        try:
+            merged = self.pool.map(WORKER_FN, units, keys=keys)
+        except KeyboardInterrupt:
+            self.put_back(wave)
+            raise
+        outputs = [_quarantine_output(schedule, value)
+                   if isinstance(value, ShardQuarantined) else value
+                   for schedule, value in zip(wave, merged)]
+        with self.lock:
+            _hash_cons_outputs(outputs, self._cons)
+            self.state.absorb(wave, outputs)
+            merge_stats(self.stats, self.pool.stats)
+            self._commit(done=self.state.done)
+
+    def put_back(self, wave: List) -> None:
+        """Return an unexecuted wave to the frontier and commit, so the
+        checkpoint is the exact pre-wave state."""
+        with self.lock:
+            self.state.frontier.extendleft(reversed(wave))
+            self._commit(done=False)
+
+    def finish(self):
+        """The campaign's result, with a done checkpoint left behind.
+
+        The exploration can end inside ``take_wave`` (truncation, or an
+        empty frontier on a resumed store) after the last wave's commit,
+        which then predates that decision.
+        """
+        with self.lock:
+            if not self.done:
+                self._commit(done=True)
+        return self.state.result()
+
+    def _commit(self, done: bool):
+        appended = self.store.memo.extend(self.pool.drain_memo_journal())
+        if appended:
+            REGISTRY.inc("service.memo_persisted", appended)
+        self.waves += 1
+        self.store.save_checkpoint(CampaignCheckpoint(
+            spec=self.spec.payload(), state=self.state, waves=self.waves,
+            done=done, stats=self.stats))
+        self.done = done
 
 
 def run_durable_campaign(spec: CampaignSpec, store, *,
@@ -249,10 +393,11 @@ def run_durable_campaign(spec: CampaignSpec, store, *,
 
     Returns the campaign's
     :class:`~repro.concurrency.explorer.ExplorationResult`; every
-    explored wavefront commits an atomic checkpoint plus the wave's
-    memo-journal entries before the next wave starts, so a ``kill -9``
-    at any instant loses at most one in-flight wave — which the next
-    :func:`resume_campaign` re-runs to the identical verdict.
+    explored wavefront is one :meth:`CampaignStep.run`, which commits
+    an atomic checkpoint plus the wave's memo-journal entries before
+    the next wave starts, so a ``kill -9`` at any instant loses at most
+    one in-flight wave — which the next :func:`resume_campaign` re-runs
+    to the identical verdict.
 
     ``executor`` (a pre-built :class:`ResilientExecutor`) is only
     honoured for pool reuse across campaigns *sharing a store* — a
@@ -261,122 +406,28 @@ def run_durable_campaign(spec: CampaignSpec, store, *,
     if spec.kind != "interleaving":
         raise ValueError(f"unknown campaign kind {spec.kind!r} "
                          f"(supported: 'interleaving')")
-    from repro.concurrency.explorer import FrontierState
-    from repro.engine import workers as worker_module
-    from repro.hyperenclave.monitor import HOST_ID
-
     owns_store = not isinstance(store, CampaignStore)
     store = _coerce_store(store)
-    digest = spec.digest()
-    checkpoint = store.load_checkpoint(expected_digest=digest)
-    threshold = _chaos_threshold(chaos_kill_after)
-
-    if checkpoint is not None and checkpoint.done:
-        if owns_store:
-            store.close()
-        return checkpoint.state.result()
-
-    if checkpoint is not None:
-        state: FrontierState = checkpoint.state
-        base_stats = copy.deepcopy(checkpoint.stats)
-        waves = checkpoint.waves
-        REGISTRY.inc("service.resumes")
-        _trace.event("service.resume", waves=waves,
-                     runs=len(state.runs),
-                     frontier=len(state.frontier))
-    else:
-        state = FrontierState.start(seed=spec.seed,
-                                    preemption_bound=spec.preemption_bound,
-                                    max_schedules=spec.max_schedules)
-        base_stats = {}
-        waves = 0
-
-    # Warm start *before* the pool forks: preloaded entries and the
-    # journalling flag are inherited by every worker.
-    preloaded = store.memo.preload_memo(worker_module.MEMO)
-    worker_module.MEMO.enable_journal()
-    if preloaded:
-        REGISTRY.inc("service.memo_preloaded", preloaded)
-        _trace.event("service.memo-preload", entries=preloaded)
-
-    # Seed the event cache from any resumed runs so fresh waves share
-    # with the history, not just with each other.
-    cons_cache: dict = {}
-    _hash_cons_outputs(((result, ()) for _schedule, result in state.runs),
-                       cons_cache)
-
-    watchers = list(spec.observers) if spec.observers is not None \
-        else [HOST_ID]
     pool = executor if executor is not None \
         else ResilientExecutor(workers)
-    owns_pool = executor is None
-
-    def commit(done: bool) -> None:
-        nonlocal waves
-        appended = store.memo.extend(pool.drain_memo_journal())
-        if appended:
-            REGISTRY.inc("service.memo_persisted", appended)
-        waves += 1
-        stats = merge_stats(copy.deepcopy(base_stats), pool.stats)
-        store.save_checkpoint(CampaignCheckpoint(
-            spec=spec.payload(), state=state, waves=waves, done=done,
-            stats=stats))
-
-    with _trace.span("service.campaign", kind=spec.kind,
-                     seed=spec.seed, resumed=checkpoint is not None):
-        try:
-            finished = False
-            # Snapshot-tree caching: on by default (REPRO_PREFIX_CACHE
-            # gates it).  Snapshots are process-local, so a campaign
-            # resumed after kill -9 — or a respawned dead worker —
-            # starts with empty trees and rebuilds them from live
-            # execution; pre-crash snapshots are never trusted, by
-            # construction.  Digests stay byte-identical either way.
-            use_cache = prefix_cache_enabled(None)
+    threshold = _chaos_threshold(chaos_kill_after)
+    try:
+        step = CampaignStep(spec, store, pool)
+        committed = step.waves
+        with _trace.span("service.campaign", kind=spec.kind,
+                         seed=spec.seed, resumed=step.resumed):
             while True:
-                wave = state.take_wave()
+                wave = step.state.take_wave()
                 if not wave:
                     break
-                units = [{"schedule": schedule, "monitor": spec.monitor,
-                          "config": None, "check_ni": spec.check_ni,
-                          "observers": watchers,
-                          "prefix_cache": use_cache}
-                         for schedule in wave]
-                try:
-                    merged = pool.map(
-                        "repro.engine.workers:run_interleaving_unit",
-                        units, keys=[locality_key(s) if use_cache
-                                     else s.describe() for s in wave])
-                except KeyboardInterrupt:
-                    # The wave never merged: put it back where it came
-                    # from and flush, so the checkpoint is the exact
-                    # pre-wave state.
-                    state.frontier.extendleft(reversed(wave))
-                    commit(done=False)
-                    raise
-                outputs = [
-                    _quarantine_output(schedule, value)
-                    if isinstance(value, ShardQuarantined) else value
-                    for schedule, value in zip(wave, merged)]
-                _hash_cons_outputs(outputs, cons_cache)
-                state.absorb(wave, outputs)
-                commit(done=state.done)
-                finished = state.done
-                _maybe_chaos_kill(threshold, waves - (checkpoint.waves
-                                                      if checkpoint else 0),
-                                  pool)
-            if not finished:
-                # The exploration ended inside take_wave (truncation,
-                # or an empty frontier on a resumed store): the last
-                # per-wave checkpoint predates that decision, so leave
-                # a final, done one behind.
-                commit(done=True)
-        finally:
-            if owns_pool:
-                pool.close()
-            if owns_store:
-                store.close()
-    return state.result()
+                step.run(wave)
+                _maybe_chaos_kill(threshold, step.waves - committed, pool)
+            return step.finish()
+    finally:
+        if executor is None:
+            pool.close()
+        if owns_store:
+            store.close()
 
 
 def resume_campaign(store, *, workers: Optional[int] = None,

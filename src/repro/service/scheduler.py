@@ -18,12 +18,13 @@ fair-share wavefront interleaving:
   and loaded campaigns' queued waves absorb it (counted on
   ``service.units_stolen``), so one lonely campaign gets the entire
   pool and a crowd divides it;
-* each chunk commits the campaign's atomic checkpoint at its wave
-  boundary, exactly like
-  :func:`~repro.service.orchestrator.run_durable_campaign` — a
-  ``kill -9`` of the whole daemon loses at most one in-flight chunk
-  per campaign, and :meth:`CampaignScheduler.recover` re-admits every
-  incomplete store it finds on restart.
+* each chunk is one :meth:`~repro.service.orchestrator.CampaignStep.run`
+  of the campaign's wave step — the same checkpointed step
+  :func:`~repro.service.orchestrator.run_durable_campaign` drives a
+  whole wave at a time — so a ``kill -9`` of the whole daemon loses at
+  most one in-flight chunk per campaign, and
+  :meth:`CampaignScheduler.recover` re-admits every incomplete store it
+  finds on restart.
 
 Chunked absorption is verdict-preserving by construction: the frontier
 is FIFO and children enqueue at the back, so absorbing a wave in
@@ -59,28 +60,25 @@ The robustness spine on top:
   a crash between absorb and cut is repaired on resume.
 """
 
-import copy
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.engine.memo import merge_stats
 from repro.errors import (
     AdmissionRefused,
     CampaignBudgetExceeded,
     CampaignNotFound,
+    CheckpointMismatch,
 )
 from repro.obs import trace as _trace
 from repro.obs.metrics import REGISTRY
-from repro.service.checkpoint import CampaignCheckpoint
 from repro.service.orchestrator import (
     CampaignSpec,
+    CampaignStep,
     CampaignStore,
-    _hash_cons_outputs,
-    _quarantine_output,
 )
 from repro.service.store import atomic_write_text
 from repro.service.supervisor import ResilientExecutor
@@ -99,8 +97,6 @@ RESUMABLE_STATES = (QUEUED, RUNNING, CANCELLED, INTERRUPTED, FAILED)
 META_FILE = "campaign.json"
 RESULT_FILE = "result.json"
 ARTIFACTS_DIR = "artifacts"
-
-WORKER_FN = "repro.engine.workers:run_interleaving_unit"
 
 
 def _result_digest(result) -> str:
@@ -125,14 +121,8 @@ class ManagedCampaign:
     resumed: bool = False
 
     # Runtime state (populated at activation).
-    state: object = None               # FrontierState
-    waves: int = 0
-    units_executed: int = 0
-    base_stats: Dict = field(default_factory=dict)
-    cons_cache: Dict = field(default_factory=dict)
+    step: Optional[CampaignStep] = None
     started_at: Optional[float] = None   # monotonic, this process
-    last_progress: Optional[float] = None
-    checkpoint_done: bool = False        # last committed checkpoint's flag
     bundles_cut: int = 0
     error: Optional[str] = None
     result_summary: Optional[Dict] = None
@@ -140,6 +130,22 @@ class ManagedCampaign:
     @property
     def active(self) -> bool:
         return self.status == RUNNING
+
+    @property
+    def state(self):
+        """The step's FrontierState (``None`` until activated)."""
+        return self.step.state if self.step is not None else None
+
+    @property
+    def waves(self) -> int:
+        """Checkpoints committed so far (0 until activated)."""
+        return self.step.waves if self.step is not None else 0
+
+    @property
+    def units_executed(self) -> int:
+        """Schedules run so far, resumed ones included (0 until
+        activated): the fair-share planner serves the lowest first."""
+        return len(self.state.runs) if self.step is not None else 0
 
     def pending_units(self) -> int:
         """Schedules still on this campaign's frontier (0 if inactive)."""
@@ -286,7 +292,7 @@ class CampaignScheduler:
                 # budgets are authoritative (None = scheduler default),
                 # so a larger budget finishes what the old one cut off.
                 existing.status = QUEUED
-                existing.state = None
+                existing.step = None
                 existing.error = None
                 existing.result_summary = None
                 existing.wall_budget = wall_budget \
@@ -572,16 +578,11 @@ class CampaignScheduler:
             self._activate(campaign)
 
     def _activate(self, campaign: ManagedCampaign):
-        """Load (or start) the campaign's frontier and warm the memo."""
-        from repro.concurrency.explorer import FrontierState
-        from repro.engine import workers as worker_module
-
-        from repro.errors import CheckpointMismatch
-
-        spec = campaign.spec
+        """Open the campaign's wave step (checkpoint or cold start)."""
         try:
-            checkpoint = campaign.store.load_checkpoint(
-                expected_digest=spec.digest())
+            campaign.step = CampaignStep(
+                campaign.spec, campaign.store, self.pool,
+                campaign_id=campaign.campaign_id, lock=self._lock)
         except CheckpointMismatch as exc:
             # A pre-existing store that belongs to a different spec:
             # refusing is a terminal verdict, not a retry loop.
@@ -590,38 +591,14 @@ class CampaignScheduler:
             _write_result(campaign)
             REGISTRY.inc("service.checkpoint_mismatches")
             return
-        if checkpoint is not None:
-            campaign.state = checkpoint.state
-            campaign.base_stats = copy.deepcopy(checkpoint.stats)
-            campaign.waves = checkpoint.waves
-            campaign.checkpoint_done = checkpoint.done
-            campaign.units_executed = len(checkpoint.state.runs)
-            if campaign.waves:
-                campaign.resumed = True
-                REGISTRY.inc("service.resumes")
-                _trace.event("service.resume",
-                             campaign=campaign.campaign_id,
-                             waves=campaign.waves,
-                             runs=len(checkpoint.state.runs))
-        else:
-            campaign.state = FrontierState.start(
-                seed=spec.seed, preemption_bound=spec.preemption_bound,
-                max_schedules=spec.max_schedules)
-            campaign.checkpoint_done = False
-        preloaded = campaign.store.memo.preload_memo(worker_module.MEMO)
-        worker_module.MEMO.enable_journal()
-        if preloaded:
-            REGISTRY.inc("service.memo_preloaded", preloaded)
-        _hash_cons_outputs(
-            ((result, ()) for _schedule, result in campaign.state.runs),
-            campaign.cons_cache)
+        if campaign.step.resumed:
+            campaign.resumed = True
         campaign.bundles_cut = _existing_bundles(campaign)
         campaign.status = RUNNING
         campaign.started_at = time.monotonic()
-        campaign.last_progress = campaign.started_at
         _trace.event("service.activate", campaign=campaign.campaign_id,
-                     resumed=checkpoint is not None)
-        if checkpoint is not None and checkpoint.done:
+                     resumed=campaign.step.resumed)
+        if campaign.step.done:
             self._finalize(campaign)
 
     def _over_budget(self, campaign: ManagedCampaign) -> bool:
@@ -693,75 +670,28 @@ class CampaignScheduler:
 
     def _run_chunk(self, campaign: ManagedCampaign,
                    wave: List) -> None:
-        """Execute one campaign's chunk and commit its checkpoint."""
-        from repro.hyperenclave.monitor import HOST_ID
-
+        """Execute one campaign's chunk through its wave step."""
         with self._lock:
             if campaign.status != RUNNING:
                 # Cancelled (or drained) between planning and
                 # execution: the popped chunk goes back untouched and
                 # the checkpoint records the exact pre-chunk state.
-                campaign.state.frontier.extendleft(reversed(wave))
-                self._commit(campaign, done=False)
+                campaign.step.put_back(wave)
                 return
-        spec = campaign.spec
-        watchers = list(spec.observers) if spec.observers is not None \
-            else [HOST_ID]
-        from repro.concurrency.snapshot import (
-            locality_key,
-            prefix_cache_enabled,
-        )
-        use_cache = prefix_cache_enabled(None)
-        units = [{"schedule": schedule, "monitor": spec.monitor,
-                  "config": None, "check_ni": spec.check_ni,
-                  "observers": watchers, "prefix_cache": use_cache}
-                 for schedule in wave]
-        # Prefix-locality keys co-locate each preemption subtree on one
-        # worker (campaign-scoped so fair-share interleaving of
-        # campaigns cannot mix key spaces); merge stays by unit index.
-        keys = [f"{campaign.campaign_id}\x1f"
-                f"{locality_key(s) if use_cache else s.describe()}"
-                for s in wave]
-        self.pool.stats = {}
         with _trace.span("service.chunk",
                          campaign=campaign.campaign_id,
                          units=len(wave)):
             try:
-                merged = self.pool.map(WORKER_FN, units, keys=keys)
+                campaign.step.run(wave)
             except KeyboardInterrupt:
                 with self._lock:
-                    campaign.state.frontier.extendleft(reversed(wave))
-                    self._commit(campaign, done=False)
                     campaign.status = INTERRUPTED
                 raise
-        from repro.errors import ShardQuarantined
-        outputs = [_quarantine_output(schedule, value)
-                   if isinstance(value, ShardQuarantined) else value
-                   for schedule, value in zip(wave, merged)]
         with self._lock:
-            _hash_cons_outputs(outputs, campaign.cons_cache)
-            campaign.state.absorb(wave, outputs)
-            campaign.units_executed += len(wave)
-            campaign.last_progress = time.monotonic()
-            merge_stats(campaign.base_stats, self.pool.stats)
-            self._commit(campaign, done=campaign.state.done)
             self._cut_bundles(campaign)
             REGISTRY.inc("service.units_executed", len(wave))
             if campaign.state.done:
                 self._finalize(campaign)
-
-    def _commit(self, campaign: ManagedCampaign, *, done: bool):
-        """The wave-boundary checkpoint + memo flush (crash barrier)."""
-        appended = campaign.store.memo.extend(
-            self.pool.drain_memo_journal())
-        if appended:
-            REGISTRY.inc("service.memo_persisted", appended)
-        campaign.waves += 1
-        campaign.store.save_checkpoint(CampaignCheckpoint(
-            spec=campaign.spec.payload(), state=campaign.state,
-            waves=campaign.waves, done=done,
-            stats=copy.deepcopy(campaign.base_stats)))
-        campaign.checkpoint_done = done
 
     def _cut_bundles(self, campaign: ManagedCampaign):
         """Cut provenance bundles for violations that have none yet.
@@ -795,13 +725,7 @@ class CampaignScheduler:
         """Record the finished campaign's verdict durably."""
         if campaign.status not in (RUNNING, QUEUED):
             return
-        if not campaign.checkpoint_done:
-            # The exploration ended inside take_wave (truncation, or
-            # an empty frontier on a resumed store): the last per-chunk
-            # checkpoint predates that decision, so leave a done one —
-            # exactly run_durable_campaign's final commit.
-            self._commit(campaign, done=True)
-        result = campaign.state.result()
+        result = campaign.step.finish()
         campaign.status = DONE
         campaign.result_summary = {
             "status": DONE,

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.concurrency.snapshot import (
     SnapshotTree,
     locality_key,
-    prefix_cache_enabled,
     process_tree,
     reset_process_tree,
 )
@@ -127,22 +126,6 @@ def test_counters_surface_in_render_metrics(tree):
                  "snapshot_cache.steps_saved",
                  "snapshot_cache.bytes_resident"):
         assert name in table
-
-
-def test_flag_resolution(monkeypatch):
-    """Explicit beats env; unset/empty env means on; the usual
-    falsey spellings disable."""
-    monkeypatch.delenv("REPRO_PREFIX_CACHE", raising=False)
-    assert prefix_cache_enabled(None) is True
-    assert prefix_cache_enabled(False) is False
-    for value in ("0", "false", "NO", " off "):
-        monkeypatch.setenv("REPRO_PREFIX_CACHE", value)
-        assert prefix_cache_enabled(None) is False
-        assert prefix_cache_enabled(True) is True
-    monkeypatch.setenv("REPRO_PREFIX_CACHE", "1")
-    assert prefix_cache_enabled(None) is True
-    monkeypatch.setenv("REPRO_PREFIX_CACHE", "")
-    assert prefix_cache_enabled(None) is True
 
 
 def test_locality_key_groups_subtrees():

@@ -11,9 +11,13 @@ every supported interpreter.
 Besides whole campaigns, the digests pin a fixed corpus of single
 schedules (random preemptions and crashes, plus three crashes inside a
 hypercall), each with its final state fingerprint and noninterference
-verdicts, and snapshot-tree campaigns under forced eviction.  The
-parallel campaign, with the prefix cache on and off, must reproduce
-the sequential ``interleaving_bound2`` digest exactly.
+verdicts, snapshot-tree campaigns under forced eviction, and the
+symbolic/co-simulation corpus verdicts, which must come out the same
+with the fast path forced on and with it disabled.  Other drivers of
+the same campaigns must reproduce the sequential digests exactly: the
+parallel campaign with the prefix cache on and off, and on x86_64 the
+service layer's wave step, driven solo, interrupted and resumed, and
+by the fair-share scheduler next to a second campaign.
 
 ``digests.json`` beside this file holds the reference values.  A change
 that is meant to keep behaviour byte-identical (a faster frame store, a
@@ -30,6 +34,7 @@ import random
 
 import pytest
 
+from repro import fastpath
 from repro.concurrency import Schedule
 from repro.concurrency.snapshot import SnapshotTree, reset_process_tree
 from repro.engine.bug_matrix import run_matrix
@@ -47,10 +52,20 @@ from repro.faults import (
 )
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.hyperenclave.mir_model import build_model
 from repro.hyperenclave.monitor import HOST_ID
 from repro.security.noninterference import (
     check_schedule_noninterference_prepared,
 )
+from repro.service import (
+    CampaignScheduler,
+    CampaignSpec,
+    CampaignStore,
+    ResilientExecutor,
+    resume_campaign,
+    run_durable_campaign,
+)
+from repro.verification.code_proofs import verify_corpus
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "digests.json")
@@ -163,6 +178,15 @@ def _parallel_campaign(tree, config, **grid):
         reset_process_tree(None)
 
 
+def _corpus_verdicts(config):
+    """Every field of every ``verify_corpus`` verdict at seed 0, the
+    model built under the ambient fast-path setting."""
+    return tuple((v.name, v.layer, v.method, v.checked, v.skipped,
+                  tuple(str(f) for f in v.failures))
+                 for v in verify_corpus(build_model(config),
+                                        seed=0).verdicts)
+
+
 def _forced_eviction(**tree_kwargs):
     return lambda config: _exploration(_parallel_campaign(
         SnapshotTree(**tree_kwargs), config, preemption_bound=1,
@@ -191,6 +215,7 @@ CASES = {
     "schedule_corpus": _corpus,
     "eviction_budget0": _forced_eviction(budget_bytes=0),
     "eviction_max_nodes1": _forced_eviction(max_nodes=1),
+    "corpus_verdicts": _corpus_verdicts,
 }
 
 
@@ -229,6 +254,71 @@ def test_parallel_campaign_matches_sequential_digest(arch, prefix_cache):
                                 prefix_cache=prefix_cache)
     assert digest(_exploration(result)) == \
         load()[arch]["interleaving_bound2"]
+
+
+@pytest.mark.parametrize("mode", ["forced", "disabled"])
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_corpus_verdicts_same_with_fast_path_on_and_off(arch, mode):
+    with getattr(fastpath, mode)():
+        encoded = _corpus_verdicts(ARCH_CONFIGS[arch])
+    assert digest(encoded) == load()[arch]["corpus_verdicts"]
+
+
+MISSING_LOCK = "repro.hyperenclave.buggy:MissingLockMonitor"
+
+
+class _StopAtThirdWave(ResilientExecutor):
+    """A pool whose third ``map`` is a Ctrl-C: two waves commit, the
+    third goes back on the frontier."""
+
+    calls = 0
+
+    def map(self, fn_path, units, *, keys=None):
+        self.calls += 1
+        if self.calls == 3:
+            raise KeyboardInterrupt
+        return super().map(fn_path, units, keys=keys)
+
+
+def _solo(root):
+    return {"interleaving_bound2": run_durable_campaign(
+        CampaignSpec(), str(root / "solo"), workers=1)}
+
+
+def _interrupted_then_resumed(root):
+    store = str(root / "resumed")
+    with pytest.raises(KeyboardInterrupt):
+        run_durable_campaign(CampaignSpec(), store,
+                             executor=_StopAtThirdWave(1))
+    assert not CampaignStore(store).load_checkpoint().done
+    return {"interleaving_bound2": resume_campaign(store, workers=1)}
+
+
+def _scheduled(root):
+    scheduler = CampaignScheduler(str(root / "svc"), workers=1)
+    scheduler.submit(CampaignSpec(), campaign_id="interleaving_bound2")
+    scheduler.submit(CampaignSpec(monitor=MISSING_LOCK, preemption_bound=1),
+                     campaign_id="missing_lock_bound1")
+    scheduler.run_until_idle()
+    scheduler.drain()
+    return {case: CampaignStore(os.path.join(scheduler.root, case))
+            .load_checkpoint().state.result()
+            for case in ("interleaving_bound2", "missing_lock_bound1")}
+
+
+@pytest.mark.parametrize("driver", [_solo, _interrupted_then_resumed,
+                                    _scheduled],
+                         ids=lambda driver: driver.__name__.strip("_"))
+def test_service_drivers_match_sequential_digests(driver, tmp_path):
+    """``CampaignSpec`` has no arch field: the service runs x86_64."""
+    reset_process_tree(SnapshotTree())
+    try:
+        results = driver(tmp_path)
+    finally:
+        reset_process_tree(None)
+    golden = load()["x86_64"]
+    for case, result in results.items():
+        assert digest(_exploration(result)) == golden[case], case
 
 
 if __name__ == "__main__":

@@ -134,6 +134,39 @@ class TestCrashAndResume:
         resumed = resume_campaign(str(tmp_path), workers=2)
         assert repr(resumed) == clean_repr(tmp_path_factory)
 
+    def test_resume_on_same_pool_counts_each_wave_once(
+            self, tmp_path, monkeypatch):
+        """A pool reused across the interrupt and the resume still holds
+        the interrupted run's memo counters; the done checkpoint must
+        count every wave once, exactly as an uninterrupted run does."""
+        from repro.engine import workers
+        from repro.engine.memo import CheckMemo
+
+        class Interrupting(ResilientExecutor):
+            calls = 0
+
+            def map(self, fn_path, units, *, keys=None):
+                self.calls += 1
+                if self.calls == 3:
+                    raise KeyboardInterrupt
+                return super().map(fn_path, units, keys=keys)
+
+        spec = spec_for(40)
+        monkeypatch.setattr(workers, "MEMO", CheckMemo())
+        run_durable_campaign(spec, str(tmp_path / "clean"), workers=1)
+        clean = CampaignStore(str(tmp_path / "clean")).load_checkpoint()
+
+        monkeypatch.setattr(workers, "MEMO", CheckMemo())
+        pool = Interrupting(1)
+        store = str(tmp_path / "resumed")
+        with pytest.raises(KeyboardInterrupt):
+            run_durable_campaign(spec, store, executor=pool)
+        run_durable_campaign(spec, store, executor=pool)
+        resumed = CampaignStore(store).load_checkpoint()
+        assert resumed.done and clean.done
+        assert resumed.stats == clean.stats
+        assert repr(resumed.state.result()) == repr(clean.state.result())
+
 
 class TestCorruptStoreFallback:
     def test_corrupt_checkpoint_cold_starts_with_warning(

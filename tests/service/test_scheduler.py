@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AdmissionRefused, CampaignNotFound
+from repro.obs.metrics import REGISTRY
 from repro.service import CampaignSpec, CampaignStore, run_durable_campaign
 from repro.service.scheduler import (
     CANCELLED,
@@ -34,6 +35,43 @@ def scheduler_for(tmp_path, **options) -> CampaignScheduler:
     options.setdefault("workers", 1)
     options.setdefault("round_capacity", 6)
     return CampaignScheduler(str(tmp_path / "svc"), **options)
+
+
+class FakeState:
+    """A frontier with ``pending`` schedules and nothing else."""
+
+    def __init__(self, pending):
+        self._pending = pending
+        self.done = pending == 0
+
+    def pending(self):
+        return self._pending
+
+    def take_wave(self, limit=None):
+        take = min(self._pending, limit)
+        self._pending -= take
+        return [object() for _ in range(take)]
+
+
+class FakeCampaign:
+    """Just what round planning reads of a managed campaign."""
+
+    def __init__(self, index, pending):
+        self.campaign_id = f"f{index}"
+        self.admission_index = index
+        self.units_executed = (index * 7) % 5
+        self.state = FakeState(pending)
+
+    def pending_units(self):
+        return self.state.pending()
+
+
+def planner(capacity):
+    """A scheduler with no pool or store: enough to plan rounds."""
+    sched = CampaignScheduler.__new__(CampaignScheduler)
+    sched.round_capacity = capacity
+    sched._finalize = lambda campaign: None
+    return sched
 
 
 class TestVerdictIdentity:
@@ -78,35 +116,8 @@ class TestFairShare:
         """Every campaign with pending work gets >= 1 unit per round,
         and the plan never exceeds pending work nor (when anyone is
         left wanting) wastes round capacity."""
-        class FakeState:
-            def __init__(self, pending):
-                self._pending = pending
-                self.done = pending == 0
-
-            def pending(self):
-                return self._pending
-
-            def take_wave(self, limit=None):
-                take = min(self._pending, limit)
-                self._pending -= take
-                return [object() for _ in range(take)]
-
-        class FakeCampaign:
-            def __init__(self, index, pending):
-                self.campaign_id = f"f{index}"
-                self.admission_index = index
-                self.units_executed = (index * 7) % 5
-                self.state = FakeState(pending)
-
-            def pending_units(self):
-                return self.state.pending()
-
-        sched = CampaignScheduler.__new__(CampaignScheduler)
-        sched.round_capacity = capacity
-        finalized = []
-        sched._finalize = finalized.append
         campaigns = [FakeCampaign(i, p) for i, p in enumerate(pendings)]
-        plan = sched._plan_round(list(campaigns))
+        plan = planner(capacity)._plan_round(list(campaigns))
         planned = {c.campaign_id: len(wave) for c, wave in plan}
         total = sum(planned.values())
         share = max(1, capacity // len(campaigns))
@@ -120,6 +131,18 @@ class TestFairShare:
             leftover = [c for c, p in zip(campaigns, pendings)
                         if c.pending_units() > 0]
             assert not leftover or total >= capacity
+
+    def test_deep_campaign_steals_the_spare_share(self):
+        """Capacity 8 over two campaigns is a share of 4 each; the one
+        with a single pending schedule leaves 3 unclaimed, and the deep
+        one takes its share plus those 3."""
+        campaigns = [FakeCampaign(0, 1), FakeCampaign(1, 20)]
+        before = REGISTRY.snapshot()
+        plan = planner(8)._plan_round(campaigns)
+        stolen = REGISTRY.delta(before)["counters"]["service.units_stolen"]
+        assert [(c.campaign_id, len(wave)) for c, wave in plan] == \
+            [("f0", 1), ("f1", 4 + 3)]
+        assert stolen == 3
 
     def test_lonely_campaign_absorbs_whole_round(self, tmp_path):
         sched = scheduler_for(tmp_path, round_capacity=12)
