@@ -48,10 +48,14 @@ class ZMap:
 
     def unset_range(self, start, stop):
         """Return a new ZMap with every key in ``range(start, stop)``
-        back at the default (one copy, not one per key)."""
-        entries = dict(self._entries)
-        for key in range(start, stop):
-            entries.pop(key, None)
+        back at the default (one copy, not one per key).
+
+        Filters the entries against the range, so it costs one visit
+        per entry however long the range is.
+        """
+        span = range(start, stop)
+        entries = {key: value for key, value in self._entries.items()
+                   if key not in span}
         new = ZMap.__new__(ZMap)
         new._default = self._default
         new._entries = entries

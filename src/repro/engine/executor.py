@@ -29,6 +29,10 @@ which keeps the toy ``measurement`` accumulator — the one piece of
 state built on Python's salted ``hash`` — consistent between the
 sequential baseline and every worker.
 
+Every pool worker exits once the process that forked it is gone: a
+``kill -9`` of the parent (say the ``serve`` daemon) cannot reap its
+pool, and an orphaned worker would otherwise idle on forever.
+
 Worker count resolution: explicit argument, else the
 ``REPRO_CHECK_WORKERS`` environment variable, else ``os.cpu_count()``.
 ``workers=1`` (or a single-unit map) runs in-process with identical
@@ -39,12 +43,17 @@ import hashlib
 import importlib
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
 
 WORKERS_ENV = "REPRO_CHECK_WORKERS"
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_S = 0.5
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -91,6 +100,24 @@ def stable_shard(key: str, shards: int) -> int:
     """The shard a key lands in — deterministic across processes."""
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % shards
+
+
+def _exit_with_parent(parent_pid: int):
+    """Pool-worker initializer: exit as soon as ``parent_pid`` dies.
+
+    A daemon thread polls ``os.getppid()``; once the worker has been
+    re-parented, the process that forked it is gone.
+    ``PR_SET_PDEATHSIG`` would not do: it fires when the *forking
+    thread* exits, and pools fork from whichever thread first submits
+    (the service's scheduler thread, which can end before the daemon).
+    """
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def _run_shard(fn_path: str, pairs):
@@ -214,9 +241,10 @@ class ShardedExecutor:
                 context = multiprocessing.get_context("fork")
             except ValueError:       # platform without fork
                 context = None
-            self._pools = [ProcessPoolExecutor(max_workers=1,
-                                               mp_context=context)
-                           for _ in range(self.workers)]
+            self._pools = [ProcessPoolExecutor(
+                max_workers=1, mp_context=context,
+                initializer=_exit_with_parent, initargs=(os.getpid(),))
+                for _ in range(self.workers)]
         return self._pools
 
     def _submit_shard(self, number: int, fn_path: str, shard):

@@ -15,8 +15,13 @@ pre-resolved:
 
 * statement/rvalue/operand kinds become direct closure calls,
 * arithmetic dispatches through per-op lambdas instead of an if-ladder,
+* binop, compare, switch and cast closures test ``type(v) is
+  IntValue`` before anything else; any other operand falls through to
+  the generic ``expect_int``/``isinstance`` checks, so errors are
+  unchanged,
 * global base paths are constructed once per function, not per access,
-* bare temporary reads/writes go straight at the ``TempEnv`` dict,
+* bare temporary reads/writes go straight at the ``TempEnv`` dict
+  (the write keeps ``TempEnv.write``'s Value check inline),
 * the common ``temp.field...`` projection chains are unrolled.
 
 The artifact is cached on ``function.__dict__['_compiled']`` keyed by
@@ -40,6 +45,8 @@ n_statements)`` tuples resolved once per block instead of re-reading
 the AST maps each step.
 """
 
+import operator
+
 from repro.errors import (
     MirAssertError,
     MirRuntimeError,
@@ -52,6 +59,7 @@ from repro.mir.value import (
     Aggregate,
     BoolValue,
     FnValue,
+    IntValue,
     Value,
     mk_bool,
     mk_int,
@@ -60,6 +68,8 @@ from repro.mir.value import (
 )
 
 _MISSING = object()
+_TRUE = mk_bool(True)
+_FALSE = mk_bool(False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +108,12 @@ _RAW_ARITH = {
 }
 
 _RAW_CMP = {
-    BinOp.EQ: lambda a, b: a == b,
-    BinOp.NE: lambda a, b: a != b,
-    BinOp.LT: lambda a, b: a < b,
-    BinOp.LE: lambda a, b: a <= b,
-    BinOp.GT: lambda a, b: a > b,
-    BinOp.GE: lambda a, b: a >= b,
+    BinOp.EQ: operator.eq,
+    BinOp.NE: operator.ne,
+    BinOp.LT: operator.lt,
+    BinOp.LE: operator.le,
+    BinOp.GT: operator.gt,
+    BinOp.GE: operator.ge,
 }
 
 
@@ -179,12 +189,14 @@ def _compile_place(place, function, program):
 
     if place.is_bare:
         def write(interp, frame, value):
-            env = frame.env
-            if var not in env._values and (
+            values = frame.env._values
+            if var not in values and (
                     is_global or interp.memory.has_base(gbase)):
                 interp._write_place(frame, place, value)
-                return
-            env.write(var, value)  # keeps the Value type check
+            elif isinstance(value, Value):
+                values[var] = value
+            else:
+                frame.env.write(var, value)  # raises TempEnv's error
     else:
         def write(interp, frame, value):
             interp._write_place(frame, place, value)
@@ -241,13 +253,20 @@ def _compile_rvalue(rvalue, function, program):
         cast = rvalue
         if cast.kind is CastKind.INT_TO_INT:
             ty = cast.ty
-            return lambda interp, frame: mk_int(
-                operand(interp, frame).expect_int("cast").value, ty)
+            def cast_int(interp, frame):
+                value = operand(interp, frame)
+                if type(value) is not IntValue:
+                    value = value.expect_int("cast")
+                return mk_int(value.value, ty)
+            return cast_int
         if cast.kind is CastKind.BOOL_TO_INT:
             ty = cast.ty
-            return lambda interp, frame: mk_int(
-                1 if operand(interp, frame).expect_bool("cast").value else 0,
-                ty)
+            def cast_bool(interp, frame):
+                value = operand(interp, frame)
+                if type(value) is not BoolValue:
+                    value = value.expect_bool("cast")
+                return mk_int(1 if value.value else 0, ty)
+            return cast_bool
         def cast_other(interp, frame):
             return interp._eval_cast(cast, operand(interp, frame))
         return cast_other
@@ -288,6 +307,8 @@ def _compile_binop(rvalue, function, program):
         def binop_cmp(interp, frame):
             lv = left(interp, frame)
             rv = right(interp, frame)
+            if type(lv) is IntValue and type(rv) is IntValue:
+                return _TRUE if raw_cmp(lv.value, rv.value) else _FALSE
             if isinstance(lv, BoolValue) and isinstance(rv, BoolValue):
                 return mk_bool(raw_cmp(lv.value, rv.value))
             return mk_bool(raw_cmp(lv.expect_int(message).value,
@@ -300,8 +321,12 @@ def _compile_binop(rvalue, function, program):
         return binop_unknown
     message = f"binop {op.value}"
     def binop_arith(interp, frame):
-        lhs = left(interp, frame).expect_int(message)
-        rhs = right(interp, frame).expect_int(message)
+        lhs = left(interp, frame)
+        if type(lhs) is not IntValue:
+            lhs = lhs.expect_int(message)
+        rhs = right(interp, frame)
+        if type(rhs) is not IntValue:
+            rhs = rhs.expect_int(message)
         return mk_int(raw(lhs, rhs), lhs.ty)
     return binop_arith
 
@@ -364,7 +389,11 @@ def _compile_terminator(term, function, program):
             table.setdefault(value, label)
         otherwise = term.otherwise
         def switch(interp, frame):
-            scrutinee = _as_switch_int(operand(interp, frame))
+            value = operand(interp, frame)
+            if type(value) is IntValue:
+                scrutinee = value.as_unsigned
+            else:
+                scrutinee = _as_switch_int(value)
             frame.jump(table.get(scrutinee, otherwise))
         return switch
     if isinstance(term, ast.Return):
@@ -390,7 +419,7 @@ def _compile_terminator(term, function, program):
             if not isinstance(fn_value, FnValue):
                 raise MirTypeError(
                     f"call through non-function value {fn_value!r}")
-            values = tuple(a(interp, frame) for a in args)
+            values = tuple([a(interp, frame) for a in args])
             trusted = interp._trusted.get(fn_value.name)
             if trusted is not None:
                 ret, interp.absstate = trusted.spec(values, interp.absstate)

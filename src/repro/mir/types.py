@@ -42,20 +42,15 @@ class IntTy(MirTy):
     def __post_init__(self):
         if self.width not in (8, 16, 32, 64, 128):
             raise ValueError(f"unsupported integer width: {self.width}")
-
-    @property
-    def modulus(self):
-        return 1 << self.width
-
-    @property
-    def min_value(self):
-        return -(1 << (self.width - 1)) if self.signed else 0
-
-    @property
-    def max_value(self):
-        if self.signed:
-            return (1 << (self.width - 1)) - 1
-        return (1 << self.width) - 1
+        # ``modulus``, ``min_value`` and ``max_value`` sit on every
+        # integer step of the interpreter, so they are computed once
+        # here.  They are plain attributes, not dataclass fields:
+        # equality, hash and repr still see only (width, signed).
+        half = 1 << (self.width - 1)
+        object.__setattr__(self, "modulus", 1 << self.width)
+        object.__setattr__(self, "min_value", -half if self.signed else 0)
+        object.__setattr__(self, "max_value",
+                           half - 1 if self.signed else self.modulus - 1)
 
     def wrap(self, raw):
         """Reduce an unbounded Python int into this type's value range."""

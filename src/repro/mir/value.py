@@ -241,9 +241,22 @@ def unit():
     return _UNIT
 
 
+_new_object = object.__new__
+
+
 def mk_int(value, ty=U64):
-    """Make an integer value, wrapping into the type's range."""
-    return IntValue(ty.wrap(value), ty)
+    """Make an integer value, wrapping into the type's range.
+
+    The wrapped int is in range by construction, so the value is built
+    without re-running :class:`IntValue`'s range check (the
+    interpreter's hottest allocation).  Direct ``IntValue(...)``
+    construction still validates.
+    """
+    result = _new_object(IntValue)
+    fields = result.__dict__  # filled in __init__'s order: same pickle
+    fields["value"] = ty.wrap(value)
+    fields["ty"] = ty
+    return result
 
 
 def mk_usize(value):

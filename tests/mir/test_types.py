@@ -1,5 +1,7 @@
 """Unit tests for the mirlight type grammar."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,30 @@ class TestIntTy:
     def test_hashable_and_canonical(self):
         assert IntTy(64, False) == U64
         assert hash(IntTy(64, False)) == hash(U64)
+
+    @given(st.sampled_from((8, 16, 32, 64, 128)), st.booleans())
+    def test_cached_bounds_equal_their_formulas(self, width, signed):
+        ty = IntTy(width, signed)
+        assert ty.modulus == 2 ** width
+        if signed:
+            assert ty.min_value == -(2 ** (width - 1))
+            assert ty.max_value == 2 ** (width - 1) - 1
+        else:
+            assert ty.min_value == 0
+            assert ty.max_value == 2 ** width - 1
+        assert ty.contains(ty.min_value) and ty.contains(ty.max_value)
+        assert not ty.contains(ty.min_value - 1)
+        assert not ty.contains(ty.max_value + 1)
+
+    def test_cached_bounds_are_not_fields(self):
+        """Equality, hash and repr still see only (width, signed)."""
+        assert [f.name for f in dataclasses.fields(IntTy)] == \
+            ["width", "signed"]
+        assert repr(U64) == "IntTy(width=64, signed=False)"
+        assert hash(U64) == hash((64, False))
+        assert dataclasses.replace(U64, signed=True) == I64
+        assert dataclasses.replace(U64, signed=True).max_value == \
+            2 ** 63 - 1
 
 
 class TestCompositeTypes:

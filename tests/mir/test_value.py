@@ -1,10 +1,12 @@
 """Unit and property tests for the value domain."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MirTypeError
-from repro.mir.types import I8, U8, U64
+from repro.mir.types import I8, IntTy, U8, U64
 from repro.mir.value import (
     Aggregate, BoolValue, IntValue, PathPtr, RDataPtr, StrValue,
     TrustedPtr, UnitValue, is_none, is_some, mk_array, mk_bool, mk_err,
@@ -15,10 +17,12 @@ from repro.mir.path import Path
 
 class TestIntValue:
     def test_out_of_range_rejected(self):
-        with pytest.raises(MirTypeError):
+        with pytest.raises(MirTypeError, match="out of range for u8"):
             IntValue(256, U8)
         with pytest.raises(MirTypeError):
             IntValue(-1, U8)
+        with pytest.raises(MirTypeError, match="out of range for i8"):
+            IntValue(-129, I8)
 
     def test_mk_int_wraps(self):
         assert mk_int(256, U8).value == 0
@@ -31,6 +35,37 @@ class TestIntValue:
     def test_mk_int_always_valid(self, raw):
         value = mk_int(raw, U8)
         assert 0 <= value.value <= 255
+
+    @given(st.sampled_from([IntTy(width, signed)
+                            for width in (8, 16, 32, 64, 128)
+                            for signed in (False, True)]),
+           st.integers(-(2 ** 200), 2 ** 200))
+    def test_mk_int_equals_validated_construction(self, ty, raw):
+        """mk_int skips IntValue's range check; what it builds must be
+        indistinguishable from the checked constructor's value."""
+        built = mk_int(raw, ty)
+        checked = IntValue(ty.wrap(raw), ty)
+        assert type(built) is IntValue
+        assert (built.value, built.ty) == (checked.value, checked.ty)
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        assert pickle.dumps(built) == pickle.dumps(checked)
+        assert pickle.loads(pickle.dumps(built)) == checked
+
+    def test_mk_int_skips_the_range_check(self, monkeypatch):
+        calls = []
+        original = IntValue.__post_init__
+
+        def counting(self):
+            calls.append(self.value)
+            original(self)
+
+        monkeypatch.setattr(IntValue, "__post_init__", counting)
+        mk_int(-1, U8)
+        mk_int(2 ** 70, I8)
+        assert calls == []
+        IntValue(3, U8)
+        assert calls == [3]
 
     def test_expect_int(self):
         assert mk_u64(3).expect_int().value == 3

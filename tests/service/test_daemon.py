@@ -188,12 +188,12 @@ def _serve_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
-def _start_daemon(root, *extra):
+def _start_daemon(root, *extra, workers=1):
     """``python -m repro serve`` on an ephemeral port; returns
     (process, url) once the listen line appears."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--root", root,
-         "--port", "0", "--workers", "1", *extra],
+         "--port", "0", "--workers", str(workers), *extra],
         env=_serve_env(), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
@@ -202,7 +202,64 @@ def _start_daemon(root, *extra):
     return proc, url
 
 
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after ``comm`` (state first),
+    or None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return None
+    return stat[stat.rindex(")") + 2:].split()
+
+
+def _children(pid):
+    """``(pid, start time)`` of every live child of ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields is not None and int(fields[1]) == pid:
+            found.append((int(entry), fields[19]))
+    return found
+
+
+def _running(child):
+    """Still running (not gone, not a zombie, pid not reused)."""
+    pid, started = child
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z" and fields[19] == started
+
+
 class TestLifecycleSubprocess:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads the process table from /proc")
+    def test_kill9_leaves_no_pool_workers(self, tmp_path):
+        """Pool workers exit on their own once a SIGKILLed daemon (which
+        cannot reap them) is gone."""
+        proc, url = _start_daemon(str(tmp_path / "svc"), workers=2)
+        workers = []
+        try:
+            client = ServiceClient(url)
+            client.submit({"id": "warm", **SPEC})
+            assert client.wait("warm", deadline=120)["status"] == DONE
+            workers = _children(proc.pid)
+            assert workers, "the campaign ran without pool workers"
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while (any(_running(child) for child in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert [child for child in workers if _running(child)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            for pid, _started in filter(_running, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         root = str(tmp_path / "svc")
         proc, url = _start_daemon(root)
