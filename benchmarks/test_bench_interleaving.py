@@ -1,6 +1,7 @@
 """The multi-vCPU interleaving campaign, rendered as an artifact.
 
-Four sweeps make up the concurrency table:
+Four sweeps make up the concurrency table, once for each entry of
+:data:`~repro.hyperenclave.constants.ARCH_CONFIGS`:
 
 1. the full bounded-preemption exploration of :class:`RustMonitor` —
    every explored schedule checked against all invariant families, the
@@ -14,60 +15,33 @@ Four sweeps make up the concurrency table:
 4. the crash-in-critical-section campaign — a vCPU killed at every
    yield point taken while holding locks, with rollback, lock release,
    and invariants verified each time (expected all-green).
-"""
 
-import time
+The artifact carries counts only, so it is a pure function of the
+code: wall-clock time to verdict is perfbench's job.
+"""
 
 from repro.faults import (
     crash_in_critical_section_campaign,
     interleaving_campaign,
 )
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
+from repro.hyperenclave.constants import ARCH_CONFIGS
 
 
-def timed(fn, *args, **kwargs):
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
+def convicted(result):
+    return ", ".join(f"{len(items)} {kind}"
+                     for kind, items in sorted(result.by_kind().items()))
 
 
-def test_bench_interleaving_campaign(emit):
-    rust, rust_secs = timed(interleaving_campaign, check_ni=True)
-    missing, missing_secs = timed(
-        interleaving_campaign, MissingLockMonitor, check_ni=False)
-    noshoot, noshoot_secs = timed(
-        interleaving_campaign, NoShootdownMonitor, check_ni=False)
-    crash, crash_secs = timed(crash_in_critical_section_campaign)
-
-    def convicted(result):
-        return ", ".join(f"{len(items)} {kind}"
-                         for kind, items in sorted(result.by_kind().items()))
-
-    first_stale = noshoot.by_kind()["stale-translation"][0]
-    sections = [
-        "Bounded-preemption interleaving campaign "
-        "(2 vCPUs, management core vs application core)",
-        "",
-        f"RustMonitor: {rust.summary()}",
-        "  checks per schedule: lock discipline, stale-translation "
-        "probe at every decision,",
-        "  all invariant families, per-vCPU consistency, two-world "
-        "noninterference (41 vs 42)",
-        f"  elapsed: {rust_secs:.2f}s",
-        "",
-        f"MissingLockMonitor: {missing.summary()}",
-        f"  convicted by: {convicted(missing)}",
-        f"  elapsed: {missing_secs:.2f}s",
-        "",
-        f"NoShootdownMonitor: {noshoot.summary()}",
-        f"  convicted by: {convicted(noshoot)}",
-        f"  first witness: {first_stale}",
-        f"  elapsed: {noshoot_secs:.2f}s",
-        "",
-        crash.render(),
-        f"elapsed: {crash_secs:.2f}s",
-    ]
-    emit("interleaving_campaign", "\n".join(sections))
+def arch_sections(arch, config):
+    """The four sweeps on one arch: rendered lines, after asserting
+    each sweep's expected outcome."""
+    rust = interleaving_campaign(check_ni=True, config=config)
+    missing = interleaving_campaign(MissingLockMonitor, check_ni=False,
+                                    config=config)
+    noshoot = interleaving_campaign(NoShootdownMonitor, check_ni=False,
+                                    config=config)
+    crash = crash_in_critical_section_campaign(config=config)
 
     assert rust.ok, rust.summary()
     assert rust.preemption_bound >= 2 and not rust.truncated
@@ -76,3 +50,34 @@ def test_bench_interleaving_campaign(emit):
     assert all(v.schedule.preemptions
                for v in noshoot.by_kind()["stale-translation"])
     assert crash.ok, crash.render()
+
+    first_stale = noshoot.by_kind()["stale-translation"][0]
+    return [
+        f"== {arch} ({config.name}) ==",
+        "",
+        f"RustMonitor: {rust.summary()}",
+        "  checks per schedule: lock discipline, stale-translation "
+        "probe at every decision,",
+        "  all invariant families, per-vCPU consistency, two-world "
+        "noninterference (41 vs 42)",
+        "",
+        f"MissingLockMonitor: {missing.summary()}",
+        f"  convicted by: {convicted(missing)}",
+        "",
+        f"NoShootdownMonitor: {noshoot.summary()}",
+        f"  convicted by: {convicted(noshoot)}",
+        f"  first witness: {first_stale}",
+        "",
+        crash.render(),
+    ]
+
+
+def test_bench_interleaving_campaign(emit):
+    sections = [
+        "Bounded-preemption interleaving campaign "
+        "(2 vCPUs, management core vs application core)",
+    ]
+    for arch, config in ARCH_CONFIGS.items():
+        sections.append("")
+        sections.extend(arch_sections(arch, config))
+    emit("interleaving_campaign", "\n".join(sections))

@@ -26,11 +26,12 @@ preemption vectors forcing the same prefix replay the same execution.
 Single-schedule :func:`replay` always re-executes from scratch
 (stateless model checking), so a reported violation's ``(seed,
 schedule)`` pair reproduces it standalone by construction.  Campaign
-sweeps may instead restore a schedule's shared prefix from the
-process-local snapshot tree (:mod:`repro.concurrency.snapshot`) and
-execute only the suffix — the equivalence suites pin that restored
-runs are byte-identical to from-scratch ones, so replayability is
-unchanged.
+sweeps instead restore a schedule's shared prefix from a snapshot tree
+(:mod:`repro.concurrency.snapshot`) and execute only the suffix — the
+equivalence suites pin that restored runs are byte-identical to
+from-scratch ones, so replayability is unchanged.
+:func:`first_branch_index` is the one rule for where a schedule's
+children branch; the tree captures snapshots only there.
 """
 
 from collections import deque
@@ -125,11 +126,13 @@ def explore(run_schedule: Callable[[Schedule], RunResult], *,
             check=None) -> ExplorationResult:
     """Bounded-preemption BFS over schedules.
 
-    ``run_schedule(schedule)`` must rebuild the world from scratch and
-    execute the schedule (deterministically — same schedule, same
-    result).  ``check(schedule, result)``, if given, yields extra
-    ``(kind, detail)`` findings per run (invariant sweeps,
-    noninterference) that become :class:`Violation` entries.
+    ``run_schedule(schedule)`` executes the schedule on a fresh world
+    (deterministically — same schedule, same result); it may restore a
+    cached prefix instead of re-running it, as long as the result is
+    byte-identical to a from-scratch run.  ``check(schedule, result)``,
+    if given, yields extra ``(kind, detail)`` findings per run
+    (invariant sweeps, noninterference) that become :class:`Violation`
+    entries.
 
     A :class:`FrontierState` driven one schedule at a time: each
     schedule runs and is checked before its children are enqueued.
@@ -147,6 +150,25 @@ def explore(run_schedule: Callable[[Schedule], RunResult], *,
             else []
         state.absorb(wave, [(result, findings)])
     return state.result()
+
+
+def first_branch_index(schedule: Schedule,
+                       preemption_bound: int) -> Optional[int]:
+    """The first decision index at which a child of ``schedule`` can
+    branch under ``preemption_bound``, or None when no child can exist.
+
+    A child adds one forced preemption *after* the schedule's last one,
+    so a schedule already at the bound has no children, and one below
+    it branches no earlier than the decision after its last preemption
+    (the root schedule from decision 0).  :meth:`FrontierState.absorb`
+    enqueues children by this rule, and
+    :class:`~repro.concurrency.snapshot.SnapshotPlan` captures
+    snapshots only where it allows a child: anywhere else a capture
+    either repeats one an ancestor's run offered or is never looked up.
+    """
+    if len(schedule.preemptions) >= preemption_bound:
+        return None
+    return schedule.preemptions[-1][0] + 1 if schedule.preemptions else 0
 
 
 @dataclass
@@ -234,12 +256,11 @@ class FrontierState:
                 Violation(schedule, kind, detail)
                 for kind, detail in findings)
             _note_schedule(schedule, self.violations[known:])
-            if len(schedule.preemptions) >= self.preemption_bound:
+            first = first_branch_index(schedule, self.preemption_bound)
+            if first is None:
                 continue
-            last = (schedule.preemptions[-1][0]
-                    if schedule.preemptions else -1)
             for decision in result.decisions:
-                if decision.index <= last:
+                if decision.index < first:
                     continue
                 if decision.chosen_kind not in BRANCH_KINDS:
                     continue

@@ -44,15 +44,35 @@ Correctness rests on three properties:
   structure by reference when the counter did not move.  Safe because
   node states are frozen — only ever used as clone sources.
 
+Only captures a child can look up are taken.  A child branches at or
+after :func:`~repro.concurrency.explorer.first_branch_index` of its
+parent — the decision after the parent's last preemption — and a
+schedule at the campaign's preemption bound has no children.  A
+capture anywhere else is either keyed by a prefix an ancestor's run
+already offered or never looked up, so :class:`SnapshotPlan` skips
+those decisions before doing any other work.  When every ancestor ran
+in the same tree (the sequential campaign, a one-worker pool), hits,
+misses and decisions saved are exactly those of capturing at every
+safe decision, and at bound 2 the captures fall from 1,916 to 292 per
+campaign.  In a larger pool the root schedule runs on one worker only,
+so a few children of one-preemption schedules on the other workers
+restore a shallower node or none (bound 2, two workers: 324 hits
+instead of 332), and a process tree that outlives its campaigns no
+longer keeps the nodes only a later campaign would look up.
+
 Memory is bounded by an LRU byte budget (``REPRO_SNAPSHOT_BUDGET_MB``,
-default 256).  The tree is **process-local by design**: pool workers
-fork with an empty tree and warm it across waves; a durable campaign
-resumed after ``kill -9`` starts new workers whose trees are rebuilt
-from live execution, so pre-crash snapshots are structurally impossible
-to reuse.  Parallel, durable and service campaigns always run through
-the cache; sequential campaigns and single-schedule ``replay`` run
-without it, and then :func:`~repro.faults.campaign.execute_interleaved`
-runs each schedule from a plain prototype clone.
+default 256).  Every bounded campaign runs through a tree.  The
+sequential :func:`~repro.faults.campaign.interleaving_campaign` owns
+one that lives only as long as the campaign.  Pooled, durable and
+service campaigns use the **process tree** (:func:`process_tree`),
+which is process-local by design: pool workers fork with an empty tree
+and warm it across waves; a durable campaign resumed after ``kill -9``
+starts new workers whose trees are rebuilt from live execution, so
+pre-crash snapshots are structurally impossible to reuse.  Runs with no
+campaign bound — single-schedule ``replay``, provenance bundles, the
+crash-in-critical-section sweep, custom workloads — capture nothing,
+and :func:`~repro.faults.campaign.execute_interleaved` runs each of
+them from a plain prototype clone.
 """
 
 import os
@@ -61,6 +81,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.concurrency import scheduler as conc
+from repro.concurrency.explorer import first_branch_index
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which a vCPU's continuation is just "finish the
@@ -265,7 +286,12 @@ class SnapshotTree:
 
     def insert(self, key, node):
         """Add a captured node, evicting least-recently-used nodes
-        until the byte budget (and ``max_nodes``, if set) is met."""
+        until the byte budget (and ``max_nodes``, if set) is met.
+
+        Only the process tree publishes the
+        ``snapshot_cache.bytes_resident`` gauge: a campaign's own tree
+        must not overwrite what ``/metrics`` reports for the memory the
+        process keeps."""
         if self.capacity_disabled:
             return
         self.nodes[key] = node
@@ -278,8 +304,9 @@ class SnapshotTree:
             _, evicted = self.nodes.popitem(last=False)
             self.bytes_resident -= evicted.nbytes
             self.stats["evictions"] += 1
-        REGISTRY.set_gauge("snapshot_cache.bytes_resident",
-                           float(self.bytes_resident))
+        if self is _PROCESS_TREE:
+            REGISTRY.set_gauge("snapshot_cache.bytes_resident",
+                               float(self.bytes_resident))
 
 
 class SnapshotPlan:
@@ -287,34 +314,44 @@ class SnapshotPlan:
 
     Installed as ``DeterministicScheduler.snapshots``; offered the
     frozen world right before every scheduling decision (both the
-    loop's and the inline ones).  Captures only at
-    decisions a child schedule could branch from — at least two live
-    vCPUs, every live vCPU at a snapshot-safe park — and dedups by
-    node key *before* cloning, so re-executed shared prefixes cost a
+    loop's and the inline ones).  ``preemption_bound`` is the
+    campaign's: the plan captures only from
+    :func:`~repro.concurrency.explorer.first_branch_index` of
+    ``schedule`` on (nowhere when the schedule is at the bound), and
+    there only at snapshot-safe decisions — at least two live vCPUs,
+    every live vCPU at a snapshot-safe park, no lock held.  It dedups
+    by node key *before* cloning, so re-executed shared prefixes cost a
     dict probe, not a clone.
     """
 
-    __slots__ = ("tree", "world_key", "state", "workloads", "_prev")
+    __slots__ = ("tree", "world_key", "state", "workloads", "first",
+                 "_prev")
 
     def __init__(self, tree, world_key, state, workloads, schedule,
+                 preemption_bound: int,
                  resumed_from: Optional[SnapshotNode] = None):
         self.tree = tree
         self.world_key = world_key
         self.state = state
         self.workloads = workloads
+        self.first = first_branch_index(schedule, preemption_bound)
         self._prev = resumed_from
 
     def offer(self, sched):
         """Capture the scheduler's state at the current decision point
-        if it is snapshot-safe (called by the scheduler before every
-        pick); unsafe or duplicate points are skipped for free."""
+        if a child can branch here and the point is snapshot-safe
+        (called by the scheduler before every pick); every other point
+        is skipped for free."""
+        index = len(sched.decisions)
+        first = self.first
+        if first is None or index < first or index == 0:
+            # no child of this schedule branches here, so no lookup
+            # can reach a node keyed here that an ancestor's run did
+            # not already capture; and the initial state is the world
+            # prototype, which a node would not improve on
+            return
         tree = self.tree
         if tree.capacity_disabled:
-            return
-        index = len(sched.decisions)
-        if index == 0:
-            # the initial state is the world prototype; caching it
-            # would save nothing over cloning the prototype
             return
         live = 0
         for task in sched.tasks:

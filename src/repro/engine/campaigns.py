@@ -67,18 +67,18 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
                                    seed=0, check_ni=True, crash=None,
                                    config=None, observers=None,
                                    workers=None, executor=None,
-                                   stats_out=None, prefix_cache=True):
+                                   stats_out=None):
     """:func:`repro.faults.campaign.interleaving_campaign`, fanned out
     one BFS wavefront at a time; the returned
     :class:`~repro.concurrency.explorer.ExplorationResult` is
     byte-identical to the sequential campaign's.
 
-    The workers run every schedule through their snapshot-tree
-    execution cache, with prefix-locality shard keys so each preemption
-    subtree lands on one worker.  ``prefix_cache=False`` is the
-    cache-off reference the golden digests compare against; merge order
-    is by unit index either way, so results are byte-identical on or
-    off.
+    Each unit carries the campaign's ``preemption_bound``, and the
+    workers run every schedule through their process snapshot tree
+    under the same capture rule as the sequential campaign's tree, with
+    prefix-locality shard keys so each preemption subtree lands on one
+    worker.  Merge order is by unit index, so the keying cannot change
+    a result.
     """
     from repro.concurrency import explore_batched
     from repro.concurrency.snapshot import locality_key
@@ -93,12 +93,12 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
         def run_batch(schedules):
             units = [{"schedule": schedule, "monitor": monitor_path,
                       "config": config, "check_ni": check_ni,
-                      "observers": watchers, "prefix_cache": prefix_cache}
+                      "observers": watchers,
+                      "preemption_bound": preemption_bound}
                      for schedule in schedules]
             return pool.map("repro.engine.workers:run_interleaving_unit",
                             units,
-                            keys=[locality_key(s) if prefix_cache
-                                  else s.describe() for s in schedules])
+                            keys=[locality_key(s) for s in schedules])
 
         result = explore_batched(run_batch, seed=seed,
                                  preemption_bound=preemption_bound,

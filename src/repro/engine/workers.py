@@ -10,7 +10,7 @@ every unit the worker's shards carry:
 * :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`;
   the executor returns its counter deltas with every shard.
 * interleaving worlds — one cached :func:`run_world` per (monitor,
-  config, prefix cache): each secret's
+  config, preemption bound): each secret's
   :func:`~repro.faults.campaign.build_interleaved_world` prototype is
   built once per worker and every schedule runs on a
   :meth:`~repro.security.state.SystemState.clone` of it (~20x cheaper
@@ -32,7 +32,7 @@ from repro.engine.memo import CheckMemo
 # runs); the executor snapshots its stats around every shard.
 MEMO = CheckMemo()
 
-_RUN_WORLDS = {}        # (monitor path, config repr, prefix cache) -> run_world
+_RUN_WORLDS = {}        # (monitor path, config repr, bound) -> run_world
 _FACTORIES = {}         # (maker path, args repr) -> world factory
 _WORKLOADS = {}         # workload path -> [(name, invoke)]
 _MODELS = {}            # config repr -> mir corpus model
@@ -44,19 +44,21 @@ def _resolve_cls(path):
     return resolve_callable(path) if path else None
 
 
-def run_world(monitor_path, config, prefix_cache=False):
+def run_world(monitor_path, config, preemption_bound=None):
     """This process's ``run_world(secret, schedule) -> (state,
     RunResult)`` for one interleaved-campaign world flavour.
 
-    With ``prefix_cache`` every run goes through this process's
-    snapshot tree.  The tree key space is world-scoped — monitor
-    class, config, secret, plus the schedule's (seed, crash) — so the
-    secret-41 primary runs and the secret-42 noninterference re-runs
-    each warm their own subtree on the same worker (unit-level
-    sharding keeps both here).
+    With a campaign's ``preemption_bound`` every run goes through this
+    process's snapshot tree and captures only where a child schedule
+    can branch under that bound; without one nothing is captured.  The
+    tree key space is world-scoped — monitor class, config, secret,
+    plus the schedule's (seed, crash) — so the secret-41 primary runs
+    and the secret-42 noninterference re-runs each warm their own
+    subtree on the same worker (unit-level sharding keeps both here),
+    and campaigns of different bounds share nodes safely.
     """
     config_key = repr(config)
-    key = (monitor_path, config_key, bool(prefix_cache))
+    key = (monitor_path, config_key, preemption_bound)
     runner = _RUN_WORLDS.get(key)
     if runner is None:
         from repro.concurrency.snapshot import process_tree
@@ -73,13 +75,12 @@ def run_world(monitor_path, config, prefix_cache=False):
             if proto is None:
                 proto = prototypes[secret] = build_interleaved_world(
                     monitor_cls, config, secret=secret)
-            if not prefix_cache:
-                return execute_interleaved(*proto, schedule)
-            world_key = (monitor_path, config_key, secret, schedule.seed,
-                         schedule.crash)
-            return execute_interleaved(*proto, schedule,
-                                       tree=process_tree(),
-                                       world_key=world_key)
+            return execute_interleaved(
+                *proto, schedule,
+                tree=None if preemption_bound is None else process_tree(),
+                world_key=(monitor_path, config_key, secret, schedule.seed,
+                           schedule.crash),
+                preemption_bound=preemption_bound)
 
         _RUN_WORLDS[key] = runner
     return runner
@@ -123,7 +124,7 @@ def run_interleaving_unit(unit):
 
     schedule = unit["schedule"]
     runner = run_world(unit.get("monitor"), unit.get("config"),
-                       unit.get("prefix_cache"))
+                       unit["preemption_bound"])
     state, result = runner(41, schedule)
     return result, schedule_findings(
         state, result, runner, schedule, memo=MEMO,

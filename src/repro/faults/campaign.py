@@ -667,7 +667,8 @@ def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
 
 
 def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
-                        probe=True, tree=None, world_key=None):
+                        probe=True, tree=None, world_key=None,
+                        preemption_bound=None):
     """Run ``schedule`` on a clone of a :func:`build_interleaved_world`
     prototype; returns ``(state, RunResult)``.
 
@@ -678,12 +679,13 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
     ``probe`` is false.
 
     With ``tree`` (a :class:`~repro.concurrency.snapshot.SnapshotTree`;
-    default scripts only) the run starts from a clone of the deepest
-    cached ancestor of the schedule's predicted trace prefix under
-    ``world_key``, with the cached prefix records pre-seeded, and
-    executes only the rest; a
+    default scripts only) and the campaign's ``preemption_bound``, the
+    run starts from a clone of the deepest cached ancestor of the
+    schedule's predicted trace prefix under ``world_key``, with the
+    cached prefix records pre-seeded, and executes only the rest; a
     :class:`~repro.concurrency.snapshot.SnapshotPlan` captures new
-    nodes at snapshot-safe decisions, and the finished trace is
+    nodes at the snapshot-safe decisions where a child of this
+    schedule can branch under the bound, and the finished trace is
     recorded so children of this schedule can predict their prefixes.
     Results are byte-identical with or without the tree — the golden
     digests pin this, including under forced eviction.
@@ -706,7 +708,8 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
         if node is not None:
             node.apply_to(scheduler)
         scheduler.snapshots = SnapshotPlan(tree, world_key, state, built,
-                                           schedule, resumed_from=node)
+                                           schedule, preemption_bound,
+                                           resumed_from=node)
     result = scheduler.run()
     if tree is not None:
         tree.record_trace(world_key, schedule, result.trace)
@@ -722,22 +725,35 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
 
 
 def make_interleaved_run(monitor_cls=None, config=None, *,
-                         workloads=None, probe=True):
+                         workloads=None, probe=True,
+                         preemption_bound=None):
     """A ``run_world(secret, schedule) -> (state, RunResult)`` factory.
 
     Each distinct ``secret``'s world is built once and every call runs
     on a clone of it (:func:`execute_interleaved`), so a campaign pays
     the assembly cost twice, not per schedule.
+
+    A campaign passes its ``preemption_bound`` (default scripts only):
+    every call then goes through a
+    :class:`~repro.concurrency.snapshot.SnapshotTree` that belongs to
+    the returned function, keyed by world ``(secret, seed, crash)``, so
+    a schedule restores the prefix its parent already ran and the tree
+    is freed with the function.  Without a bound nothing is captured.
     """
+    from repro.concurrency.snapshot import SnapshotTree
+
     prototypes = {}
+    tree = None if preemption_bound is None else SnapshotTree()
 
     def run_world(secret, schedule):
         proto = prototypes.get(secret)
         if proto is None:
             proto = prototypes[secret] = build_interleaved_world(
                 monitor_cls, config, secret=secret)
-        return execute_interleaved(*proto, schedule, workloads=workloads,
-                                   probe=probe)
+        return execute_interleaved(
+            *proto, schedule, workloads=workloads, probe=probe,
+            tree=tree, world_key=(secret, schedule.seed, schedule.crash),
+            preemption_bound=preemption_bound)
 
     return run_world
 
@@ -797,12 +813,16 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
     Worlds clone from one prototype per secret, and the checks go
     through a campaign-local :class:`~repro.engine.memo.CheckMemo` —
     the same battery, memo included, that the parallel fabric's
-    workers run per unit.
+    workers run per unit.  Both worlds of every schedule run through a
+    campaign-local snapshot tree (:func:`make_interleaved_run` with the
+    bound), so a child schedule restores its parent's prefix instead of
+    re-executing it; the tree is dropped when the campaign returns.
     """
     from repro.concurrency import explore
     from repro.engine.memo import CheckMemo
 
-    run_world = make_interleaved_run(monitor_cls, config)
+    run_world = make_interleaved_run(monitor_cls, config,
+                                     preemption_bound=preemption_bound)
     memo = CheckMemo()
     holder = {}
 

@@ -331,7 +331,8 @@ class CampaignStep:
             else [HOST_ID]
         units = [{"schedule": schedule, "monitor": spec.monitor,
                   "config": None, "check_ni": spec.check_ni,
-                  "observers": watchers, "prefix_cache": True}
+                  "observers": watchers,
+                  "preemption_bound": spec.preemption_bound}
                  for schedule in wave]
         # Prefix-locality keys co-locate each preemption subtree on one
         # worker; merge stays by unit index.

@@ -61,3 +61,33 @@ def build_enclave_world(monitor_cls=RustMonitor, secret=0xDEAD,
 @pytest.fixture
 def enclave_world():
     return build_enclave_world()
+
+
+def from_scratch_campaign(monitor_cls=None, *, preemption_bound=2,
+                          max_schedules=600, seed=0, check_ni=True,
+                          crash=None, config=None):
+    """The interleaving campaign's reference: the same ``explore`` and
+    per-schedule battery, with every schedule run from a prototype
+    clone (``make_interleaved_run`` with no bound captures nothing).
+
+    The campaign drivers restore prefixes from a snapshot tree; their
+    results must be ``repr``-equal to this one's."""
+    from repro.concurrency import explore
+    from repro.engine.memo import CheckMemo
+    from repro.faults.campaign import make_interleaved_run, schedule_findings
+
+    run_world = make_interleaved_run(monitor_cls, config)
+    memo = CheckMemo()
+    holder = {}
+
+    def run_schedule(schedule):
+        holder["state"], result = run_world(41, schedule)
+        return result
+
+    def check(schedule, result):
+        return schedule_findings(holder["state"], result, run_world,
+                                 schedule, memo=memo, check_ni=check_ni)
+
+    return explore(run_schedule, seed=seed,
+                   preemption_bound=preemption_bound,
+                   max_schedules=max_schedules, crash=crash, check=check)

@@ -1,22 +1,31 @@
-"""Prefix-sharing execution cache: equivalence, eviction, metrics.
+"""Prefix-sharing execution cache: equivalence, eviction, capture rule,
+metrics.
 
 The snapshot tree's one hard guarantee mirrors the fabric's: a
 campaign run through restored snapshots is **byte-identical**
-(``repr``-equal) to the untouched legacy from-scratch path — at any
-cache capacity, including a budget of zero and a single-node LRU that
-evicts on every insert.  Hypothesis drives random (seed, preemption
-bound, fault plan) configurations through both paths; the directed
-tests pin the cache actually *working* (hits, suffix steps saved) and
-its counters surfacing through the metrics registry.
+(``repr``-equal) to the from-scratch reference that runs every
+schedule from a prototype clone — at any cache capacity, including a
+budget of zero and a single-node LRU that evicts on every insert, and
+through both campaign drivers (the sequential campaign's own tree and
+the one-worker pool's process tree).  Hypothesis drives random (seed,
+preemption bound, fault plan) configurations through both; the
+directed tests pin the cache actually *working* (hits, suffix steps
+saved), the capture rule (snapshots only where a child schedule can
+branch), the sequential tree's lifetime, and the counters surfacing
+through the metrics registry.
 
 Everything here runs in-process (``workers=1``) so the tests control
 the process-local tree directly via
 :func:`~repro.concurrency.snapshot.reset_process_tree`.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.concurrency import snapshot
 from repro.concurrency.snapshot import (
     SnapshotTree,
     locality_key,
@@ -24,10 +33,21 @@ from repro.concurrency.snapshot import (
     reset_process_tree,
 )
 from repro.engine.campaigns import parallel_interleaving_campaign
+from repro.faults import (
+    build_interleaved_world,
+    execute_interleaved,
+    interleaving_campaign,
+)
+from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
+from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.hyperenclave.monitor import RustMonitor
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
+from tests.conftest import from_scratch_campaign
 
-GRID = dict(max_schedules=12, check_ni=False, workers=1)
+GRID = dict(max_schedules=12, check_ni=False)
+
+COUNTED = ("hits", "misses", "steps_saved", "captures")
 
 
 @pytest.fixture
@@ -39,37 +59,74 @@ def tree():
     reset_process_tree(None)
 
 
-def _both(tree_kwargs=None, **grid):
-    """One campaign through a fresh tree and one through the legacy
-    path; returns (cached_repr, legacy_repr, tree, counter_delta)."""
+def _pooled(tree_kwargs=None, **grid):
+    """One one-worker campaign through a fresh process tree; returns
+    (result, tree, counter_delta)."""
     reset_process_tree(SnapshotTree(**(tree_kwargs or {})))
     try:
         before = REGISTRY.snapshot()
-        cached = parallel_interleaving_campaign(prefix_cache=True,
-                                                **grid)
-        delta = REGISTRY.delta(before)["counters"]
-        installed = process_tree()
-        legacy = parallel_interleaving_campaign(prefix_cache=False,
-                                                **grid)
-        return repr(cached), repr(legacy), installed, delta
+        result = parallel_interleaving_campaign(workers=1, **grid)
+        return result, process_tree(), REGISTRY.delta(before)["counters"]
     finally:
         reset_process_tree(None)
+
+
+def _both(tree_kwargs=None, **grid):
+    """One pooled campaign through a fresh tree and the from-scratch
+    reference; returns (cached_repr, reference_repr, tree,
+    counter_delta)."""
+    cached, installed, delta = _pooled(tree_kwargs, **grid)
+    reference = from_scratch_campaign(**grid)
+    return repr(cached), repr(reference), installed, delta
+
+
+def _cache_counts(run):
+    """``run()``'s ``snapshot_cache`` counter deltas named in
+    :data:`COUNTED`."""
+    before = REGISTRY.snapshot()
+    run()
+    delta = REGISTRY.delta(before)["counters"]
+    return {name: delta[f"snapshot_cache.{name}"] for name in COUNTED}
 
 
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_random_configs_restore_byte_identically(data):
-    """Random (seed, bound, fault plan): snapshot-restored campaigns
-    repr-match the from-scratch legacy path."""
+    """Random (seed, bound, fault plan): snapshot-restored pooled
+    campaigns repr-match the from-scratch reference."""
     seed = data.draw(st.integers(0, 4), label="seed")
     bound = data.draw(st.integers(1, 2), label="preemption_bound")
     crash = data.draw(
         st.one_of(st.none(),
                   st.tuples(st.integers(0, 1), st.integers(1, 6))),
         label="crash")
-    cached, legacy, _tree, _delta = _both(
+    cached, reference, _tree, _delta = _both(
         seed=seed, preemption_bound=bound, crash=crash, **GRID)
-    assert cached == legacy
+    assert cached == reference
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_sequential_campaign_restores_byte_identically(data):
+    """Random (monitor, seed, bound 0-3, fault plan, NI on or off): the
+    sequential campaign, which runs through its own tree, repr-matches
+    the from-scratch reference — planted bugs' findings included."""
+    monitor_cls = data.draw(st.sampled_from(
+        [RustMonitor, MissingLockMonitor, NoShootdownMonitor]),
+        label="monitor")
+    grid = dict(
+        seed=data.draw(st.integers(0, 4), label="seed"),
+        preemption_bound=data.draw(st.integers(0, 3),
+                                   label="preemption_bound"),
+        crash=data.draw(
+            st.one_of(st.none(),
+                      st.tuples(st.integers(0, 1), st.integers(1, 8))),
+            label="crash"),
+        check_ni=data.draw(st.booleans(), label="check_ni"),
+        max_schedules=data.draw(st.integers(1, 40),
+                                label="max_schedules"))
+    assert repr(interleaving_campaign(monitor_cls, **grid)) == \
+        repr(from_scratch_campaign(monitor_cls, **grid))
 
 
 @given(data=st.data())
@@ -81,9 +138,9 @@ def test_forced_eviction_preserves_equivalence(data):
     seed = data.draw(st.integers(0, 3), label="seed")
     kwargs = data.draw(st.sampled_from(
         [{"budget_bytes": 0}, {"max_nodes": 1}]), label="capacity")
-    cached, legacy, tree, delta = _both(
+    cached, reference, tree, delta = _both(
         tree_kwargs=kwargs, seed=seed, preemption_bound=1, **GRID)
-    assert cached == legacy
+    assert cached == reference
     if kwargs.get("budget_bytes") == 0:
         assert delta["snapshot_cache.hits"] == 0
         assert delta["snapshot_cache.captures"] == 0
@@ -95,9 +152,9 @@ def test_forced_eviction_preserves_equivalence(data):
 def test_cache_hits_and_saves_suffix_steps():
     """Under the default budget the tree actually serves: most lookups
     hit and whole prefixes of scheduler decisions are skipped."""
-    cached, legacy, tree, delta = _both(seed=0, preemption_bound=1,
-                                        **GRID)
-    assert cached == legacy
+    cached, reference, tree, delta = _both(seed=0, preemption_bound=1,
+                                           **GRID)
+    assert cached == reference
     hits = delta["snapshot_cache.hits"]
     misses = delta["snapshot_cache.misses"]
     assert hits > 0 and hits / (hits + misses) > 0.5
@@ -110,22 +167,112 @@ def test_ni_worlds_restore_byte_identically(tree):
     """The noninterference re-run (secret-42 world) gets its own
     subtree via the world key; full NI campaigns restore identically."""
     grid = dict(seed=1, preemption_bound=1, max_schedules=10,
-                check_ni=True, workers=1)
-    cached = parallel_interleaving_campaign(prefix_cache=True, **grid)
-    legacy = parallel_interleaving_campaign(prefix_cache=False, **grid)
-    assert repr(cached) == repr(legacy)
+                check_ni=True)
+    cached = parallel_interleaving_campaign(workers=1, **grid)
+    assert repr(cached) == repr(from_scratch_campaign(**grid))
+
+
+#: bound -> (max_schedules, hits, misses, steps_saved, captures) of a
+#: seed-0 campaign with the full battery, the same on both arches.
+#: Hits, misses and steps saved are the values of the tree that
+#: captured at every snapshot-safe decision; it took 292, 1,916 and
+#: 2,492 captures for them, and the capture rule drops every capture
+#: no child schedule can look up.
+CAPTURE_PINS = {
+    1: (600, 42, 4, 1222, 24),
+    2: (600, 352, 4, 12580, 292),
+    3: (300, 596, 4, 20500, 1916),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(CAPTURE_PINS))
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_capture_rule_keeps_every_lookup(arch, bound):
+    """The sequential campaign's tree and the one-worker pool's process
+    tree serve the same lookups as capturing everywhere did, from the
+    pinned (smaller) number of captures."""
+    cap, hits, misses, saved, captures = CAPTURE_PINS[bound]
+    grid = dict(seed=0, preemption_bound=bound, max_schedules=cap,
+                config=ARCH_CONFIGS[arch])
+    sequential = _cache_counts(lambda: interleaving_campaign(**grid))
+    reset_process_tree(SnapshotTree())
+    try:
+        pooled = _cache_counts(
+            lambda: parallel_interleaving_campaign(workers=1, **grid))
+    finally:
+        reset_process_tree(None)
+    assert sequential == pooled == {"hits": hits, "misses": misses,
+                                    "steps_saved": saved,
+                                    "captures": captures}
+
+
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_captures_only_where_a_child_can_branch(arch):
+    """Every schedule of a bound-2 campaign, run alone on an empty
+    tree: one at the bound captures nothing, and one below it keys no
+    node at or before its last preemption."""
+    config = ARCH_CONFIGS[arch]
+    result = from_scratch_campaign(preemption_bound=2, check_ni=False,
+                                   config=config)
+    prototype = build_interleaved_world(config=config)
+    captured = 0
+    for schedule, _run in result.runs:
+        tree = SnapshotTree()
+        execute_interleaved(*prototype, schedule, tree=tree,
+                            world_key="world", preemption_bound=2)
+        depths = [len(prefix) for _world, prefix in tree.nodes]
+        if len(schedule.preemptions) >= 2:
+            assert depths == [], schedule.describe()
+            continue
+        last = (schedule.preemptions[-1][0] if schedule.preemptions
+                else -1)
+        assert all(depth > last for depth in depths), schedule.describe()
+        captured += len(depths)
+    assert captured > 0
+
+
+def test_sequential_campaign_tree_lives_only_as_long_as_the_campaign(
+        monkeypatch):
+    """The sequential campaign builds one tree of its own: it leaves
+    the process tree and its ``bytes_resident`` gauge untouched, and
+    its tree is unreachable once the campaign returns."""
+    made = []
+
+    class Recorded(SnapshotTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    installed = SnapshotTree()
+    reset_process_tree(installed)
+    monkeypatch.setattr(snapshot, "SnapshotTree", Recorded)
+    REGISTRY.set_gauge("snapshot_cache.bytes_resident", -1.0)
+    try:
+        counts = _cache_counts(lambda: interleaving_campaign(
+            seed=0, preemption_bound=1, max_schedules=12))
+    finally:
+        reset_process_tree(None)
+    assert counts["captures"] > 0 and counts["hits"] > 0
+    assert not installed.nodes and not installed.traces
+    assert REGISTRY.snapshot()["gauges"][
+        "snapshot_cache.bytes_resident"] == -1.0
+    assert len(made) == 1
+    gc.collect()
+    assert made[0]() is None
 
 
 def test_counters_surface_in_render_metrics(tree):
     """The snapshot-cache counter group flows through the registry into
     the rendered metrics table (and hence the daemon's ``/metrics``)."""
-    parallel_interleaving_campaign(prefix_cache=True, seed=0,
-                                   preemption_bound=1, **GRID)
+    parallel_interleaving_campaign(seed=0, preemption_bound=1,
+                                   workers=1, **GRID)
     table = render_metrics(REGISTRY.snapshot())
     for name in ("snapshot_cache.hits", "snapshot_cache.misses",
                  "snapshot_cache.steps_saved",
                  "snapshot_cache.bytes_resident"):
         assert name in table
+    assert REGISTRY.snapshot()["gauges"][
+        "snapshot_cache.bytes_resident"] == tree.bytes_resident > 0
 
 
 def test_locality_key_groups_subtrees():

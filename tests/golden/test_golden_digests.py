@@ -15,9 +15,10 @@ verdicts, snapshot-tree campaigns under forced eviction, and the
 symbolic/co-simulation corpus verdicts, which must come out the same
 with the fast path forced on and with it disabled.  Other drivers of
 the same campaigns must reproduce the sequential digests exactly: the
-parallel campaign with the prefix cache on and off, and on x86_64 the
-service layer's wave step, driven solo, interrupted and resumed, and
-by the fair-share scheduler next to a second campaign.
+one-worker parallel campaign, the from-scratch reference that runs
+every schedule from a prototype clone (no snapshot tree), and on
+x86_64 the service layer's wave step, driven solo, interrupted and
+resumed, and by the fair-share scheduler next to a second campaign.
 
 ``digests.json`` beside this file holds the reference values.  A change
 that is meant to keep behaviour byte-identical (a faster frame store, a
@@ -66,6 +67,7 @@ from repro.service import (
     run_durable_campaign,
 )
 from repro.verification.code_proofs import verify_corpus
+from tests.conftest import from_scratch_campaign
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "digests.json")
@@ -190,7 +192,7 @@ def _corpus_verdicts(config):
 def _forced_eviction(**tree_kwargs):
     return lambda config: _exploration(_parallel_campaign(
         SnapshotTree(**tree_kwargs), config, preemption_bound=1,
-        max_schedules=10, check_ni=False, prefix_cache=True))
+        max_schedules=10, check_ni=False))
 
 
 #: name -> config -> the encoded result.
@@ -246,12 +248,20 @@ def test_golden_digests_unchanged(arch):
     assert arch_digests(ARCH_CONFIGS[arch]) == load()[arch]
 
 
-@pytest.mark.parametrize("prefix_cache", [False, True])
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
-def test_parallel_campaign_matches_sequential_digest(arch, prefix_cache):
+def test_parallel_campaign_matches_sequential_digest(arch):
     result = _parallel_campaign(SnapshotTree(), ARCH_CONFIGS[arch],
-                                preemption_bound=2,
-                                prefix_cache=prefix_cache)
+                                preemption_bound=2)
+    assert digest(_exploration(result)) == \
+        load()[arch]["interleaving_bound2"]
+
+
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_from_scratch_reference_matches_sequential_digest(arch):
+    """The reference the snapshot-tree drivers are checked against
+    reproduces the committed campaign digest on its own."""
+    result = from_scratch_campaign(preemption_bound=2,
+                                   config=ARCH_CONFIGS[arch])
     assert digest(_exploration(result)) == \
         load()[arch]["interleaving_bound2"]
 
