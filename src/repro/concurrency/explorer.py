@@ -118,7 +118,7 @@ def _note_schedule(schedule, new_violations):
                      schedule=violation.schedule.describe())
 
 
-def explore(run_schedule: Callable[[Schedule], RunResult], *,
+def explore(run_schedule: Callable[[Schedule, int], RunResult], *,
             seed: int = 0,
             preemption_bound: int = 2,
             max_schedules: int = 512,
@@ -126,13 +126,15 @@ def explore(run_schedule: Callable[[Schedule], RunResult], *,
             check=None) -> ExplorationResult:
     """Bounded-preemption BFS over schedules.
 
-    ``run_schedule(schedule)`` executes the schedule on a fresh world
-    (deterministically — same schedule, same result); it may restore a
-    cached prefix instead of re-running it, as long as the result is
-    byte-identical to a from-scratch run.  ``check(schedule, result)``,
-    if given, yields extra ``(kind, detail)`` findings per run
-    (invariant sweeps, noninterference) that become :class:`Violation`
-    entries.
+    ``run_schedule(schedule, branch_bound)`` executes the schedule on a
+    fresh world (deterministically — same schedule, same result); it
+    may restore a cached prefix instead of re-running it, as long as
+    the result is byte-identical to a from-scratch run.
+    ``branch_bound`` is :meth:`FrontierState.branch_bound`: a runner
+    that caches work for the schedule's children caches under it, any
+    other runner ignores it.  ``check(schedule, result)``, if given,
+    yields extra ``(kind, detail)`` findings per run (invariant sweeps,
+    noninterference) that become :class:`Violation` entries.
 
     A :class:`FrontierState` driven one schedule at a time: each
     schedule runs and is checked before its children are enqueued.
@@ -145,7 +147,7 @@ def explore(run_schedule: Callable[[Schedule], RunResult], *,
         if not wave:
             break
         schedule = wave[0]
-        result = run_schedule(schedule)
+        result = run_schedule(schedule, state.branch_bound(wave))
         findings = list(check(schedule, result)) if check is not None \
             else []
         state.absorb(wave, [(result, findings)])
@@ -233,6 +235,22 @@ class FrontierState:
             count = min(count, max(limit, 0))
         return [self.frontier.popleft() for _ in range(count)]
 
+    def branch_bound(self, wave: List[Schedule]) -> int:
+        """The preemption bound under which a child of the just-popped
+        ``wave`` can still run: the exploration's own, or 0 — no
+        schedule is below it — when ``max_schedules`` ends the sweep
+        first.
+
+        Children enqueue behind the whole frontier, so none of them
+        runs once ``runs + wave + frontier`` reaches the cap.  Runners
+        that cache work for a schedule's children (the snapshot tree's
+        captures) then treat the wave like schedules at the bound.
+        """
+        if (len(self.runs) + len(wave) + len(self.frontier)
+                >= self.max_schedules):
+            return 0
+        return self.preemption_bound
+
     def pending(self) -> int:
         """Schedules still eligible to run (frontier capped by the
         remaining ``max_schedules`` budget)."""
@@ -293,10 +311,12 @@ def explore_batched(run_batch, *,
                     ) -> ExplorationResult:
     """:func:`explore`, one BFS wavefront at a time — byte-identical.
 
-    ``run_batch(schedules)`` executes a list of schedules (in any order,
-    e.g. fanned out across worker processes) and returns, *aligned with
-    its input*, ``(result, findings)`` pairs where ``findings`` are the
-    extra ``(kind, detail)`` items a ``check`` hook would have produced.
+    ``run_batch(schedules, branch_bound)`` executes a list of schedules
+    (in any order, e.g. fanned out across worker processes) and
+    returns, *aligned with its input*, ``(result, findings)`` pairs
+    where ``findings`` are the extra ``(kind, detail)`` items a
+    ``check`` hook would have produced; ``branch_bound`` is the wave's
+    :meth:`FrontierState.branch_bound`.
 
     Identity with :func:`explore` holds by construction: a schedule's
     children always enqueue *behind* every schedule already in the FIFO
@@ -314,10 +334,13 @@ def explore_batched(run_batch, *,
         wave = state.take_wave()
         if not wave:
             break
-        state.absorb(wave, run_batch(wave))
+        state.absorb(wave, run_batch(wave, state.branch_bound(wave)))
     return state.result()
 
 
 def replay(run_schedule, schedule) -> RunResult:
-    """Re-execute one schedule (the standalone-reproduction entry)."""
+    """Re-execute one schedule (the standalone-reproduction entry).
+
+    ``run_schedule(schedule)`` takes no branch bound: a lone run has no
+    children to cache work for."""
     return run_schedule(schedule)

@@ -47,18 +47,21 @@ Correctness rests on three properties:
 Only captures a child can look up are taken.  A child branches at or
 after :func:`~repro.concurrency.explorer.first_branch_index` of its
 parent — the decision after the parent's last preemption — and a
-schedule at the campaign's preemption bound has no children.  A
-capture anywhere else is either keyed by a prefix an ancestor's run
-already offered or never looked up, so :class:`SnapshotPlan` skips
-those decisions before doing any other work.  When every ancestor ran
-in the same tree (the sequential campaign, a one-worker pool), hits,
-misses and decisions saved are exactly those of capturing at every
-safe decision, and at bound 2 the captures fall from 1,916 to 292 per
-campaign.  In a larger pool the root schedule runs on one worker only,
-so a few children of one-preemption schedules on the other workers
-restore a shallower node or none (bound 2, two workers: 324 hits
-instead of 332), and a process tree that outlives its campaigns no
-longer keeps the nodes only a later campaign would look up.
+schedule at the campaign's preemption bound has no children; nor does
+one whose children the campaign's ``max_schedules`` will never run
+(:meth:`~repro.concurrency.explorer.FrontierState.branch_bound` hands
+it a bound of 0).  A capture anywhere else is either keyed by a prefix
+an ancestor's run already offered or never looked up, so
+:class:`SnapshotPlan` skips those decisions before doing any other
+work.  When every ancestor ran in the same tree (the sequential
+campaign, a one-worker pool), hits, misses and decisions saved are
+exactly those of capturing at every safe decision, and at bound 2 the
+captures fall from 1,916 to 292 per campaign.  In a larger pool the
+root schedule runs on one worker only, so a few children of
+one-preemption schedules on the other workers restore a shallower node
+or none (bound 2, two workers: 324 hits instead of 332), and a process
+tree that outlives its campaigns no longer keeps the nodes only a
+later campaign would look up.
 
 Memory is bounded by an LRU byte budget (``REPRO_SNAPSHOT_BUDGET_MB``,
 default 256).  Every bounded campaign runs through a tree.  The
@@ -314,8 +317,11 @@ class SnapshotPlan:
 
     Installed as ``DeterministicScheduler.snapshots``; offered the
     frozen world right before every scheduling decision (both the
-    loop's and the inline ones).  ``preemption_bound`` is the
-    campaign's: the plan captures only from
+    loop's and the inline ones).  ``preemption_bound`` is the bound
+    under which the schedule's children can run — the campaign's, or
+    0 when ``max_schedules`` ends the sweep first
+    (:meth:`~repro.concurrency.explorer.FrontierState.branch_bound`):
+    the plan captures only from
     :func:`~repro.concurrency.explorer.first_branch_index` of
     ``schedule`` on (nowhere when the schedule is at the bound), and
     there only at snapshot-safe decisions — at least two live vCPUs,
@@ -400,7 +406,10 @@ class SnapshotPlan:
         return False
 
     def _capture(self, sched) -> SnapshotNode:
-        from repro.engine.fingerprint import structure_versions
+        from repro.engine.fingerprint import (
+            structure_versions,
+            warm_fingerprints,
+        )
 
         monitor = self.state.monitor
         versions = structure_versions(monitor)
@@ -414,6 +423,9 @@ class SnapshotPlan:
                 if prev.versions.get(name) == versions[name]:
                     reuse[attr] = getattr(donor, attr)
         with conc.suspended():
+            # the node and the live run both inherit the warm digests,
+            # so neither re-hashes what was written before this point
+            warm_fingerprints(monitor)
             frozen = self.state.clone(reuse=reuse or None)
         if reuse:
             self.tree.stats["cow_shared"] += len(reuse)

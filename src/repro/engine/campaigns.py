@@ -73,9 +73,11 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
     :class:`~repro.concurrency.explorer.ExplorationResult` is
     byte-identical to the sequential campaign's.
 
-    Each unit carries the campaign's ``preemption_bound``, and the
-    workers run every schedule through their process snapshot tree
-    under the same capture rule as the sequential campaign's tree, with
+    Each unit carries its wave's branch bound (the campaign's
+    ``preemption_bound``, or 0 once ``max_schedules`` will end the
+    sweep before the wave's children run), and the workers run every
+    schedule through their process snapshot tree under the same
+    capture rule as the sequential campaign's tree, with
     prefix-locality shard keys so each preemption subtree lands on one
     worker.  Merge order is by unit index, so the keying cannot change
     a result.
@@ -90,11 +92,11 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
     with _trace.span("campaign.interleaving", seed=seed,
                      preemption_bound=preemption_bound, parallel=True), \
             _executor(executor, workers) as pool:
-        def run_batch(schedules):
+        def run_batch(schedules, branch_bound):
             units = [{"schedule": schedule, "monitor": monitor_path,
                       "config": config, "check_ni": check_ni,
                       "observers": watchers,
-                      "preemption_bound": preemption_bound}
+                      "preemption_bound": branch_bound}
                      for schedule in schedules]
             return pool.map("repro.engine.workers:run_interleaving_unit",
                             units,

@@ -25,6 +25,22 @@ The granularity — one fingerprint per lock-guarded structure — is what
 makes dirty tracking possible: a terminal state whose ``epcm``
 fingerprint matches an already-certified state's need not re-run the
 EPCM family even if its ``cpus`` changed.
+
+**The warm-source rule.**  ``phys``, ``frames`` and ``epcm`` carry
+version counters, and ``clone()`` copies both the monitor's
+fingerprint cache and the per-frame digest table of physical memory.
+A clone therefore re-hashes only what it wrote since it was taken —
+but only if its source was fingerprinted at its current version
+first; a clone of a cold source inherits the source's dirty frames
+and re-hashes them again, once per clone.  Campaigns never
+fingerprint their clone sources on their own (a world prototype never
+executes, a snapshot node is only ever cloned), so
+:func:`warm_fingerprints` brings a source up to date right before it
+is cloned: :func:`~repro.faults.campaign.execute_interleaved` warms
+the prototype or the restored snapshot node, and
+:class:`~repro.concurrency.snapshot.SnapshotPlan` warms the live
+state it captures.  A run's final fingerprint then re-hashes only the
+frames written since its last clone or capture.
 """
 
 import hashlib
@@ -56,15 +72,16 @@ def phys_fingerprint(monitor) -> int:
     """Physical memory — transitively every page table's entries.
 
     Dirty-only and batched: :meth:`PhysMemory.frame_digests` re-hashes
-    just the frames written since the last fingerprint (the store keeps
-    the per-frame digest table up to date through every mutator,
-    including transactional undo), and this function folds the table
-    into one blake2b in frame order.  Equal contents give equal frame
-    tables give equal digests, so the value is as canonical as the old
-    whole-snapshot ``repr`` encoding — only the encoding changed, which
-    is why this fingerprint (and everything keyed on it) is not
-    comparable across engine versions, exactly like any other memo-key
-    schema change.
+    just the frames marked dirty since the store's digest table was
+    last brought up to date — in this monitor or, for a clone, in its
+    source before the clone was taken (every mutator marks its frames,
+    transactional undo included; see the warm-source rule above) — and
+    this function folds the table into one blake2b in frame order.
+    Equal contents give equal frame tables give equal digests, so the
+    value is as canonical as the old whole-snapshot ``repr`` encoding —
+    only the encoding changed, which is why this fingerprint (and
+    everything keyed on it) is not comparable across engine versions,
+    exactly like any other memo-key schema change.
     """
     digest = hashlib.blake2b(digest_size=8)
     digest.update(b"phys")
@@ -148,24 +165,42 @@ def structure_fingerprints(monitor) -> Dict[str, int]:
     Version-counted structures consult the monitor's ``_fp_cache``
     (``name -> (version, fingerprint)``): a hit at the current version
     returns the cached digest, a miss recomputes and refreshes the
-    entry.  The cache is copied by ``RustMonitor.clone``, so a clone of
-    a fingerprinted monitor re-hashes nothing until it mutates.
+    entry.  The cache is copied by ``RustMonitor.clone``, so a clone
+    re-hashes nothing it did not mutate — provided its source was
+    warm when it was cloned (:func:`warm_fingerprints`).
     """
     cache = getattr(monitor, "_fp_cache", None)
     fps = {}
     for name in STRUCTURES:
-        version_of = _VERSIONED.get(name)
-        if cache is None or version_of is None:
+        if cache is None or name not in _VERSIONED:
             fps[name] = _FINGERPRINTS[name](monitor)
-            continue
-        version = version_of(monitor)
-        entry = cache.get(name)
-        if entry is not None and entry[0] == version:
-            fps[name] = entry[1]
         else:
-            fps[name] = _FINGERPRINTS[name](monitor)
-            cache[name] = (version, fps[name])
+            fps[name] = _cached_fingerprint(monitor, cache, name)
     return fps
+
+
+def _cached_fingerprint(monitor, cache, name) -> int:
+    """A version-counted structure's fingerprint through ``cache``."""
+    version = _VERSIONED[name](monitor)
+    entry = cache.get(name)
+    if entry is None or entry[0] != version:
+        entry = cache[name] = (version, _FINGERPRINTS[name](monitor))
+    return entry[1]
+
+
+def warm_fingerprints(monitor) -> None:
+    """Bring the version-counted fingerprints of ``monitor`` up to date
+    before it is cloned: the ``phys`` frame-digest table and the
+    ``phys``, ``frames`` and ``epcm`` cache entries.
+
+    Clones copy all of them, so each clone of a warm source re-hashes
+    only what it writes itself.  A no-op once they are warm; only
+    digests change, never contents, so no version counter moves and
+    the snapshot tree's copy-on-write sharing is unaffected.
+    """
+    cache = monitor._fp_cache
+    for name in _VERSIONED:
+        _cached_fingerprint(monitor, cache, name)
 
 
 def fingerprint(monitor, fps: Dict[str, int] = None) -> int:

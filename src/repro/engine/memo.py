@@ -177,8 +177,9 @@ class CheckMemo:
 
     # -- observation digests and diffs ---------------------------------------------
 
-    def observation_digest(self, state, vid, observer, fp=None) -> str:
-        """Digest of V(``observer``, state) as seen from vCPU ``vid``.
+    def observation_digest(self, state, vid, observer, fp) -> str:
+        """Digest of V(``observer``, state) as seen from vCPU ``vid``;
+        ``fp`` is the state's combined fingerprint.
 
         :class:`~repro.security.observation.Observation` is a frozen
         dataclass of nested tuples, so its repr is a canonical encoding;
@@ -187,8 +188,6 @@ class CheckMemo:
         final-state pass over N distinct terminal states costs N digest
         evaluations instead of O(N²) pairwise diffs.
         """
-        from repro.engine.fingerprint import fingerprint
-        fp = fp if fp is not None else fingerprint(state.monitor)
         key = (fp, vid, observer)
         if key in self._obsdig:
             self.counters["obs_digest"][0] += 1
@@ -203,9 +202,11 @@ class CheckMemo:
         return digest
 
     def final_state_diff(self, state_a, state_b, vid, observer,
-                         fp_a=None, fp_b=None) -> Tuple[str, ...]:
+                         fp_a, fp_b) -> Tuple[str, ...]:
         """Memoised observation diff of two final states as seen from
-        vCPU ``vid`` by ``observer`` (the schedule-NI inner loop).
+        vCPU ``vid`` by ``observer`` (the schedule-NI inner loop);
+        ``fp_a`` and ``fp_b`` are the states' combined fingerprints,
+        taken once per state by the caller for every (vid, observer).
 
         The observation function reads only monitor structures plus the
         active/saved per-core state — all covered by the combined
@@ -220,9 +221,6 @@ class CheckMemo:
         violation — runs the component-level pairwise diff that the
         witness message needs.
         """
-        from repro.engine.fingerprint import fingerprint
-        fp_a = fp_a if fp_a is not None else fingerprint(state_a.monitor)
-        fp_b = fp_b if fp_b is not None else fingerprint(state_b.monitor)
         if fp_a == fp_b:
             self.counters["observation"][0] += 1
             _trace.event("memo", checker="observation", hits=1, misses=0)

@@ -10,7 +10,7 @@ every unit the worker's shards carry:
 * :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`;
   the executor returns its counter deltas with every shard.
 * interleaving worlds — one cached :func:`run_world` per (monitor,
-  config, preemption bound): each secret's
+  config): each secret's
   :func:`~repro.faults.campaign.build_interleaved_world` prototype is
   built once per worker and every schedule runs on a
   :meth:`~repro.security.state.SystemState.clone` of it (~20x cheaper
@@ -25,6 +25,8 @@ campaigns run (:func:`~repro.faults.campaign.schedule_findings`,
 sequential/parallel equivalence is structural, not re-implemented.
 """
 
+from functools import partial
+
 from repro.engine.executor import resolve_callable
 from repro.engine.memo import CheckMemo
 
@@ -32,7 +34,7 @@ from repro.engine.memo import CheckMemo
 # runs); the executor snapshots its stats around every shard.
 MEMO = CheckMemo()
 
-_RUN_WORLDS = {}        # (monitor path, config repr, bound) -> run_world
+_RUN_WORLDS = {}        # (monitor path, config repr) -> run_world
 _FACTORIES = {}         # (maker path, args repr) -> world factory
 _WORKLOADS = {}         # workload path -> [(name, invoke)]
 _MODELS = {}            # config repr -> mir corpus model
@@ -48,17 +50,19 @@ def run_world(monitor_path, config, preemption_bound=None):
     """This process's ``run_world(secret, schedule) -> (state,
     RunResult)`` for one interleaved-campaign world flavour.
 
-    With a campaign's ``preemption_bound`` every run goes through this
-    process's snapshot tree and captures only where a child schedule
-    can branch under that bound; without one nothing is captured.  The
-    tree key space is world-scoped — monitor class, config, secret,
-    plus the schedule's (seed, crash) — so the secret-41 primary runs
-    and the secret-42 noninterference re-runs each warm their own
-    subtree on the same worker (unit-level sharding keeps both here),
-    and campaigns of different bounds share nodes safely.
+    With a ``preemption_bound`` (a unit's branch bound: the campaign's,
+    or 0 when no child of its wave will run) every run goes through
+    this process's snapshot tree and captures only where a child
+    schedule can branch under that bound; without one nothing is
+    captured.  Every bound shares one prototype per secret.  The tree
+    key space is world-scoped — monitor class, config, secret, plus the
+    schedule's (seed, crash) — so the secret-41 primary runs and the
+    secret-42 noninterference re-runs each warm their own subtree on
+    the same worker (unit-level sharding keeps both here), and
+    campaigns of different bounds share nodes safely.
     """
     config_key = repr(config)
-    key = (monitor_path, config_key, preemption_bound)
+    key = (monitor_path, config_key)
     runner = _RUN_WORLDS.get(key)
     if runner is None:
         from repro.concurrency.snapshot import process_tree
@@ -70,7 +74,7 @@ def run_world(monitor_path, config, preemption_bound=None):
         monitor_cls = _resolve_cls(monitor_path)
         prototypes = {}
 
-        def runner(secret, schedule):
+        def runner(secret, schedule, preemption_bound):
             proto = prototypes.get(secret)
             if proto is None:
                 proto = prototypes[secret] = build_interleaved_world(
@@ -83,7 +87,7 @@ def run_world(monitor_path, config, preemption_bound=None):
                 preemption_bound=preemption_bound)
 
         _RUN_WORLDS[key] = runner
-    return runner
+    return partial(runner, preemption_bound=preemption_bound)
 
 
 def _world_factory(maker_path, args):

@@ -689,13 +689,20 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
     recorded so children of this schedule can predict their prefixes.
     Results are byte-identical with or without the tree — the golden
     digests pin this, including under forced eviction.
+
+    The clone source (prototype or node) is warmed first
+    (:func:`~repro.engine.fingerprint.warm_fingerprints`), so the final
+    state's fingerprint re-hashes only what this run wrote.
     """
     from repro.concurrency import DeterministicScheduler
     from repro.concurrency.shootdown import detect_stale_translations
     from repro.concurrency.snapshot import SnapshotPlan
+    from repro.engine.fingerprint import warm_fingerprints
 
     node = None if tree is None else tree.lookup(world_key, schedule)
-    state = (prototype if node is None else node.state).clone()
+    source = prototype if node is None else node.state
+    warm_fingerprints(source.monitor)
+    state = source.clone()
     if workloads is not None:
         built = workloads(state, dict(ctx))
     else:
@@ -739,13 +746,18 @@ def make_interleaved_run(monitor_cls=None, config=None, *,
     the returned function, keyed by world ``(secret, seed, crash)``, so
     a schedule restores the prefix its parent already ran and the tree
     is freed with the function.  Without a bound nothing is captured.
+    ``run_world(secret, schedule, branch_bound)`` overrides the bound
+    captures honour for one call — the explorer's
+    :meth:`~repro.concurrency.explorer.FrontierState.branch_bound`, 0
+    once ``max_schedules`` will end the sweep before the schedule's
+    children run.
     """
     from repro.concurrency.snapshot import SnapshotTree
 
     prototypes = {}
     tree = None if preemption_bound is None else SnapshotTree()
 
-    def run_world(secret, schedule):
+    def run_world(secret, schedule, branch_bound=preemption_bound):
         proto = prototypes.get(secret)
         if proto is None:
             proto = prototypes[secret] = build_interleaved_world(
@@ -753,7 +765,7 @@ def make_interleaved_run(monitor_cls=None, config=None, *,
         return execute_interleaved(
             *proto, schedule, workloads=workloads, probe=probe,
             tree=tree, world_key=(secret, schedule.seed, schedule.crash),
-            preemption_bound=preemption_bound)
+            preemption_bound=branch_bound)
 
     return run_world
 
@@ -770,8 +782,14 @@ def schedule_findings(state, result, run_world, schedule, *, memo,
     the secret-41 world and diffs final states through ``memo``'s
     digest tier.  ``run_world(secret, schedule)`` runs the secret-42
     world; ``observers`` defaults to the host.
+
+    Each world is fingerprinted once: the secret-41 world's structure
+    fingerprints key the invariant and vCPU checks and fold into its
+    combined fingerprint, and the secret-42 world's combined
+    fingerprint is taken at its first diff; both then key the diff of
+    every (vCPU, observer) pair.
     """
-    from repro.engine.fingerprint import structure_fingerprints
+    from repro.engine.fingerprint import fingerprint, structure_fingerprints
     from repro.hyperenclave.monitor import HOST_ID
     from repro.security.noninterference import (
         check_schedule_noninterference_prepared)
@@ -786,9 +804,17 @@ def schedule_findings(state, result, run_world, schedule, *, memo,
         findings.append(("vcpu-consistency", item))
     if check_ni:
         watchers = list(observers) if observers is not None else [HOST_ID]
+        fp_a = fingerprint(state.monitor, fps)
+        fp_b = []
+
+        def diff(state_a, state_b, vid, observer):
+            if not fp_b:
+                fp_b.append(fingerprint(state_b.monitor))
+            return memo.final_state_diff(state_a, state_b, vid, observer,
+                                         fp_a, fp_b[0])
+
         for violation in check_schedule_noninterference_prepared(
-                state, result, run_world, schedule, watchers,
-                diff=memo.final_state_diff):
+                state, result, run_world, schedule, watchers, diff=diff):
             findings.append(("noninterference", str(violation)))
     return findings
 
@@ -816,8 +842,12 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
     workers run per unit.  Both worlds of every schedule run through a
     campaign-local snapshot tree (:func:`make_interleaved_run` with the
     bound), so a child schedule restores its parent's prefix instead of
-    re-executing it; the tree is dropped when the campaign returns.
+    re-executing it; both capture under the explorer's branch bound for
+    the schedule, so nothing is captured for children ``max_schedules``
+    will never run.  The tree is dropped when the campaign returns.
     """
+    from functools import partial
+
     from repro.concurrency import explore
     from repro.engine.memo import CheckMemo
 
@@ -826,12 +856,13 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
     memo = CheckMemo()
     holder = {}
 
-    def run_schedule(schedule):
-        holder["state"], result = run_world(41, schedule)
+    def run_schedule(schedule, branch_bound):
+        holder["run"] = partial(run_world, branch_bound=branch_bound)
+        holder["state"], result = holder["run"](41, schedule)
         return result
 
     def check(schedule, result):
-        return schedule_findings(holder["state"], result, run_world,
+        return schedule_findings(holder["state"], result, holder["run"],
                                  schedule, memo=memo, check_ni=check_ni,
                                  observers=observers)
 

@@ -17,6 +17,12 @@ from repro.concurrency import scheduler as conc
 from repro.errors import HypervisorError
 from repro.faults import plane as faults
 from repro.hyperenclave.constants import WORD_BYTES
+from repro.obs.metrics import REGISTRY
+
+#: ``fingerprint.frames_hashed``: frames :meth:`PhysMemory.frame_digests`
+#: re-hashed, the count the warm-source rule of
+#: :mod:`repro.engine.fingerprint` keeps small.
+FRAME_STATS = REGISTRY.counter_group("fingerprint", ("frames_hashed",))
 
 
 class PhysMemory:
@@ -42,9 +48,11 @@ class PhysMemory:
         # Dirty-frame tracking for incremental fingerprinting: every
         # mutator records the frames it touched; ``frame_digests``
         # re-hashes only those and keeps a per-frame digest table that
-        # ``clone()`` copies, so a fingerprint after one hypercall
-        # re-hashes the handful of frames that hypercall wrote instead
-        # of the whole sparse store.
+        # ``clone()`` copies.  A clone re-hashes only what it wrote
+        # since it was taken *if its source's table was up to date* —
+        # which is why campaigns warm every clone source first
+        # (:func:`repro.engine.fingerprint.warm_fingerprints`); a clone
+        # of a cold source inherits the source's dirty set too.
         self._dirty_frames: set = set()
         self._frame_fps: Dict[int, bytes] = {}
 
@@ -217,25 +225,33 @@ class PhysMemory:
 
         Re-hashes only the frames dirtied since the last call and
         updates the cached table in place (frames that went all-zero
-        drop out, matching the sparse semantics).  The engine's
-        fingerprint layer folds the table into one combined digest —
-        O(dirty frames) hashing plus O(nonzero frames) mixing, versus
-        re-encoding the whole store on every fingerprint.
+        drop out, matching the sparse semantics).  A dirty frame's
+        content is built from its nonzero words alone: one pass over
+        the sparse store buckets the words of the dirty frames, and
+        each bucket is sorted by offset — the ``repr`` of the
+        ``(offset, word)`` tuple is the same as a scan of every word
+        index would give.  The engine's fingerprint layer folds the
+        table into one combined digest.
         """
-        if self._dirty_frames:
+        dirty = self._dirty_frames
+        if dirty:
+            FRAME_STATS["frames_hashed"] += len(dirty)
             wpp = self.config.words_per_page
-            words = self._words
-            for frame in self._dirty_frames:
-                base = frame * wpp
-                content = tuple([(index - base, words[index])
-                                 for index in range(base, base + wpp)
-                                 if index in words])
+            buckets = {frame: [] for frame in dirty}
+            for index, value in self._words.items():
+                bucket = buckets.get(index // wpp)
+                if bucket is not None:
+                    bucket.append((index % wpp, value))
+            fps = self._frame_fps
+            for frame, content in buckets.items():
                 if content:
-                    self._frame_fps[frame] = hashlib.blake2b(
-                        repr(content).encode(), digest_size=8).digest()
+                    content.sort()
+                    fps[frame] = hashlib.blake2b(
+                        repr(tuple(content)).encode(),
+                        digest_size=8).digest()
                 else:
-                    self._frame_fps.pop(frame, None)
-            self._dirty_frames.clear()
+                    fps.pop(frame, None)
+            dirty.clear()
         return self._frame_fps
 
     def __len__(self):

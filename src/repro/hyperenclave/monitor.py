@@ -78,8 +78,9 @@ class RustMonitor:
         self._vid = 0
         # Structure-fingerprint cache: name -> (version, fingerprint)
         # for the version-counted structures (phys, frames, epcm).
-        # Maintained by repro.engine.fingerprint; carried across clones
-        # so clean structures are never re-hashed.
+        # Maintained by repro.engine.fingerprint and carried across
+        # clones, so a clone of a warmed source (warm_fingerprints)
+        # re-hashes only the structures it mutates.
         self._fp_cache: Dict[str, Tuple[int, int]] = {}
         # Boot: build the normal VM's EPT — identity over untrusted
         # memory only.  Nothing in the secure range is ever entered here;

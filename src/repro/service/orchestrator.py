@@ -329,10 +329,12 @@ class CampaignStep:
         spec = self.spec
         watchers = list(spec.observers) if spec.observers is not None \
             else [HOST_ID]
+        # Snapshot captures only for children the cap lets run.
+        branch_bound = self.state.branch_bound(wave)
         units = [{"schedule": schedule, "monitor": spec.monitor,
                   "config": None, "check_ni": spec.check_ni,
                   "observers": watchers,
-                  "preemption_bound": spec.preemption_bound}
+                  "preemption_bound": branch_bound}
                  for schedule in wave]
         # Prefix-locality keys co-locate each preemption subtree on one
         # worker; merge stays by unit index.

@@ -60,7 +60,7 @@ def sweep(teardown_steps, preemption_bound=2):
     holder = {}
     outcomes_per_run = []
 
-    def run_schedule(schedule):
+    def run_schedule(schedule, _branch_bound):
         state, result = run_world(41, schedule)
         holder["monitor"] = state.monitor
         outcomes_per_run.append(build.outcomes)

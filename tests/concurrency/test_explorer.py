@@ -1,5 +1,7 @@
 """Bounded-preemption exploration over the real scheduler."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.concurrency import (
     DeterministicScheduler,
     Schedule,
@@ -7,6 +9,7 @@ from repro.concurrency import (
     replay,
     scheduler as conc,
 )
+from repro.concurrency.explorer import FrontierState
 
 
 def stepping_workloads(log, steps=2):
@@ -19,12 +22,12 @@ def stepping_workloads(log, steps=2):
     return [task(0), task(1)]
 
 
-def stepping_run(schedule):
+def stepping_run(schedule, _branch_bound=None):
     return DeterministicScheduler(object(), stepping_workloads([]),
                                   schedule).run()
 
 
-def racy_run(schedule):
+def racy_run(schedule, _branch_bound=None):
     """A genuine order bug: vCPU 1 requires vCPU 0's first step."""
     state = {"published": False}
 
@@ -71,6 +74,50 @@ class TestExploration:
         shallow = explore(stepping_run, preemption_bound=1)
         deep = explore(stepping_run, preemption_bound=2)
         assert deep.schedules_run >= shallow.schedules_run
+
+
+class TestBranchBound:
+    @given(cap=st.integers(1, 40),
+           limit=st.one_of(st.none(), st.integers(1, 6)),
+           bound=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_exactly_when_no_child_of_the_wave_runs(self, cap, limit,
+                                                         bound):
+        """Whole waves or chunks: a wave handed 0 has no child among
+        the runs, and a wave handed the bound that enqueued a child
+        has one among them."""
+        state = FrontierState.start(preemption_bound=bound,
+                                    max_schedules=cap)
+        waves = []
+        while True:
+            wave = state.take_wave(limit=limit)
+            if not wave:
+                break
+            branch_bound = state.branch_bound(wave)
+            assert branch_bound in (0, bound)
+            queued = len(state.frontier)
+            state.absorb(wave, [(stepping_run(s), []) for s in wave])
+            enqueued = len(state.frontier) - queued
+            waves.append((wave, branch_bound, enqueued))
+        ran = {schedule.preemptions for schedule, _run in state.runs}
+        for wave, branch_bound, enqueued in waves:
+            parents = {schedule.preemptions for schedule in wave}
+            children_ran = any(p[:-1] in parents for p in ran if p)
+            if branch_bound == 0:
+                assert not children_ran
+            elif enqueued:
+                assert children_ran
+
+    def test_explore_hands_the_runner_the_branch_bound(self):
+        seen = []
+
+        def run(schedule, branch_bound):
+            seen.append(branch_bound)
+            return stepping_run(schedule)
+
+        result = explore(run, preemption_bound=2, max_schedules=4)
+        assert result.truncated
+        assert seen[0] == 2 and seen[-1] == 0 and len(seen) == 4
 
 
 class TestFindings:

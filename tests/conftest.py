@@ -80,7 +80,7 @@ def from_scratch_campaign(monitor_cls=None, *, preemption_bound=2,
     memo = CheckMemo()
     holder = {}
 
-    def run_schedule(schedule):
+    def run_schedule(schedule, _branch_bound):
         holder["state"], result = run_world(41, schedule)
         return result
 

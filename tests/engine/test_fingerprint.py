@@ -11,8 +11,12 @@ too: a fingerprint that drifted between a prototype and its clone
 would silently poison every cache hit.
 """
 
+import importlib
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import memo as memo_module
 from repro.engine.fingerprint import (
     STRUCTURES,
     dirty_structures,
@@ -20,15 +24,39 @@ from repro.engine.fingerprint import (
     state_fingerprint,
     structure_fingerprints,
     structure_versions,
+    warm_fingerprints,
 )
 from repro.faults.campaign import (
     build_interleaved_world,
     default_workload,
     default_world_factory,
+    interleaving_campaign,
 )
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
+from repro.hyperenclave.hardware import FRAME_STATS
+from repro.obs.metrics import REGISTRY
+from repro.reporting.tables import render_metrics
 
 WORKLOAD = default_workload()
+
+# the submodule, not the ``fingerprint`` function ``repro.engine``
+# re-exports under the same name
+FINGERPRINT = importlib.import_module("repro.engine.fingerprint")
+
+
+def _frames_hashed(compute):
+    """How many frames ``compute()`` re-hashed."""
+    before = FRAME_STATS["frames_hashed"]
+    compute()
+    return FRAME_STATS["frames_hashed"] - before
+
+
+def _cold(monitor):
+    """``monitor``'s fingerprints recomputed from content alone."""
+    monitor._fp_cache.clear()
+    monitor.phys._frame_fps.clear()
+    monitor.phys._dirty_frames = set(range(monitor.config.phys_frames))
+    return structure_fingerprints(monitor)
 
 
 @given(data=st.data())
@@ -147,3 +175,85 @@ def test_structure_versions_advance_on_mutation():
     assert after["phys"] > before["phys"]
     assert after["frames"] > before["frames"]
     assert after["epcm"] == before["epcm"]
+
+
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_clone_of_a_warm_source_rehashes_only_its_own_writes(data):
+    """A clone of a warmed source re-hashes exactly the frames written
+    after the clone, and its fingerprints equal a cold recomputation."""
+    monitor, ctx = default_world_factory()()
+    prefix = data.draw(st.integers(0, len(WORKLOAD)), label="prefix")
+    for _name, invoke in WORKLOAD[:prefix]:
+        invoke(monitor, ctx)
+    warm_fingerprints(monitor)
+    clone = monitor.clone()
+    written = data.draw(st.sets(st.integers(0, TINY.phys_frames - 1),
+                                max_size=6), label="frames")
+    for frame in written:
+        paddr = TINY.frame_base(frame) + 8 * data.draw(
+            st.integers(0, TINY.words_per_page - 1), label="word")
+        clone.phys.write_word(paddr, data.draw(
+            st.integers(0, (1 << 64) - 1), label="value"))
+    fps = {}
+    assert _frames_hashed(
+        lambda: fps.update(structure_fingerprints(clone))) == len(written)
+    assert fps == _cold(clone)
+
+
+def test_warming_is_idempotent_and_moves_no_version():
+    """The snapshot tree's copy-on-write sharing keys on the version
+    counters, so warming must leave them alone; a second warm hashes
+    nothing and changes nothing."""
+    monitor, ctx = default_world_factory()()
+    for _name, invoke in WORKLOAD:
+        invoke(monitor, ctx)
+    versions = structure_versions(monitor)
+    assert _frames_hashed(lambda: warm_fingerprints(monitor)) > 0
+    cache, table = dict(monitor._fp_cache), dict(monitor.phys._frame_fps)
+    assert _frames_hashed(lambda: warm_fingerprints(monitor)) == 0
+    assert monitor._fp_cache == cache
+    assert monitor.phys._frame_fps == table
+    assert structure_versions(monitor) == versions
+    assert set(cache) == {"phys", "frames", "epcm"}
+
+
+#: arch -> frames re-hashed by a seed-0 bound-2 campaign (178
+#: schedules, full battery): 6,408 when no clone source was warmed.
+FRAMES_HASHED_BOUND2 = {"x86_64": 2202, "vmsav8_64": 2202}
+
+
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_bound2_campaign_fingerprints_each_state_once(arch, monkeypatch):
+    """Pinned per arch at bound 2: the frames the campaign re-hashes,
+    and two structure-fingerprint passes per schedule — one per world
+    (five when every (vCPU, observer) diff re-fingerprinted both)."""
+    passes = []
+    original = FINGERPRINT.structure_fingerprints
+
+    def counted(monitor):
+        passes.append(monitor)
+        return original(monitor)
+
+    monkeypatch.setattr(FINGERPRINT, "structure_fingerprints", counted)
+    monkeypatch.setattr(memo_module, "structure_fingerprints", counted)
+    result = {}
+    hashed = _frames_hashed(lambda: result.update(run=interleaving_campaign(
+        seed=0, preemption_bound=2, config=ARCH_CONFIGS[arch])))
+    schedules = result["run"].schedules_run
+    assert schedules == 178 and result["run"].ok
+    assert hashed == FRAMES_HASHED_BOUND2[arch]
+    assert len(passes) == 2 * schedules
+
+
+def test_frames_hashed_surfaces_in_render_metrics():
+    """The re-hashed frame count is a registry counter, so a library
+    run reads it from ``render_metrics`` (and the daemon's
+    ``/metrics``) without a profiler."""
+    before = REGISTRY.snapshot()
+    monitor, _ctx = default_world_factory()()
+    structure_fingerprints(monitor)
+    delta = REGISTRY.delta(before)["counters"]
+    assert delta["fingerprint.frames_hashed"] >= len(
+        monitor.phys.frame_digests()) > 0
+    assert "fingerprint.frames_hashed" in render_metrics(REGISTRY.snapshot())

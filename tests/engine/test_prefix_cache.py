@@ -43,6 +43,7 @@ from repro.hyperenclave.constants import ARCH_CONFIGS
 from repro.hyperenclave.monitor import RustMonitor
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
+from repro.service import CampaignSpec, run_durable_campaign
 from tests.conftest import from_scratch_campaign
 
 GRID = dict(max_schedules=12, check_ni=False)
@@ -172,26 +173,37 @@ def test_ni_worlds_restore_byte_identically(tree):
     assert repr(cached) == repr(from_scratch_campaign(**grid))
 
 
-#: bound -> (max_schedules, hits, misses, steps_saved, captures) of a
-#: seed-0 campaign with the full battery, the same on both arches.
-#: Hits, misses and steps saved are the values of the tree that
-#: captured at every snapshot-safe decision; it took 292, 1,916 and
-#: 2,492 captures for them, and the capture rule drops every capture
-#: no child schedule can look up.
+#: (bound, max_schedules) -> (hits, misses, steps_saved, sequential
+#: captures, pooled captures) of a seed-0 campaign with the full
+#: battery, the same on both arches.  Hits, misses and steps saved are
+#: the values of the tree that captured at every snapshot-safe
+#: decision; it took 292, 1,916 and (bound 3, cap 300) 2,492 captures
+#: for them.  The capture rule drops every capture no child schedule
+#: can look up:
+#: those of schedules at the bound, and those of schedules whose
+#: children ``max_schedules`` will never run (1,400, 1,916 and 1,916
+#: captures at bound 3 before that second rule).  The sequential
+#: campaign pops one schedule at a time, so the cap stops its captures
+#: schedule by schedule; the pool pops whole waves, and a wave's
+#: children are cut off only when the cap falls inside that wave or
+#: right behind it — at cap 100 inside the two-preemption wave.
 CAPTURE_PINS = {
-    1: (600, 42, 4, 1222, 24),
-    2: (600, 352, 4, 12580, 292),
-    3: (300, 596, 4, 20500, 1916),
+    (1, 600): (42, 4, 1222, 24, 24),
+    (2, 600): (352, 4, 12580, 292, 292),
+    (3, 100): (196, 4, 5224, 164, 292),
+    (3, 300): (596, 4, 20500, 444, 1916),
+    (3, 600): (1196, 4, 42574, 840, 1916),
 }
 
 
-@pytest.mark.parametrize("bound", sorted(CAPTURE_PINS))
+@pytest.mark.parametrize("bound,cap", sorted(CAPTURE_PINS))
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
-def test_capture_rule_keeps_every_lookup(arch, bound):
+def test_capture_rule_keeps_every_lookup(arch, bound, cap):
     """The sequential campaign's tree and the one-worker pool's process
     tree serve the same lookups as capturing everywhere did, from the
-    pinned (smaller) number of captures."""
-    cap, hits, misses, saved, captures = CAPTURE_PINS[bound]
+    pinned (smaller) numbers of captures."""
+    hits, misses, saved, sequential_captures, pooled_captures = \
+        CAPTURE_PINS[bound, cap]
     grid = dict(seed=0, preemption_bound=bound, max_schedules=cap,
                 config=ARCH_CONFIGS[arch])
     sequential = _cache_counts(lambda: interleaving_campaign(**grid))
@@ -201,9 +213,25 @@ def test_capture_rule_keeps_every_lookup(arch, bound):
             lambda: parallel_interleaving_campaign(workers=1, **grid))
     finally:
         reset_process_tree(None)
-    assert sequential == pooled == {"hits": hits, "misses": misses,
-                                    "steps_saved": saved,
-                                    "captures": captures}
+    served = {"hits": hits, "misses": misses, "steps_saved": saved}
+    assert sequential == dict(served, captures=sequential_captures)
+    assert pooled == dict(served, captures=pooled_captures)
+
+
+def test_durable_units_capture_under_the_branch_bound(tmp_path):
+    """The durable wave step (which the service scheduler drives too)
+    hands its units the wave's branch bound: with the two-preemption
+    wave cut by the cap it captures what the pool captures."""
+    hits, misses, saved, _sequential, pooled = CAPTURE_PINS[3, 100]
+    reset_process_tree(SnapshotTree())
+    try:
+        counts = _cache_counts(lambda: run_durable_campaign(
+            CampaignSpec(preemption_bound=3, max_schedules=100),
+            str(tmp_path), workers=1))
+    finally:
+        reset_process_tree(None)
+    assert counts == {"hits": hits, "misses": misses,
+                      "steps_saved": saved, "captures": pooled}
 
 
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))

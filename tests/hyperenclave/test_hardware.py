@@ -185,10 +185,17 @@ WORD_VALUES = st.one_of(st.just(0), st.integers(1, 3),
                         st.integers(0, 2 ** 64 - 1), st.just(2 ** 64))
 
 
+def dense_word(base, offset):
+    """A nonzero word of a densely filled frame."""
+    return (base + offset) % MASK + 1
+
+
 def _ops(wpp, mutators_only=False):
     word = st.tuples(st.sampled_from(FRAMES), st.integers(0, wpp - 1))
     branches = [
         st.tuples(st.just("write"), word, WORD_VALUES),
+        st.tuples(st.just("fill"), st.sampled_from(FRAMES),
+                  st.integers(0, 2 ** 64 - 1)),
         st.tuples(st.just("zero"), st.sampled_from(FRAMES)),
         st.tuples(st.just("copy"), st.sampled_from(FRAMES),
                   st.sampled_from(FRAMES)),
@@ -235,6 +242,12 @@ def _apply(machine, ref, ops, eager):
             (frame, offset), value = op[1], op[2]
             phys.write_word((frame * wpp + offset) * 8, value)
             ref.write(frame * wpp + offset, value)
+        elif op[0] == "fill":
+            frame, base = op[1], op[2]
+            for offset in range(wpp):
+                value = dense_word(base, offset)
+                phys.write_word((frame * wpp + offset) * 8, value)
+                ref.write(frame * wpp + offset, value)
         elif op[0] == "zero":
             phys.zero_frame(op[1])
             ref.zero_frame(op[1])
@@ -261,6 +274,25 @@ def _apply(machine, ref, ops, eager):
 
 
 class TestFrameOpsDifferential:
+    @pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                             ids=["x86_64", "vmsav8_64"])
+    def test_dense_sparse_and_zero_frames_digest_like_the_reference(
+            self, config):
+        """``frame_digests`` builds a dirty frame from its nonzero words
+        only; a full frame, a frame with a few words, and a frame
+        written and then cleared all digest like the dense scan."""
+        wpp = config.words_per_page
+        machine, ref = _machine(config), DensePhys(config)
+        # frame 2's words go in last offset first: the store's order is
+        # insertion order, the digest's is offset order
+        ops = [("fill", 1, 7), ("write", (2, wpp - 1), 2 ** 64 - 1),
+               ("write", (2, 0), 3), ("write", (5, 4), 9),
+               ("digests",), ("zero", 5), ("fill", 127, 2 ** 64 - 5)]
+        _apply(machine, ref, ops, eager=True)
+        digests = machine.phys.frame_digests()
+        assert set(digests) == {1, 2, 127}
+        assert machine.phys.nonzero_words() == 2 * wpp + 2
+
     @pytest.mark.parametrize("config", [TINY, TINY_ARM],
                              ids=["x86_64", "vmsav8_64"])
     @settings(max_examples=40, deadline=None)

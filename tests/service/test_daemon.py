@@ -122,7 +122,8 @@ class TestRoutes:
 
     def test_metrics_expose_scheduler_family(self, client):
         """After a campaign, ``/metrics`` carries the ``sched.*``
-        counter family next to ``snapshot_cache.*``."""
+        counter family next to ``snapshot_cache.*``, and the frames the
+        fingerprint layer re-hashed."""
         client.submit(dict(SPEC, id="metered"))
         final = client.wait("metered", deadline=120)
         assert final["status"] == DONE
@@ -132,6 +133,7 @@ class TestRoutes:
                      "sched.arena_reuses", "sched.fiber_steps"):
             assert name in counters, sorted(counters)
         assert counters["sched.runs"] > 0
+        assert counters["fingerprint.frames_hashed"] > 0
 
     def test_violations_surface_replayable_bundles(self, client):
         from repro.obs.provenance import ProvenanceBundle, replay_bundle
