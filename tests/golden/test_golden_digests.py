@@ -42,9 +42,12 @@ from repro.engine.bug_matrix import run_matrix
 from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.engine.fingerprint import phys_fingerprint, state_fingerprint
 from repro.faults import (
+    bitflip_campaign,
     build_interleaved_world,
     crash_in_critical_section_campaign,
+    crash_ni_campaign,
     crash_step_campaign,
+    default_two_worlds,
     default_workload,
     default_world_factory,
     execute_interleaved,
@@ -218,6 +221,11 @@ CASES = {
     "eviction_budget0": _forced_eviction(budget_bytes=0),
     "eviction_max_nodes1": _forced_eviction(max_nodes=1),
     "corpus_verdicts": _corpus_verdicts,
+    "bitflip": lambda config: _crash_steps(bitflip_campaign(
+        default_world_factory(config), default_workload()[:5], flips=64,
+        seed=0)),
+    "crash_ni": lambda config: _crash_steps(crash_ni_campaign(
+        default_two_worlds(config), seed=0)),
 }
 
 
