@@ -27,10 +27,7 @@ from repro.faults import (
     installed,
 )
 from repro.hyperenclave.buggy import NonTransactionalMonitor
-from repro.hyperenclave.constants import TINY
 from repro.hyperenclave.txn import monitor_digest
-
-PAGE = TINY.page_size
 
 
 def main():
@@ -58,19 +55,9 @@ def main():
     assert report.ok
 
     # ---- 3. the same sweep catches the non-transactional monitor -----
-    def buggy_world():
-        buggy = NonTransactionalMonitor(TINY)
-        primary_os = buggy.primary_os
-        bctx = {
-            "page": PAGE,
-            "mbuf_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * PAGE,
-        }
-        primary_os.gpa_write_word(bctx["src_pa"], 0xDEAD)
-        return buggy, bctx
-
-    caught = crash_step_campaign(buggy_world, calls, seed=0)
+    caught = crash_step_campaign(
+        default_world_factory(monitor_cls=NonTransactionalMonitor), calls,
+        seed=0)
     print(f"\nNonTransactionalMonitor: {len(caught.failures())} of "
           f"{len(caught.runs)} faulted runs caught (rollback or "
           f"invariant violations)")

@@ -92,6 +92,22 @@ def replay_main(argv):
 EXIT_INTERRUPTED = 130
 
 
+def _worker_count(text):
+    """``--workers``: a count of at least 1; anything else is a usage
+    error (exit 2) carrying the :class:`~repro.errors.ConfigError`
+    message, never a silent clamp."""
+    from repro.engine.executor import resolve_workers
+    from repro.errors import ConfigError
+
+    try:
+        return resolve_workers(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _campaign_verdict(store_dir, result) -> int:
     """Print a durable campaign's outcome; 0 clean, 1 violations."""
     print(result.summary())
@@ -122,7 +138,8 @@ def campaign_main(argv):
     parser.add_argument("--no-ni", action="store_true",
                         help="skip the per-schedule noninterference "
                              "re-run")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_worker_count,
+                        default=None)
     options = parser.parse_args(argv)
     spec = CampaignSpec(monitor=options.monitor, seed=options.seed,
                         preemption_bound=options.preemption_bound,
@@ -150,7 +167,8 @@ def resume_main(argv):
         prog="python -m repro resume",
         description="resume a durable campaign from its store")
     parser.add_argument("store", help="campaign store directory")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_worker_count,
+                        default=None)
     options = parser.parse_args(argv)
     try:
         with CampaignStore(options.store) as store:
@@ -186,7 +204,8 @@ def serve_main(argv):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8731,
                         help="listen port (0 = ephemeral)")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=_worker_count,
+                        default=None)
     parser.add_argument("--max-active", type=int, default=4,
                         help="campaigns scheduled concurrently")
     parser.add_argument("--max-queued", type=int, default=16,

@@ -18,8 +18,11 @@ merged deterministically.  This package provides:
   sweeps, the vCPU consistency check, and noninterference observation
   diffs, with per-structure dirty tracking: only families whose
   structures changed since an already-certified state are re-checked.
-* :mod:`repro.engine.campaigns` — parallel counterparts of every
-  sequential campaign, each byte-identical to its sequential twin.
+* :mod:`repro.engine.campaigns` — the pooled interleaving campaign
+  (byte-identical to the sequential one) and the hardened pure-check
+  grid.  Every fault campaign and the grid take an ``executor``: one
+  driver runs its units in-process by default or on the caller's pool
+  (:mod:`repro.engine.workers` holds the unit runners).
 * :mod:`repro.engine.bug_matrix` — the 13-planted-bug conviction
   matrix, runnable through the parallel fabric.
 
@@ -36,13 +39,8 @@ from repro.engine.fingerprint import (
 )
 from repro.engine.memo import FAMILY_DEPS, CheckMemo
 from repro.engine.campaigns import (
-    parallel_bitflip_campaigns,
-    parallel_crash_in_critical_section_campaign,
-    parallel_crash_ni_campaign,
-    parallel_crash_step_campaign,
     parallel_interleaving_campaign,
-    parallel_pure_check_grid,
-    sequential_pure_check_grid,
+    pure_check_grid,
 )
 from repro.engine.bug_matrix import run_matrix, run_matrix_parallel
 
@@ -55,13 +53,8 @@ __all__ = [
     "structure_fingerprints",
     "FAMILY_DEPS",
     "CheckMemo",
-    "parallel_bitflip_campaigns",
-    "parallel_crash_in_critical_section_campaign",
-    "parallel_crash_ni_campaign",
-    "parallel_crash_step_campaign",
     "parallel_interleaving_campaign",
-    "parallel_pure_check_grid",
-    "sequential_pure_check_grid",
+    "pure_check_grid",
     "run_matrix",
     "run_matrix_parallel",
 ]

@@ -205,95 +205,41 @@ def scrub_trace(app, eid, config=None):
     ]
 
 
-def nontransactional_world_factory(monitor_path=None, config_name=None):
-    """World-factory maker for the no-rollback conviction (addressable
-    by dotted path so the parallel campaign can rebuild it in
-    workers; ``config_name`` keys :data:`ARCH_CONFIGS` for the same
-    reason)."""
-    from repro.engine.executor import resolve_callable
-    from repro.hyperenclave.constants import ARCH_CONFIGS
-
-    monitor_cls = (resolve_callable(monitor_path) if monitor_path
-                   else buggy.NonTransactionalMonitor)
-    config = ARCH_CONFIGS[config_name] if config_name else TINY
-    page = config.page_size
-
-    def factory():
-        monitor = monitor_cls(config)
-        primary_os = monitor.primary_os
-        ctx = {
-            "page": page,
-            "mbuf_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * page,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
-
-    return factory
-
-
-def nontransactional_workload():
-    """create + add_page is enough to expose a missing rollback."""
-    from repro.faults import default_workload
-    return default_workload()[:2]
-
-
-def detect_no_rollback(monitor_cls, _arg=None, *, parallel=False,
-                       executor=None, config=None):
-    """A tiny crash-step sweep: partial mutations survive the abort."""
-    from repro.engine.campaigns import (
-        callable_path,
-        parallel_crash_step_campaign,
+def detect_no_rollback(monitor_cls, _arg=None, *, executor=None,
+                       config=None):
+    """A tiny crash-step sweep (create + add_page, hypercall crash
+    points only): partial mutations survive the abort."""
+    from repro.faults import (
+        crash_step_campaign,
+        default_workload,
+        default_world_factory,
     )
-    from repro.faults import crash_step_campaign
 
-    path = callable_path(monitor_cls)
-    config_name = _config_name(config)
-    if parallel:
-        report = parallel_crash_step_campaign(
-            "repro.engine.bug_matrix:nontransactional_world_factory",
-            "repro.engine.bug_matrix:nontransactional_workload",
-            factory_args=(path, config_name), sites=(), seed=0,
-            executor=executor)
-    else:
-        report = crash_step_campaign(
-            nontransactional_world_factory(path, config_name),
-            nontransactional_workload(), sites=(), seed=0)
+    report = crash_step_campaign(
+        default_world_factory(config, monitor_cls), default_workload()[:2],
+        sites=(), seed=0, executor=executor)
     return (not report.ok,
             f"fault campaign: {len(report.failures())} un-rolled-back "
             f"aborts")
 
 
-def detect_concurrency_bug(monitor_cls, _arg=None, *, parallel=False,
-                           executor=None, config=None):
-    """Bounded-preemption exploration flags the planted race."""
+def detect_concurrency_bug(monitor_cls, _arg=None, *, executor=None,
+                           config=None):
+    """Bounded-preemption exploration flags the planted race: the
+    sequential campaign, or the pooled one on ``executor``."""
     from repro.engine.campaigns import parallel_interleaving_campaign
     from repro.faults import interleaving_campaign
 
-    if parallel:
+    if executor is None:
+        result = interleaving_campaign(monitor_cls, check_ni=False,
+                                       config=config)
+    else:
         result = parallel_interleaving_campaign(monitor_cls,
                                                 check_ni=False,
                                                 config=config,
                                                 executor=executor)
-    else:
-        result = interleaving_campaign(monitor_cls, check_ni=False,
-                                       config=config)
     kinds = "/".join(sorted(result.by_kind()))
     return not result.ok, f"interleaving explorer: {kinds}"
-
-
-def _config_name(config):
-    """The :data:`ARCH_CONFIGS`-style name for a config, or None for
-    the default world (dotted-path-friendly for worker units)."""
-    from repro.hyperenclave.constants import ARCH_CONFIGS
-    if config is None:
-        return None
-    for name, candidate in ARCH_CONFIGS.items():
-        if candidate is config or candidate == config:
-            return name
-    raise ValueError(f"config {config.name!r} is not in ARCH_CONFIGS; "
-                     f"the parallel matrix addresses configs by name")
 
 
 MATRIX = [
@@ -318,13 +264,14 @@ MATRIX = [
 _CAMPAIGN_DETECTORS = (detect_no_rollback, detect_concurrency_bug)
 
 
-def run_case(index, *, parallel=False, executor=None,
-             memo=None, config=None) -> Tuple[str, bool, str]:
-    """Run one matrix row: ``(bug name, detected, how)``."""
+def run_case(index, *, executor=None, memo=None,
+             config=None) -> Tuple[str, bool, str]:
+    """Run one matrix row: ``(bug name, detected, how)``; a campaign
+    row runs its campaign on ``executor`` when handed one."""
     monitor_cls, detector, arg = MATRIX[index]
     if detector in _CAMPAIGN_DETECTORS:
-        detected, how = detector(monitor_cls, arg, parallel=parallel,
-                                 executor=executor, config=config)
+        detected, how = detector(monitor_cls, arg, executor=executor,
+                                 config=config)
     elif detector is detect_ni_bug:
         detected, how = detector(monitor_cls, arg, config=config)
     else:
@@ -348,22 +295,22 @@ def run_matrix_parallel(workers=None, executor=None, stats_out=None,
     campaigns through the shared executor.  Results are in matrix order
     with verdict strings identical to :func:`run_matrix`'s.
     """
-    from repro.engine.campaigns import _executor, _publish_stats
+    from repro.engine.campaigns import _publish_stats
+    from repro.engine.executor import scoped_executor
 
     results: List = [None] * len(MATRIX)
     light = [index for index, (_cls, detector, _arg) in enumerate(MATRIX)
              if detector not in _CAMPAIGN_DETECTORS]
-    config_name = _config_name(config)
-    with _executor(executor, workers) as pool:
-        units = [{"case": index, "memo": True, "config": config_name}
+    with scoped_executor(executor, workers) as pool:
+        units = [{"case": index, "memo": True, "config": config}
                  for index in light]
         for index, outcome in zip(light, pool.map(
                 "repro.engine.workers:run_bug_matrix_unit", units,
-                keys=[f"{config_name}:{index}" for index in light])):
+                keys=[str(index) for index in light])):
             results[index] = outcome
         for index in range(len(MATRIX)):
             if results[index] is None:
-                results[index] = run_case(index, parallel=True,
-                                          executor=pool, config=config)
+                results[index] = run_case(index, executor=pool,
+                                          config=config)
         _publish_stats(stats_out, pool)
     return results

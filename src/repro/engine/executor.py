@@ -33,10 +33,11 @@ Every pool worker exits once the process that forked it is gone: a
 ``kill -9`` of the parent (say the ``serve`` daemon) cannot reap its
 pool, and an orphaned worker would otherwise idle on forever.
 
-Worker count resolution: explicit argument, else the
+Worker count resolution: explicit argument (at least 1), else the
 ``REPRO_CHECK_WORKERS`` environment variable, else ``os.cpu_count()``.
-``workers=1`` (or a single-unit map) runs in-process with identical
-semantics — the degenerate fabric is the sequential engine.
+``workers=1`` runs in-process with identical semantics — the degenerate
+fabric is the sequential engine, and what a campaign driver runs on
+when it is handed no executor (:func:`scoped_executor`).
 """
 
 import hashlib
@@ -46,6 +47,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
@@ -59,14 +61,19 @@ PARENT_POLL_S = 0.5
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit count, else ``REPRO_CHECK_WORKERS``, else cpu count.
 
-    A ``REPRO_CHECK_WORKERS`` value that is not a positive integer
-    raises :class:`~repro.errors.ConfigError` naming the variable —
-    a silent clamp would hide the typo, and the raw ``ValueError``
-    ``int()`` used to throw named neither the knob nor the fix.  An
-    unset or empty variable falls back to the cpu count.
+    An explicit count below 1, or a ``REPRO_CHECK_WORKERS`` value that
+    is not a positive integer, raises
+    :class:`~repro.errors.ConfigError` naming ``workers`` or the
+    variable — a silent clamp would hide the typo, and the raw
+    ``ValueError`` ``int()`` used to throw named neither the knob nor
+    the fix.  An unset or empty variable falls back to the cpu count.
     """
     if workers is not None:
-        return max(1, int(workers))
+        count = int(workers)
+        if count < 1:
+            raise ConfigError("workers", workers,
+                              "worker count must be >= 1")
+        return count
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -94,6 +101,23 @@ def resolve_callable(path: str):
     for part in attr.split("."):
         target = getattr(target, part)
     return target
+
+
+def callable_path(obj) -> Optional[str]:
+    """The ``module:qualname`` path of a class/function (or pass a
+    string through) — the inverse of :func:`resolve_callable`."""
+    if obj is None or isinstance(obj, str):
+        return obj
+    return f"{obj.__module__}:{obj.__qualname__}"
+
+
+def scoped_executor(executor=None, workers: Optional[int] = 1):
+    """``executor`` as a context manager that leaves it open, or a new
+    :class:`ShardedExecutor` of ``workers`` (default one: in-process)
+    that closes on exit — how a campaign driver takes its pool."""
+    if executor is not None:
+        return nullcontext(executor)
+    return ShardedExecutor(workers)
 
 
 def stable_shard(key: str, shards: int) -> int:

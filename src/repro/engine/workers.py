@@ -1,11 +1,15 @@
 """Worker-side unit runners for the sharded executor.
 
-Each function here takes one small picklable ``unit`` dict and returns
-a picklable result; the executor addresses them by dotted path
-(``repro.engine.workers:run_interleaving_unit``) because the campaign
-closures themselves do not pickle.  Heavyweight context lives in
-per-process module globals, built once per worker and reused across
-every unit the worker's shards carry:
+Each function here takes one picklable ``unit`` dict and returns a
+picklable result; the executor addresses them by dotted path
+(``repro.engine.workers:run_interleaving_unit``).  Every campaign runs
+its units through one of these, in-process on a one-worker executor or
+in a pool, so there is one unit path per campaign.  Fault units carry
+their worlds and workloads themselves (picklable
+:func:`functools.partial` objects and module-level functions, see
+:mod:`repro.faults.campaign`).  Heavyweight context lives in per-process
+module globals, built once per worker and reused across every unit the
+worker's shards carry:
 
 * :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`;
   the executor returns its counter deltas with every shard.
@@ -16,18 +20,16 @@ every unit the worker's shards carry:
   :meth:`~repro.security.state.SystemState.clone` of it (~20x cheaper
   than a fresh boot, and byte-identical to one by the clone layer's
   contract);
-* world factories / workloads / mir models — resolved and cached per
-  dotted path.
+* mir models — built once per config.
 
-The unit runners reuse the *same* per-unit helpers the sequential
-campaigns run (:func:`~repro.faults.campaign.schedule_findings`,
-:func:`~repro.faults.campaign.run_crash_step_unit` and friends), so
-sequential/parallel equivalence is structural, not re-implemented.
+The unit runners call the per-unit helpers of the campaigns
+(:func:`~repro.faults.campaign.schedule_findings`,
+:func:`~repro.faults.campaign.run_crash_step_unit` and friends).
 """
 
 from functools import partial
 
-from repro.engine.executor import resolve_callable
+from repro.engine.executor import callable_path, resolve_callable
 from repro.engine.memo import CheckMemo
 
 # One memo per worker process (and one in the parent for in-process
@@ -35,8 +37,6 @@ from repro.engine.memo import CheckMemo
 MEMO = CheckMemo()
 
 _RUN_WORLDS = {}        # (monitor path, config repr) -> run_world
-_FACTORIES = {}         # (maker path, args repr) -> world factory
-_WORKLOADS = {}         # workload path -> [(name, invoke)]
 _MODELS = {}            # config repr -> mir corpus model
 
 
@@ -90,19 +90,6 @@ def run_world(monitor_path, config, preemption_bound=None):
     return partial(runner, preemption_bound=preemption_bound)
 
 
-def _world_factory(maker_path, args):
-    key = (maker_path, repr(args))
-    if key not in _FACTORIES:
-        _FACTORIES[key] = resolve_callable(maker_path)(*args)
-    return _FACTORIES[key]
-
-
-def _workload(path):
-    if path not in _WORKLOADS:
-        _WORKLOADS[path] = resolve_callable(path)()
-    return _WORKLOADS[path]
-
-
 def zero_clock():
     """A frozen clock: hardened-check budgets measured in wall-clock
     seconds read 0.0 everywhere, making ``budget_spent`` deterministic
@@ -143,51 +130,26 @@ def run_interleaving_unit(unit):
 def run_crash_step_unit(unit):
     """One ``(hypercall, site, step)`` crash-step execution."""
     from repro.faults.campaign import run_crash_step_unit as run_unit
-    factory = _world_factory(unit["factory"],
-                             unit.get("factory_args", ()))
-    calls = _workload(unit["workload"])
-    runner = unit.get("runner")
-    return run_unit(factory, calls, unit["index"], unit["site"],
-                    unit["kind"], unit["step"], seed=unit.get("seed", 0),
-                    runner=resolve_callable(runner) if runner else None)
-
-
-def run_bitflip_unit(unit):
-    """One whole seeded bit-flip campaign (the per-seed unit keeps the
-    cumulative-corruption semantics of the sequential run)."""
-    from repro.faults.campaign import bitflip_campaign
-    factory = _world_factory(unit["factory"],
-                             unit.get("factory_args", ()))
-    workload = unit.get("workload")
-    calls = _workload(workload) if workload else ()
-    return bitflip_campaign(factory, calls,
-                            flips=unit.get("flips", 64),
-                            seed=unit.get("seed", 0))
+    return run_unit(unit["world"], unit["calls"], unit["index"],
+                    unit["site"], unit["kind"], unit["step"],
+                    seed=unit["seed"], runner=unit["runner"])
 
 
 def run_crash_ni_unit(unit):
     """All crash-NI runs of one trace step (list of RunRecords)."""
-    from repro.faults.campaign import (
-        default_ni_trace,
-        run_crash_ni_index,
-    )
-    factory = _world_factory(unit["factory"],
-                             unit.get("factory_args", ()))
-    trace = unit.get("trace")
-    if trace is None:
-        worlds, eid = factory()
-        trace = default_ni_trace(eid, worlds.a.monitor.config.page_size)
+    from repro.faults.campaign import run_crash_ni_index
     return run_crash_ni_index(
-        factory, trace, unit["index"], sites=tuple(unit["sites"]),
-        observers=list(unit["observers"]), seed=unit.get("seed", 0))
+        unit["worlds"], unit["trace"], unit["index"], sites=unit["sites"],
+        observers=unit["observers"], seed=unit["seed"])
 
 
 def run_crash_point_unit(unit):
-    """One crash delivered at one critical-section yield point."""
+    """One crash delivered at one critical-section yield point, on
+    this process's cached world for the unit's monitor and config."""
     from repro.faults.campaign import crash_point_record
-    return crash_point_record(run_world(unit.get("monitor"),
-                                        unit.get("config")),
-                              unit["point"], seed=unit.get("seed", 0))
+    return crash_point_record(
+        run_world(callable_path(unit["monitor"]), unit["config"]),
+        unit["point"], seed=unit["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +185,6 @@ def run_pure_check_unit(unit):
 def run_bug_matrix_unit(unit):
     """One planted-bug conviction: ``(bug name, detected, how)``."""
     from repro.engine.bug_matrix import run_case
-    from repro.hyperenclave.constants import ARCH_CONFIGS
-    config_name = unit.get("config")
-    config = ARCH_CONFIGS[config_name] if config_name else None
     return run_case(unit["case"],
                     memo=MEMO if unit.get("memo") else None,
-                    config=config)
+                    config=unit.get("config"))

@@ -22,10 +22,21 @@ The bit-flip campaign is the other half of hostile-environment
 robustness: arbitrary single-bit corruption of *untrusted* memory must
 never disturb any invariant family, because no secure state is ever
 derived from untrusted bytes.
+
+Each campaign has one driver.  It enumerates its work units in the
+parent, in sweep order, and runs them through
+:meth:`ShardedExecutor.map <repro.engine.executor.ShardedExecutor.map>`:
+on the caller's ``executor`` when one is given, else on an in-process
+one-worker executor.  The merge is by unit index, so the report is the
+same either way.  A pool pickles each unit, so its worlds and workloads
+must be module-level callables or :func:`functools.partial` objects
+over them (:func:`default_world_factory`, :func:`default_two_worlds`
+and :func:`default_workload` are); closures work in-process only.
 """
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjected, HypercallAborted, ReproError
@@ -145,31 +156,77 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def default_world_factory(config=None):
-    """A deterministic ``() -> (monitor, ctx)`` factory over TINY.
+def default_world_factory(config=None, monitor_cls=None):
+    """A deterministic ``() -> (monitor, ctx)`` factory: a
+    ``monitor_cls`` (default :class:`RustMonitor`) booted on ``config``
+    (default TINY).
 
     ``ctx`` carries the workload's shared addresses (mbuf, source page,
-    ELRANGE) plus whatever the calls stash (the enclave id).
+    ELRANGE) plus whatever the calls stash (the enclave id).  The
+    factory is a :func:`functools.partial` of a module-level builder,
+    so it pickles into pool workers.
     """
     from repro.hyperenclave.constants import TINY
     from repro.hyperenclave.monitor import RustMonitor
 
-    config = config or TINY
+    return partial(_default_world, config or TINY,
+                   monitor_cls or RustMonitor)
 
-    def factory():
-        monitor = RustMonitor(config)
-        primary_os = monitor.primary_os
-        page = config.page_size
-        ctx = {
-            "page": page,
-            "mbuf_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * page,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
 
-    return factory
+def _default_world(config, monitor_cls):
+    monitor = monitor_cls(config)
+    primary_os = monitor.primary_os
+    page = config.page_size
+    ctx = {
+        "page": page,
+        "mbuf_pa": config.frame_base(primary_os.reserve_data_frame()),
+        "src_pa": config.frame_base(primary_os.reserve_data_frame()),
+        "elrange_base": 16 * page,
+    }
+    primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
+    return monitor, ctx
+
+
+def _create(monitor, ctx):
+    ctx["eid"] = monitor.hc_create(
+        elrange_base=ctx["elrange_base"], elrange_size=4 * ctx["page"],
+        mbuf_va=12 * ctx["page"], mbuf_pa=ctx["mbuf_pa"],
+        mbuf_size=ctx["page"])
+
+
+def _add_page(monitor, ctx):
+    return monitor.hc_add_page(ctx["eid"], ctx["elrange_base"],
+                               ctx["src_pa"])
+
+
+def _remove_page(monitor, ctx):
+    return monitor.hc_remove_page(ctx["eid"], ctx["elrange_base"])
+
+
+def _init(monitor, ctx):
+    return monitor.hc_init(ctx["eid"])
+
+
+def _aug_page(monitor, ctx):
+    return monitor.hc_aug_page(ctx["eid"],
+                               ctx["elrange_base"] + ctx["page"])
+
+
+def _trim_page(monitor, ctx):
+    return monitor.hc_trim_page(ctx["eid"],
+                                ctx["elrange_base"] + ctx["page"])
+
+
+def _enter(monitor, ctx):
+    return monitor.hc_enter(ctx["eid"])
+
+
+def _exit(monitor, ctx):
+    return monitor.hc_exit(ctx["eid"])
+
+
+def _destroy(monitor, ctx):
+    return monitor.hc_destroy(ctx["eid"])
 
 
 def default_workload() -> List[Tuple[str, Callable]]:
@@ -179,31 +236,13 @@ def default_workload() -> List[Tuple[str, Callable]]:
     destroy, so the sweep exercises every crash point of every hypercall
     from a state where it actually mutates something (the trim removes
     the page the aug just grew, post-init — the SGX2 shrink path).
+    Each call is a module-level function, so the workload pickles.
     """
-    def create(monitor, ctx):
-        ctx["eid"] = monitor.hc_create(
-            elrange_base=ctx["elrange_base"],
-            elrange_size=4 * ctx["page"],
-            mbuf_va=12 * ctx["page"], mbuf_pa=ctx["mbuf_pa"],
-            mbuf_size=ctx["page"])
-
-    return [
-        ("create", create),
-        ("add_page", lambda m, c: m.hc_add_page(
-            c["eid"], c["elrange_base"], c["src_pa"])),
-        ("remove_page", lambda m, c: m.hc_remove_page(
-            c["eid"], c["elrange_base"])),
-        ("add_page", lambda m, c: m.hc_add_page(
-            c["eid"], c["elrange_base"], c["src_pa"])),
-        ("init", lambda m, c: m.hc_init(c["eid"])),
-        ("aug_page", lambda m, c: m.hc_aug_page(
-            c["eid"], c["elrange_base"] + c["page"])),
-        ("trim_page", lambda m, c: m.hc_trim_page(
-            c["eid"], c["elrange_base"] + c["page"])),
-        ("enter", lambda m, c: m.hc_enter(c["eid"])),
-        ("exit", lambda m, c: m.hc_exit(c["eid"])),
-        ("destroy", lambda m, c: m.hc_destroy(c["eid"])),
-    ]
+    return [("create", _create), ("add_page", _add_page),
+            ("remove_page", _remove_page), ("add_page", _add_page),
+            ("init", _init), ("aug_page", _aug_page),
+            ("trim_page", _trim_page), ("enter", _enter),
+            ("exit", _exit), ("destroy", _destroy)]
 
 
 def _world_at(world_factory, calls, upto):
@@ -316,7 +355,8 @@ def run_crash_step_unit(world_factory, calls, index, site, kind, step, *,
 
 def crash_step_campaign(world_factory, calls, *,
                         sites: Sequence[str] = DEFAULT_SITES,
-                        seed=0, runner=None) -> CampaignReport:
+                        seed=0, runner=None,
+                        executor=None) -> CampaignReport:
     """Sweep every fault site × every step index of every hypercall.
 
     ``world_factory() -> (monitor, ctx)`` must be deterministic;
@@ -324,14 +364,25 @@ def crash_step_campaign(world_factory, calls, *,
     ``invoke(monitor, ctx)`` performs exactly one hypercall.
     ``runner``, if given, wraps each *armed* invocation (the fault-free
     world rebuilding stays direct) — see :func:`scheduled_runner`.
+    The step table is enumerated here; one unit per armed step
+    (:func:`run_crash_step_unit`) runs through ``executor`` (see the
+    module docstring).
     """
+    from repro.engine.executor import scoped_executor
+
+    units = [{"world": world_factory, "calls": calls, "index": index,
+              "site": site, "kind": kind, "step": step, "seed": seed,
+              "runner": runner}
+             for index, site, kind, step
+             in crash_step_units(world_factory, calls, sites)]
     report = CampaignReport(seed=seed)
-    with _trace.span("campaign.crash-step", seed=seed, parallel=False):
-        for index, site, kind, step in crash_step_units(
-                world_factory, calls, sites):
-            report.runs.append(run_crash_step_unit(
-                world_factory, calls, index, site, kind, step,
-                seed=seed, runner=runner))
+    with _trace.span("campaign.crash-step", seed=seed,
+                     units=len(units)), \
+            scoped_executor(executor) as pool:
+        report.runs = pool.map("repro.engine.workers:run_crash_step_unit",
+                               units,
+                               keys=[f"{u['index']}:{u['site']}:{u['step']}"
+                                     for u in units])
     return report
 
 
@@ -355,8 +406,7 @@ def bitflip_campaign(world_factory, calls=(), *, flips=64,
     rng = random.Random(f"bitflip:{seed}")
     config = monitor.config
     report = CampaignReport(seed=seed)
-    with _trace.span("campaign.bitflip", seed=seed, flips=flips,
-                     parallel=False):
+    with _trace.span("campaign.bitflip", seed=seed, flips=flips):
         _bitflip_sweep(monitor, rng, config, report, flips)
     return report
 
@@ -392,35 +442,41 @@ def default_two_worlds(config=None, secrets=(41, 42)):
     initial memory (the paper's 41-vs-42 construction), each wrapped in
     a :class:`~repro.security.state.SystemState` with a seeded data
     oracle, paired into :class:`~repro.security.noninterference.TwoWorlds`.
+    Like :func:`default_world_factory`, the factory is a picklable
+    :func:`functools.partial`.
     """
     from repro.hyperenclave.constants import TINY
-    from repro.hyperenclave.monitor import RustMonitor
+
+    return partial(_default_two_worlds, config or TINY, tuple(secrets))
+
+
+def _default_two_worlds(config, secrets):
     from repro.security.noninterference import TwoWorlds
+
+    world_a, eid = _ni_world(config, secrets[0])
+    world_b, _eid = _ni_world(config, secrets[1])
+    return TwoWorlds(world_a, world_b), eid
+
+
+def _ni_world(config, secret):
+    """One world of the pair: an initialized enclave whose page was
+    loaded from a host frame holding ``secret``, then scrubbed."""
+    from repro.hyperenclave.monitor import RustMonitor
     from repro.security.oracle import DataOracle
     from repro.security.state import SystemState
 
-    config = config or TINY
-
-    def factory():
-        def one(secret):
-            monitor = RustMonitor(config)
-            primary_os = monitor.primary_os
-            primary_os.spawn_app(1)
-            page = config.page_size
-            mbuf_pa = config.frame_base(primary_os.reserve_data_frame())
-            src_pa = config.frame_base(primary_os.reserve_data_frame())
-            primary_os.gpa_write_word(src_pa, secret)
-            eid = monitor.hc_create(16 * page, 4 * page, 12 * page,
-                                    mbuf_pa, page)
-            monitor.hc_add_page(eid, 16 * page, src_pa)
-            primary_os.gpa_write_word(src_pa, 0)
-            monitor.hc_init(eid)
-            return SystemState(monitor, DataOracle.seeded(13)), eid
-        world_a, eid = one(secrets[0])
-        world_b, _eid = one(secrets[1])
-        return TwoWorlds(world_a, world_b), eid
-
-    return factory
+    monitor = RustMonitor(config)
+    primary_os = monitor.primary_os
+    primary_os.spawn_app(1)
+    page = config.page_size
+    mbuf_pa = config.frame_base(primary_os.reserve_data_frame())
+    src_pa = config.frame_base(primary_os.reserve_data_frame())
+    primary_os.gpa_write_word(src_pa, secret)
+    eid = monitor.hc_create(16 * page, 4 * page, 12 * page, mbuf_pa, page)
+    monitor.hc_add_page(eid, 16 * page, src_pa)
+    primary_os.gpa_write_word(src_pa, 0)
+    monitor.hc_init(eid)
+    return SystemState(monitor, DataOracle.seeded(13)), eid
 
 
 def default_ni_trace(eid, page_size):
@@ -464,7 +520,8 @@ def _apply_tolerant(state, step):
 
 def crash_ni_campaign(two_worlds_factory=None, trace=None, *,
                       sites: Sequence[str] = DEFAULT_SITES,
-                      observers=None, seed=0) -> CampaignReport:
+                      observers=None, seed=0,
+                      executor=None) -> CampaignReport:
     """The crash-step noninterference campaign (on top of Lemmas 5.2-5.4).
 
     The step-wise lemmas quantify over *completed* transitions; this
@@ -476,22 +533,29 @@ def crash_ni_campaign(two_worlds_factory=None, trace=None, *,
     rolled-back hypercall and through the whole remaining trace.  A
     crash that opened a distinguishing channel (partial mutations
     visible to the host, an asymmetric abort) is a violation.
+
+    One unit per trace step (:func:`run_crash_ni_index`: that step's
+    whole site × step sweep, suffix drain included) runs through
+    ``executor`` (see the module docstring).
     """
+    from repro.engine.executor import scoped_executor
     from repro.hyperenclave.monitor import HOST_ID
 
     factory = two_worlds_factory or default_two_worlds()
-    worlds_probe, eid = factory()
     observers = list(observers) if observers is not None else [HOST_ID]
     if trace is None:
+        worlds_probe, eid = factory()
         trace = default_ni_trace(
             eid, worlds_probe.a.monitor.config.page_size)
-
+    units = [{"worlds": factory, "trace": trace, "index": index,
+              "sites": tuple(sites), "observers": observers, "seed": seed}
+             for index in range(len(trace))]
     report = CampaignReport(seed=seed)
-    with _trace.span("campaign.crash-ni", seed=seed, parallel=False):
-        for index in range(len(trace)):
-            report.runs.extend(run_crash_ni_index(
-                factory, trace, index, sites=sites, observers=observers,
-                seed=seed))
+    with _trace.span("campaign.crash-ni", seed=seed, units=len(units)), \
+            scoped_executor(executor) as pool:
+        for runs in pool.map("repro.engine.workers:run_crash_ni_unit",
+                             units, keys=[str(u["index"]) for u in units]):
+            report.runs.extend(runs)
     return report
 
 
@@ -667,7 +731,7 @@ def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
 
 
 def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
-                        probe=True, tree=None, world_key=None,
+                        tree=None, world_key=None,
                         preemption_bound=None):
     """Run ``schedule`` on a clone of a :func:`build_interleaved_world`
     prototype; returns ``(state, RunResult)``.
@@ -675,8 +739,7 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
     ``prototype`` itself never executes, so one build serves every
     schedule.  The vCPUs run :func:`default_concurrent_scripts` unless
     ``workloads(state, ctx)`` builds a list of callables instead; the
-    stale-translation detector probes after every decision unless
-    ``probe`` is false.
+    stale-translation detector probes after every decision.
 
     With ``tree`` (a :class:`~repro.concurrency.snapshot.SnapshotTree`;
     default scripts only) and the campaign's ``preemption_bound``, the
@@ -709,8 +772,7 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
         built = ScriptWorkloads(state, default_concurrent_scripts(ctx),
                                 None if node is None else node.positions())
     scheduler = DeterministicScheduler(
-        state.monitor, built, schedule,
-        probe=detect_stale_translations if probe else None)
+        state.monitor, built, schedule, probe=detect_stale_translations)
     if tree is not None:
         if node is not None:
             node.apply_to(scheduler)
@@ -732,8 +794,7 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
 
 
 def make_interleaved_run(monitor_cls=None, config=None, *,
-                         workloads=None, probe=True,
-                         preemption_bound=None):
+                         workloads=None, preemption_bound=None):
     """A ``run_world(secret, schedule) -> (state, RunResult)`` factory.
 
     Each distinct ``secret``'s world is built once and every call runs
@@ -763,8 +824,8 @@ def make_interleaved_run(monitor_cls=None, config=None, *,
             proto = prototypes[secret] = build_interleaved_world(
                 monitor_cls, config, secret=secret)
         return execute_interleaved(
-            *proto, schedule, workloads=workloads, probe=probe,
-            tree=tree, world_key=(secret, schedule.seed, schedule.crash),
+            *proto, schedule, workloads=workloads, tree=tree,
+            world_key=(secret, schedule.seed, schedule.crash),
             preemption_bound=branch_bound)
 
     return run_world
@@ -846,8 +907,6 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
     the schedule, so nothing is captured for children ``max_schedules``
     will never run.  The tree is dropped when the campaign returns.
     """
-    from functools import partial
-
     from repro.concurrency import explore
     from repro.engine.memo import CheckMemo
 
@@ -933,7 +992,8 @@ class CrashCampaignReport:
 
 
 def crash_in_critical_section_campaign(monitor_cls=None, *, seed=0,
-                                       config=None) -> CrashCampaignReport:
+                                       config=None, executor=None
+                                       ) -> CrashCampaignReport:
     """Kill a vCPU at every yield point inside a critical section.
 
     This is PR 1's crash model composed with the concurrency plane:
@@ -945,25 +1005,29 @@ def crash_in_critical_section_campaign(monitor_cls=None, *, seed=0,
     own work, never a lock), the other vCPU must run to completion, and
     the final state must pass every invariant family plus the per-vCPU
     consistency check.
-    """
-    from repro.concurrency import Schedule, result_violations
-    from repro.hyperenclave.monitor import RustMonitor
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
 
-    cls = monitor_cls or RustMonitor
-    run_world = make_interleaved_run(monitor_cls, config)
-    _state, baseline = run_world(41, Schedule(seed=seed))
+    The clean baseline runs here; one unit per point
+    (:func:`crash_point_record`) runs through ``executor`` (see the
+    module docstring), on that process's cached world prototype.
+    """
+    from repro.concurrency import Schedule
+    from repro.engine.executor import scoped_executor
+    from repro.hyperenclave.monitor import RustMonitor
+
+    _state, baseline = make_interleaved_run(monitor_cls, config)(
+        41, Schedule(seed=seed))
     points = baseline.critical_yields()
-    report = CrashCampaignReport(monitor=cls.__name__,
-                                 critical_yields=len(points))
+    report = CrashCampaignReport(
+        monitor=(monitor_cls or RustMonitor).__name__,
+        critical_yields=len(points))
+    units = [{"monitor": monitor_cls, "config": config, "point": point,
+              "seed": seed} for point in points]
     with _trace.span("campaign.crash-critical-section", seed=seed,
-                     points=len(points), parallel=False):
-        for point in points:
-            report.records.append(crash_point_record(run_world, point,
-                                                     seed=seed))
+                     points=len(points)), \
+            scoped_executor(executor) as pool:
+        report.records = pool.map(
+            "repro.engine.workers:run_crash_point_unit", units,
+            keys=[f"{p.vid}:{p.yield_index}" for p in points])
     return report
 
 

@@ -15,7 +15,7 @@ Bundle ``kind``s and what replays them:
 ``interleaving``  one explored schedule re-run with the full battery
                   (invariants, vCPU consistency, optional two-world NI)
 ``crash-step``    one ``(hypercall, site, step)`` fault injection via
-                  :func:`repro.engine.workers.run_crash_step_unit`
+                  :func:`repro.faults.campaign.run_crash_step_unit`
 ``crash-point``   one vCPU crash at one critical-section yield point
 ``pure-check``    one hardened pure-corpus check under a step budget
 ===============  ========================================================
@@ -44,6 +44,11 @@ SCHEMA_VERSION = 1
 
 #: The arch a bundle replays on when it records none.
 DEFAULT_ARCH = "x86_64"
+
+#: The world-factory maker and workload a crash-step bundle names when
+#: its campaign ran the standard lifecycle sweep.
+DEFAULT_WORLD_FACTORY = "repro.faults.campaign:default_world_factory"
+DEFAULT_WORKLOAD = "repro.faults.campaign:default_workload"
 
 #: Records kept from the trace ring when a bundle is created.
 TRACE_SLICE_LIMIT = 64
@@ -186,7 +191,7 @@ def interleaving_bundle(violation, *, monitor_cls=None, check_ni=True,
     """A bundle for one :class:`~repro.concurrency.explorer.Violation`
     out of an interleaving campaign run on ``config`` (default TINY
     geometry); the arch travels in ``check["arch"]``."""
-    from repro.engine.campaigns import callable_path
+    from repro.engine.executor import callable_path
 
     check = {"check_ni": bool(check_ni), "arch": _arch_name(config)}
     if observers is not None:
@@ -220,14 +225,14 @@ def bundles_from_exploration(result, *, monitor_cls=None, check_ni=True,
 
 def crash_step_bundle(index, site, kind, step, *, seed=0,
                       factory=None, factory_args=(), workload=None,
-                      record=None) -> ProvenanceBundle:
-    """A bundle for one ``(hypercall, site, step)`` crash-step run.
+                      record=None, config=None) -> ProvenanceBundle:
+    """A bundle for one ``(hypercall, site, step)`` crash-step run on
+    ``config``; the arch travels in ``fault_plan["arch"]``.
 
     ``factory``/``workload`` are the campaign's dotted maker/workload
-    paths (defaults: the standard lifecycle campaign).
+    paths (defaults: the standard lifecycle campaign); replay calls the
+    maker with ``factory_args`` and the recorded arch's ``config``.
     """
-    from repro.engine.campaigns import DEFAULT_WORKLOAD, DEFAULT_WORLD_FACTORY
-
     violation = {}
     if record is not None:
         violation = {"hypercall": record.hypercall,
@@ -241,7 +246,8 @@ def crash_step_bundle(index, site, kind, step, *, seed=0,
                     "step": step,
                     "factory": factory or DEFAULT_WORLD_FACTORY,
                     "factory_args": list(factory_args),
-                    "workload": workload or DEFAULT_WORKLOAD},
+                    "workload": workload or DEFAULT_WORKLOAD,
+                    "arch": _arch_name(config)},
         violation=violation,
         trace_slice=_trace_slice())
 
@@ -250,7 +256,7 @@ def crash_point_bundle(point, record=None, *, monitor_cls=None,
                        seed=0, config=None) -> ProvenanceBundle:
     """A bundle for one crash-in-critical-section record on ``config``;
     the arch travels in ``fault_plan["arch"]``."""
-    from repro.engine.campaigns import callable_path
+    from repro.engine.executor import callable_path
 
     violation = {}
     if record is not None:
@@ -332,15 +338,17 @@ def _replay_interleaving(bundle) -> ReplayOutcome:
 
 
 def _replay_crash_step(bundle) -> ReplayOutcome:
-    from repro.engine.workers import run_crash_step_unit
+    from repro.engine.executor import resolve_callable
+    from repro.faults.campaign import run_crash_step_unit
 
     plan = bundle.fault_plan or {}
-    record = run_crash_step_unit({
-        "factory": plan["factory"],
-        "factory_args": tuple(plan.get("factory_args", ())),
-        "workload": plan["workload"], "index": plan["index"],
-        "site": plan["site"], "kind": plan["kind"],
-        "step": plan["step"], "seed": bundle.seed})
+    world_factory = resolve_callable(plan["factory"])(
+        *plan.get("factory_args", ()),
+        config=_arch_config(plan.get("arch")))
+    calls = resolve_callable(plan["workload"])()
+    record = run_crash_step_unit(world_factory, calls, plan["index"],
+                                 plan["site"], plan["kind"], plan["step"],
+                                 seed=bundle.seed)
     found = {"hypercall": record.hypercall, "outcome": record.outcome,
              "rolled_back": record.rolled_back,
              "invariants_ok": record.invariants_ok,

@@ -473,19 +473,21 @@ def warm_pure_check_grid(names: Sequence[str], store, *,
                          total_steps: Optional[int] = None, seed: int = 0,
                          sample_count: int = 128,
                          max_exhaustive: int = 4096, config=None,
-                         workers: Optional[int] = None,
-                         executor=None, stats_out=None) -> List:
-    """The parallel pure-check grid with a persistent verdict memo.
+                         executor=None) -> List:
+    """The pure-check grid with a persistent verdict memo.
 
     Deterministic check parameters (step budgets only — wall-clock
     budgets are not reproducible, exactly the provenance-bundle rule)
     key each :class:`~repro.ccal.refinement.CheckReport` by
     :func:`~repro.verification.harness.pure_check_key`; verdicts found
-    in the store are returned without running anything, the rest run
-    through the sharded executor and are appended for the next
-    campaign.  Reports come back in ``names`` order either way.
+    in the store are returned without running anything, the rest are
+    the units of :func:`~repro.engine.campaigns.pure_check_grid` that
+    miss, run through ``executor`` (in-process on one worker by
+    default) and appended for the next campaign.  Reports come back in
+    ``names`` order either way.
     """
-    from repro.engine.campaigns import _executor, _pure_check_units
+    from repro.engine.campaigns import _pure_check_units
+    from repro.engine.executor import scoped_executor
     from repro.verification.harness import pure_check_key
 
     owns_store = not isinstance(store, CampaignStore)
@@ -515,13 +517,11 @@ def warm_pure_check_grid(names: Sequence[str], store, *,
         REGISTRY.inc("service.verdict_misses", len(misses))
         with _trace.span("service.pure-grid", names=len(units),
                          misses=len(misses)), \
-                _executor(executor, workers) as pool:
+                scoped_executor(executor) as pool:
             fresh = pool.map("repro.engine.workers:run_pure_check_unit",
                              [units[index] for index in misses],
                              keys=[units[index]["name"]
                                    for index in misses])
-            if stats_out is not None:
-                merge_stats(stats_out, pool.stats)
         for index, report in zip(misses, fresh):
             reports[index] = report
         store.memo.extend(

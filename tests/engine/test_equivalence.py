@@ -1,34 +1,47 @@
-"""Sequential ↔ parallel byte-identity, campaign by campaign.
+"""In-process ↔ pooled byte-identity, campaign by campaign.
 
 The fabric's one hard guarantee: for every checking campaign, the
-merged parallel report is **byte-identical** (``repr``-equal, which
-covers every field of every record) to the sequential run — worker
+merged pooled report is **byte-identical** (``repr``-equal, which
+covers every field of every record) to the in-process run — worker
 count, shard assignment, and completion order must not be observable.
-Each test here runs both sides of one campaign on a small grid and
-compares the full reports, including the campaigns where the planted
-concurrency bugs actually fire (violations must merge identically,
-not just clean runs).
+Each fault campaign and the pure-check grid has one driver that takes
+an ``executor``; the tests here call that same function without one
+(one in-process worker) and with a two-worker pool, on both arches
+where the sweep differs by arch.  The interleaving campaign keeps a
+sequential and a pooled driver, compared here too, including the
+campaigns where the planted concurrency bugs actually fire (violations
+must merge identically, not just clean runs).
 """
 
+import pytest
+
 from repro.engine import (
-    parallel_bitflip_campaigns,
-    parallel_crash_in_critical_section_campaign,
-    parallel_crash_ni_campaign,
-    parallel_crash_step_campaign,
+    ShardedExecutor,
     parallel_interleaving_campaign,
-    parallel_pure_check_grid,
-    sequential_pure_check_grid,
+    pure_check_grid,
 )
 from repro.faults.campaign import (
-    bitflip_campaign,
     crash_in_critical_section_campaign,
     crash_ni_campaign,
     crash_step_campaign,
+    default_two_worlds,
     default_workload,
     default_world_factory,
     interleaving_campaign,
+    scheduled_runner,
 )
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
+from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.obs.metrics import REGISTRY
+
+ARCHES = sorted(ARCH_CONFIGS)
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """The two-worker pool the single-driver campaigns run on."""
+    with ShardedExecutor(2) as executor:
+        yield executor
 
 
 def test_interleaving_equivalence(pool):
@@ -67,41 +80,54 @@ def test_interleaving_equivalence_no_shootdown(pool):
     assert repr(par) == repr(seq)
 
 
-def test_crash_step_equivalence(pool):
-    seq = crash_step_campaign(default_world_factory(),
-                              default_workload())
-    par = parallel_crash_step_campaign(executor=pool)
+def test_crash_step_equivalence(pair):
+    factory, calls = default_world_factory(), default_workload()
+    seq = crash_step_campaign(factory, calls)
+    par = crash_step_campaign(factory, calls, executor=pair)
     assert seq.runs and repr(par) == repr(seq)
 
 
-def test_bitflip_equivalence(pool):
-    factory = default_world_factory()
-    seeds = [0, 1, 2]
-    seq = [bitflip_campaign(factory, flips=24, seed=s) for s in seeds]
-    par = parallel_bitflip_campaigns(seeds, flips=24, executor=pool)
-    assert repr(par) == repr(seq)
+def test_scheduled_crash_step_equivalence(pair):
+    """The determinism guard's runner pickles and runs in workers: on
+    either executor every armed step is one scheduler run (pool
+    workers' counters merge into this process's registry)."""
+    factory, calls = default_world_factory(), default_workload()
+    reports = []
+    for executor in (None, pair):
+        before = REGISTRY.snapshot()
+        reports.append(crash_step_campaign(
+            factory, calls, runner=scheduled_runner, executor=executor))
+        assert REGISTRY.delta(before)["counters"]["sched.runs"] == \
+            len(reports[-1].runs)
+    seq, par = reports
+    assert seq.ok and repr(par) == repr(seq)
 
 
-def test_crash_ni_equivalence(pool):
-    seq = crash_ni_campaign()
-    par = parallel_crash_ni_campaign(executor=pool)
+@pytest.mark.parametrize("arch", ARCHES)
+def test_crash_ni_equivalence(pair, arch):
+    factory = default_two_worlds(ARCH_CONFIGS[arch])
+    seq = crash_ni_campaign(factory)
+    par = crash_ni_campaign(factory, executor=pair)
     assert seq.runs and repr(par) == repr(seq)
 
 
-def test_crash_in_critical_section_equivalence(pool):
-    seq = crash_in_critical_section_campaign()
-    par = parallel_crash_in_critical_section_campaign(executor=pool)
+@pytest.mark.parametrize("arch", ARCHES)
+def test_crash_in_critical_section_equivalence(pair, arch):
+    config = ARCH_CONFIGS[arch]
+    seq = crash_in_critical_section_campaign(config=config)
+    par = crash_in_critical_section_campaign(config=config,
+                                             executor=pair)
     assert seq.records and repr(par) == repr(seq)
 
 
-def test_pure_check_grid_equivalence(pool):
+def test_pure_check_grid_equivalence(pair):
     """With frozen worker clocks even ``budget_spent`` merges equal."""
     names = ["entry_index", "pte_is_present", "pte_frame",
              "align_page_down"]
     kw = dict(total_steps=4000, seed=7, sample_count=32,
               fake_clock=True)
-    seq = sequential_pure_check_grid(names, **kw)
-    par = parallel_pure_check_grid(names, **kw, executor=pool)
+    seq = pure_check_grid(names, **kw)
+    par = pure_check_grid(names, **kw, executor=pair)
     assert [r.name for r in seq] == names
     assert repr(par) == repr(seq)
 

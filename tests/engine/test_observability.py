@@ -2,10 +2,12 @@
 
 Three fabric-level observability contracts:
 
-* ``resolve_workers`` rejects a malformed ``REPRO_CHECK_WORKERS`` with
-  a typed :class:`~repro.errors.ConfigError` naming the variable (it
-  used to leak ``int()``'s raw ``ValueError``, which named neither the
-  knob nor the fix);
+* ``resolve_workers`` rejects a malformed ``REPRO_CHECK_WORKERS``, or
+  an explicit count below 1, with a typed
+  :class:`~repro.errors.ConfigError` naming the variable or
+  ``workers`` (it used to leak ``int()``'s raw ``ValueError``, which
+  named neither the knob nor the fix, and to clamp explicit counts to
+  1 silently);
 * per-worker solver counters ship back with shard results and merge,
   so a sharded campaign's aggregate solver statistics equal the
   sequential run's (they used to read only the parent's counters and
@@ -17,11 +19,7 @@ Three fabric-level observability contracts:
 import pytest
 
 from repro import fastpath
-from repro.engine import (
-    ShardedExecutor,
-    parallel_pure_check_grid,
-    sequential_pure_check_grid,
-)
+from repro.engine import ShardedExecutor, pure_check_grid
 from repro.engine.executor import WORKERS_ENV, resolve_workers
 from repro.errors import ConfigError, ReproError
 from repro.obs import trace as trace_mod
@@ -67,6 +65,38 @@ class TestResolveWorkers:
         assert "banana" in message
         assert "not an integer" in message
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_explicit_count_below_one_raises_config_error(self, value):
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_workers(value)
+        message = str(excinfo.value)
+        assert message.startswith(f"workers={value}")
+        assert ">= 1" in message
+
+    @pytest.mark.parametrize("verb", [
+        ["campaign", "--store"], ["resume"], ["serve", "--root"]],
+        ids=lambda argv: argv[0])
+    def test_cli_refuses_workers_below_one(self, verb, capsys, tmp_path,
+                                           monkeypatch):
+        """``--workers 0`` is a usage error (exit 2) naming the count,
+        before any campaign or daemon starts."""
+        import repro.service
+        import repro.service.daemon
+        from repro.__main__ import main
+
+        def started(*_args, **_kwargs):
+            raise AssertionError("--workers 0 got past the parser")
+
+        for module, name in ((repro.service, "run_durable_campaign"),
+                             (repro.service, "resume_campaign"),
+                             (repro.service.daemon, "CheckingDaemon")):
+            monkeypatch.setattr(module, name, started)
+        with pytest.raises(SystemExit) as excinfo:
+            main(verb + [str(tmp_path / "store"), "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "workers=0: worker count must be >= 1" in \
+            capsys.readouterr().err
+
     def test_config_error_is_a_repro_error(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "banana")
         with pytest.raises(ReproError):
@@ -86,15 +116,14 @@ class TestWorkerStatsShipping:
         with fastpath.disabled():
             clear_solver_caches()
             before = solver_stats()
-            seq = sequential_pure_check_grid(NAMES, **grid)
+            seq = pure_check_grid(NAMES, **grid)
             seq_delta = stats_delta(before)
 
             clear_solver_caches()
             before = solver_stats()
             # Fresh pool: workers fork here, inheriting cleared caches.
             with ShardedExecutor(4) as pool:
-                par = parallel_pure_check_grid(NAMES, **grid,
-                                               executor=pool)
+                par = pure_check_grid(NAMES, **grid, executor=pool)
             par_delta = stats_delta(before)
         assert repr(par) == repr(seq)
         assert par_delta == seq_delta
@@ -103,9 +132,8 @@ class TestWorkerStatsShipping:
     def test_per_report_solver_stats_survive_sharding(self):
         with fastpath.disabled():
             with ShardedExecutor(2) as pool:
-                reports = parallel_pure_check_grid(NAMES,
-                                                   fake_clock=True,
-                                                   executor=pool)
+                reports = pure_check_grid(NAMES, fake_clock=True,
+                                          executor=pool)
         for report in reports:
             assert report.solver_stats, report.name
             assert report.solver_stats["check_sat_calls"] >= 0
@@ -134,8 +162,8 @@ class TestWorkerSpanAdoption:
             for workers in (1, 4):
                 with trace_mod.installed(trace_mod.Tracer()) as tracer:
                     with ShardedExecutor(workers) as pool:
-                        parallel_pure_check_grid(NAMES, fake_clock=True,
-                                                 executor=pool)
+                        pure_check_grid(NAMES, fake_clock=True,
+                                        executor=pool)
                 trace_mod.validate_records(tracer.records)
                 shapes.append(self._shape(tracer.records))
         assert shapes[0] == shapes[1]

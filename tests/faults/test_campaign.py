@@ -21,23 +21,6 @@ FACTORY = default_world_factory()
 CALLS = default_workload()
 
 
-def buggy_world_factory():
-    def world():
-        monitor = NonTransactionalMonitor(TINY)
-        primary_os = monitor.primary_os
-        page = TINY.page_size
-        ctx = {
-            "page": page,
-            "mbuf_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * page,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
-
-    return world
-
-
 class TestEnumerateInjectableSteps:
     def test_every_call_reaches_its_own_crash_points(self):
         table = enumerate_injectable_steps(FACTORY, CALLS)
@@ -75,8 +58,9 @@ class TestCrashStepCampaign:
         assert len(report.runs) == expected
 
     def test_non_transactional_monitor_is_caught(self):
-        report = crash_step_campaign(buggy_world_factory(),
-                                     CALLS[:2], seed=0)
+        report = crash_step_campaign(
+            default_world_factory(monitor_cls=NonTransactionalMonitor),
+            CALLS[:2], seed=0)
         failures = report.failures()
         assert failures, "the broken monitor must not pass the campaign"
         # The signature: aborts whose partial mutations survived, or

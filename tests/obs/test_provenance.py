@@ -19,27 +19,18 @@ from repro.obs.provenance import (
     replay_bundle,
 )
 
-FACTORY = "repro.faults.campaign:default_world_factory"
-WORKLOAD = "repro.faults.campaign:default_workload"
-
-
 def _crash_step_record():
     """One real crash-step run: the first epcm.allocate unit."""
-    from repro.engine.workers import run_crash_step_unit
     from repro.faults.campaign import (
         crash_step_units,
         default_workload,
         default_world_factory,
+        run_crash_step_unit,
     )
 
-    units = crash_step_units(default_world_factory(), default_workload(),
-                             ("epcm.allocate",))
-    index, site, kind, step = units[0]
-    record = run_crash_step_unit({
-        "factory": FACTORY, "factory_args": (), "workload": WORKLOAD,
-        "index": index, "site": site, "kind": kind, "step": step,
-        "seed": 0, "runner": None})
-    return (index, site, kind, step), record
+    factory, calls = default_world_factory(), default_workload()
+    unit = crash_step_units(factory, calls, ("epcm.allocate",))[0]
+    return unit, run_crash_step_unit(factory, calls, *unit)
 
 
 def _stale_translation_bundle(config):
@@ -112,6 +103,7 @@ class TestReplay:
         (index, site, kind, step), record = _crash_step_record()
         bundle = crash_step_bundle(index, site, kind, step, seed=0,
                                    record=record)
+        assert bundle.fault_plan["arch"] == "x86_64"
         # Through the file format, exactly as the CLI would.
         loaded = ProvenanceBundle.load(
             bundle.save(str(tmp_path / "bundle.json")))
@@ -125,6 +117,41 @@ class TestReplay:
         bundle.violation["detail"] = "a finding that never happened"
         outcome = replay_bundle(bundle)
         assert not outcome.matched
+
+    def test_crash_step_bundle_replays_on_its_own_arch(self, tmp_path):
+        """A fault only VMSAv8-64 reaches: the first ``add_page``
+        writes 262 words there (256-word pages) and 38 on
+        x86-64 (32-word pages), so arming the 39th aborts it on
+        VMSAv8-64 only.  The bundle records its arch and replays the
+        abort; without the field it replays on x86-64, where the plan
+        never fires and the call completes."""
+        from repro.faults.campaign import (
+            crash_step_units,
+            default_workload,
+            default_world_factory,
+            run_crash_step_unit,
+        )
+        from repro.hyperenclave.constants import ARCH_CONFIGS
+
+        config = ARCH_CONFIGS["vmsav8_64"]
+        factory, calls = default_world_factory(config), default_workload()
+        unit = (1, "phys.write", "raise", 38)
+        assert unit in crash_step_units(factory, calls)
+        assert unit not in crash_step_units(default_world_factory(), calls)
+        record = run_crash_step_unit(factory, calls, *unit)
+        assert record.outcome == "aborted"
+        bundle = crash_step_bundle(*unit, record=record, config=config)
+        assert bundle.fault_plan["arch"] == "vmsav8_64"
+        loaded = ProvenanceBundle.load(
+            bundle.save(str(tmp_path / "bundle.json")))
+        outcome = replay_bundle(loaded)
+        assert outcome.matched, outcome.summary()
+        assert outcome.found[0]["outcome"] == "aborted"
+
+        del loaded.fault_plan["arch"]
+        outcome = replay_bundle(loaded)
+        assert not outcome.matched
+        assert outcome.found[0]["outcome"] == "completed"
 
     def test_pure_check_bundle_reproduces_degraded_verdict(self, model):
         from repro import fastpath

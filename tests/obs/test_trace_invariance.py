@@ -68,7 +68,7 @@ def test_pure_check_verdicts_unchanged(model):
 
 
 def test_parallel_campaign_traced_report_identical():
-    from repro.engine import ShardedExecutor, parallel_crash_step_campaign
+    from repro.engine import ShardedExecutor
 
     sites = ("epcm.allocate",)
     baseline = crash_step_campaign(default_world_factory(),
@@ -77,8 +77,9 @@ def test_parallel_campaign_traced_report_identical():
     # inherit the tracing flag.
     with trace_mod.installed(trace_mod.Tracer()) as tracer:
         with ShardedExecutor(2) as pool:
-            traced = parallel_crash_step_campaign(sites=sites,
-                                                  executor=pool)
+            traced = crash_step_campaign(default_world_factory(),
+                                         default_workload(), sites=sites,
+                                         executor=pool)
     assert repr(traced) == repr(baseline)
     trace_mod.validate_records(tracer.records)
     unit_spans = [r for r in tracer.records

@@ -242,25 +242,25 @@ class TestWarmPureCheckGrid:
 
     def test_cold_matches_plain_grid_and_warm_matches_cold(
             self, tmp_path, model):
-        from repro.engine.campaigns import parallel_pure_check_grid
+        from repro.engine import ShardedExecutor
+        from repro.engine.campaigns import pure_check_grid
         store = str(tmp_path)
-        cold = warm_pure_check_grid(self.NAMES, store,
-                                    total_steps=40000, workers=2)
-        plain = parallel_pure_check_grid(self.NAMES, total_steps=40000,
-                                         workers=2, fake_clock=True)
-        assert repr(cold) == repr(plain)
-        warm = warm_pure_check_grid(self.NAMES, store,
-                                    total_steps=40000, workers=2)
+        with ShardedExecutor(2) as pool:
+            cold = warm_pure_check_grid(self.NAMES, store,
+                                        total_steps=40000, executor=pool)
+            plain = pure_check_grid(self.NAMES, total_steps=40000,
+                                    fake_clock=True, executor=pool)
+            assert repr(cold) == repr(plain)
+            warm = warm_pure_check_grid(self.NAMES, store,
+                                        total_steps=40000, executor=pool)
         assert repr(warm) == repr(cold)
         tables = CampaignStore(store).memo.stats()
         assert tables.get("pure-verdict") == len(self.NAMES)
 
     def test_changed_budget_is_a_different_key(self, tmp_path, model):
         store = str(tmp_path)
-        warm_pure_check_grid(self.NAMES[:2], store, total_steps=40000,
-                             workers=1)
-        warm_pure_check_grid(self.NAMES[:2], store, total_steps=20000,
-                             workers=1)
+        warm_pure_check_grid(self.NAMES[:2], store, total_steps=40000)
+        warm_pure_check_grid(self.NAMES[:2], store, total_steps=20000)
         tables = CampaignStore(store).memo.stats()
         assert tables["pure-verdict"] == 4
 
