@@ -92,20 +92,20 @@ def replay_main(argv):
 EXIT_INTERRUPTED = 130
 
 
-def _worker_count(text):
-    """``--workers``: a count of at least 1; anything else is a usage
-    error (exit 2) carrying the :class:`~repro.errors.ConfigError`
-    message, never a silent clamp."""
+def _workers(parser, count):
+    """The pool's worker count, resolved once here: ``--workers``, else
+    ``REPRO_CHECK_WORKERS``, else the cpu count.  A count below 1 or a
+    variable that is not a positive integer is a usage error (exit 2)
+    carrying the :class:`~repro.errors.ConfigError` message that names
+    the flag or the variable — never a silent clamp, and never a
+    traceback from inside the pool."""
     from repro.engine.executor import resolve_workers
     from repro.errors import ConfigError
 
     try:
-        return resolve_workers(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+        return resolve_workers(count)
     except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        parser.error(str(exc))
 
 
 def _campaign_verdict(store_dir, result) -> int:
@@ -138,17 +138,16 @@ def campaign_main(argv):
     parser.add_argument("--no-ni", action="store_true",
                         help="skip the per-schedule noninterference "
                              "re-run")
-    parser.add_argument("--workers", type=_worker_count,
-                        default=None)
+    parser.add_argument("--workers", type=int, default=None)
     options = parser.parse_args(argv)
+    workers = _workers(parser, options.workers)
     spec = CampaignSpec(monitor=options.monitor, seed=options.seed,
                         preemption_bound=options.preemption_bound,
                         max_schedules=options.max_schedules,
                         check_ni=not options.no_ni)
     try:
         with CampaignStore(options.store) as store:
-            result = run_durable_campaign(spec, store,
-                                          workers=options.workers)
+            result = run_durable_campaign(spec, store, workers=workers)
     except KeyboardInterrupt:
         print(f"\ninterrupted — checkpoint flushed to {options.store}; "
               f"resume with 'python -m repro resume {options.store}'",
@@ -167,12 +166,12 @@ def resume_main(argv):
         prog="python -m repro resume",
         description="resume a durable campaign from its store")
     parser.add_argument("store", help="campaign store directory")
-    parser.add_argument("--workers", type=_worker_count,
-                        default=None)
+    parser.add_argument("--workers", type=int, default=None)
     options = parser.parse_args(argv)
+    workers = _workers(parser, options.workers)
     try:
         with CampaignStore(options.store) as store:
-            result = resume_campaign(store, workers=options.workers)
+            result = resume_campaign(store, workers=workers)
     except FileNotFoundError as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
@@ -204,8 +203,7 @@ def serve_main(argv):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8731,
                         help="listen port (0 = ephemeral)")
-    parser.add_argument("--workers", type=_worker_count,
-                        default=None)
+    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--max-active", type=int, default=4,
                         help="campaigns scheduled concurrently")
     parser.add_argument("--max-queued", type=int, default=16,
@@ -223,7 +221,8 @@ def serve_main(argv):
     options = parser.parse_args(argv)
     daemon = CheckingDaemon(
         options.root, host=options.host, port=options.port,
-        workers=options.workers, max_active=options.max_active,
+        workers=_workers(parser, options.workers),
+        max_active=options.max_active,
         max_queued=options.max_queued,
         round_capacity=options.round_capacity,
         shard_timeout=options.shard_timeout,

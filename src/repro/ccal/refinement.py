@@ -25,7 +25,7 @@ Pieces:
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import RefinementFailure, SpecPreconditionError
+from repro.errors import MirError, RefinementFailure, SpecPreconditionError
 from repro.mir.interp import Interpreter
 
 
@@ -159,7 +159,14 @@ class CoSimChecker:
         same state — or ``(args, low_state, high_state)`` for relations
         across different representations.  Samples rejected by the spec's
         precondition are skipped (outside the verified domain); a
-        precondition failure *only on one side* is itself a divergence.
+        precondition failure *only on one side* is itself a divergence:
+        when the spec accepted the sample and the code side raises
+        :class:`~repro.errors.SpecPreconditionError` (the code broke a
+        callee's or a primitive's precondition) or any
+        :class:`~repro.errors.MirError` (a failed ``assert``, a stuck or
+        ill-typed step), the sample counts as checked and a
+        :class:`~repro.errors.RefinementFailure` names the function and
+        the exception.  Any other exception propagates.
 
         ``budget`` (a :class:`repro.budget.Budget`) is spent one unit
         per sample; exhaustion raises
@@ -180,10 +187,24 @@ class CoSimChecker:
             except SpecPreconditionError:
                 report.skipped += 1
                 continue
-            impl_ret, impl_state = self.impl(args, low_state)
-            failure = self._compare(args, low_state, high_state,
-                                    impl_ret, impl_state,
-                                    spec_ret, spec_state)
+            try:
+                impl_ret, impl_state = self.impl(args, low_state)
+            except (SpecPreconditionError, MirError) as exc:
+                failure = RefinementFailure(
+                    f"{self.name}: code raised {type(exc).__name__} on "
+                    f"args={args!r} where the spec returned "
+                    f"{spec_ret!r}: {exc}",
+                    counterexample={
+                        "args": args,
+                        "low_state": low_state,
+                        "high_state": high_state,
+                        "impl_error": exc,
+                        "spec_ret": spec_ret,
+                    })
+            else:
+                failure = self._compare(args, low_state, high_state,
+                                        impl_ret, impl_state,
+                                        spec_ret, spec_state)
             report.checked += 1
             if failure is not None:
                 report.failures.append(failure)

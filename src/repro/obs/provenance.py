@@ -225,14 +225,20 @@ def bundles_from_exploration(result, *, monitor_cls=None, check_ni=True,
 
 def crash_step_bundle(index, site, kind, step, *, seed=0,
                       factory=None, factory_args=(), workload=None,
-                      record=None, config=None) -> ProvenanceBundle:
+                      record=None, config=None,
+                      monitor_cls=None) -> ProvenanceBundle:
     """A bundle for one ``(hypercall, site, step)`` crash-step run on
-    ``config``; the arch travels in ``fault_plan["arch"]``.
+    ``config`` with ``monitor_cls`` (default
+    :class:`~repro.hyperenclave.monitor.RustMonitor`); the arch travels
+    in ``fault_plan["arch"]``, the monitor in ``monitor``.
 
     ``factory``/``workload`` are the campaign's dotted maker/workload
     paths (defaults: the standard lifecycle campaign); replay calls the
-    maker with ``factory_args`` and the recorded arch's ``config``.
+    maker with ``factory_args``, the recorded arch's ``config`` and,
+    when the bundle names one, the ``monitor_cls``.
     """
+    from repro.engine.executor import callable_path
+
     violation = {}
     if record is not None:
         violation = {"hypercall": record.hypercall,
@@ -242,6 +248,7 @@ def crash_step_bundle(index, site, kind, step, *, seed=0,
                      "detail": record.detail}
     return ProvenanceBundle(
         kind="crash-step", seed=seed,
+        monitor=callable_path(monitor_cls),
         fault_plan={"index": index, "site": site, "kind": kind,
                     "step": step,
                     "factory": factory or DEFAULT_WORLD_FACTORY,
@@ -342,9 +349,12 @@ def _replay_crash_step(bundle) -> ReplayOutcome:
     from repro.faults.campaign import run_crash_step_unit
 
     plan = bundle.fault_plan or {}
+    # A bundle without a monitor ran the maker's default RustMonitor.
+    monitor = {"monitor_cls": resolve_callable(bundle.monitor)} \
+        if bundle.monitor else {}
     world_factory = resolve_callable(plan["factory"])(
         *plan.get("factory_args", ()),
-        config=_arch_config(plan.get("arch")))
+        config=_arch_config(plan.get("arch")), **monitor)
     calls = resolve_callable(plan["workload"])()
     record = run_crash_step_unit(world_factory, calls, plan["index"],
                                  plan["site"], plan["kind"], plan["step"],

@@ -29,6 +29,8 @@ from repro.verification.pure_refs import (
     default_domains,
 )
 from repro.verification.code_proofs import (
+    bound_callees,
+    cosim_checker,
     low_spec_for,
     stateful_function_names,
     sample_states,
@@ -54,6 +56,7 @@ from repro.verification.harness import (
 
 __all__ = [
     "pure_reference", "pure_function_names", "default_domains",
+    "bound_callees", "cosim_checker",
     "low_spec_for", "stateful_function_names", "sample_states",
     "verify_stateful_function", "verify_pure_function", "verify_corpus",
     "CorpusReport", "FunctionVerdict",

@@ -13,6 +13,17 @@ double free...) are specification *preconditions* — samples outside them
 are skipped here and the panics themselves are pinned by dedicated
 tests, mirroring how Coq specifications are simply undefined off-domain.
 
+The checks are layer-modular, as the paper's CCAL proofs are: each
+function runs its own MIR body against the specs its callees export,
+not against their bodies.  :func:`cosim_checker` binds every direct
+callee that has a verdict of its own (:func:`bound_callees`) to that
+callee's spec — :func:`low_spec_for` for stateful callees, the pure
+reference for pure ones — next to the layer-0 primitives.  A failure
+therefore names the one function whose body disagrees with its spec,
+and a caller that breaks a callee's precondition is convicted too.  The
+one ``Hypercalls`` function keeps every body inlined: the whole-stack
+check, where a callee spec too weak for its callers still shows up.
+
 Pure functions are verified by the symbolic engine instead: every path
 explored, every assertion discharged, exhaustive bounded equivalence
 against the Python reference.
@@ -23,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.ccal.refinement import CoSimChecker, mir_impl
-from repro.ccal.spec import Spec
+from repro.ccal.spec import Spec, pure_spec
 from repro.errors import SpecPreconditionError
 from repro.hyperenclave import pte
 from repro.hyperenclave.constants import WORD_BYTES
@@ -34,8 +45,11 @@ from repro.hyperenclave.mir_model.state import (
 )
 from repro.mir.value import Aggregate, mk_tuple, mk_u64, unit
 from repro.symbolic import SymbolicUnsupported, check_equivalence, verify_assertions
-from repro.verification.pure_refs import default_domains, pure_reference
-
+from repro.verification.pure_refs import (
+    default_domains,
+    pure_function_names,
+    pure_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +354,15 @@ def low_spec_for(model, name) -> Spec:
         root = args[0].expect_aggregate("self").field(0)
         return translate_page((root,) + tuple(args[1:]), state)
 
+    @register("as_new")
+    def as_new(args, state):
+        # The handle is opaque at spec level (Sec. 3.4 case 3): the spec
+        # answers the root frame the handle's one field must hold.
+        return alloc_frame(args, state)
+
     if name not in specs:
         raise KeyError(f"no low spec for {name!r}")
-    return Spec(name=f"{name}_spec", fn=specs[name],
+    return Spec(name=name, fn=specs[name],
                 layer=model.layer_map.get(name, "?"))
 
 
@@ -526,18 +546,91 @@ def _mir_args_setup(model, name):
     return setup
 
 
-def verify_stateful_function(model, name, seed=0, count=24) -> FunctionVerdict:
-    """Co-simulate one stateful corpus function against its low spec."""
-    spec = low_spec_for(model, name)
-    impl = mir_impl(model.program, name, trusted=model.trusted,
-                    setup=_mir_args_setup(model, name))
-    checker = CoSimChecker(name=name, impl=impl, spec=spec)
-    report = checker.check(sample_states(model, name, seed=seed,
-                                         count=count))
+#: The layer whose one function is checked with every body below it
+#: inlined: the whole-stack check.
+WHOLE_STACK_LAYER = "Hypercalls"
+
+
+def bound_callees(model, name):
+    """The direct callees of ``name`` its check runs as specs, sorted.
+
+    Every callee with a verdict of its own is bound — the stateful
+    functions and the pure ones — whatever its layer: the call graph is
+    acyclic (:meth:`~repro.hyperenclave.mir_model.MirModel.check_call_order`
+    forbids upward calls and the corpus has no recursion), so a
+    same-layer callee such as ``alloc_frame → zero_frame`` is checked
+    on its own and its body is covered by its own verdict.  A function
+    of :data:`WHOLE_STACK_LAYER` binds none.
+    """
+    if model.layer_map[name] == WHOLE_STACK_LAYER:
+        return ()
+    verified = set(_STATEFUL).union(
+        pure_function_names(model.config, model.layout))
+    return tuple(sorted(
+        verified.intersection(model.program.functions[name]
+                              .called_functions())))
+
+
+def _callee_spec(model, name):
+    """The trusted stand-in for callee ``name``: its low spec when it is
+    stateful, its pure reference otherwise."""
+    if name in _STATEFUL:
+        return low_spec_for(model, name)
+    reference = pure_reference(name, model.config, model.layout)
+
+    def answer(args):
+        try:
+            return reference(*args)
+        except ValueError as exc:
+            # Off the reference's domain (a level out of range), where
+            # the MIR body panics: the caller broke the precondition.
+            raise SpecPreconditionError(f"{name}: {exc}") from None
+
+    return pure_spec(name, answer, layer=model.layer_map[name])
+
+
+def _handle_root(interp, handle):
+    """The root field behind an ``AddrSpace`` handle."""
+    return interp.memory.read(handle.path).field(0)
+
+
+def cosim_checker(model, name) -> CoSimChecker:
+    """The co-simulation checker behind stateful verdict ``name``.
+
+    The MIR side runs ``name``'s body with the layer-0 primitives and
+    the specs of its :func:`bound_callees` registered as trusted
+    functions; the spec side is :func:`low_spec_for`.  ``as_new``
+    returns a handle, so its checker reads the root field back through
+    it and compares that with the frame the spec allocates.
+    """
+    trusted = list(model.trusted) + [
+        _callee_spec(model, callee) for callee in bound_callees(model, name)]
+    impl = mir_impl(model.program, name, trusted=trusted,
+                    setup=_mir_args_setup(model, name),
+                    extract=_handle_root if name == "as_new" else None)
+    return CoSimChecker(name=name, impl=impl, spec=low_spec_for(model, name))
+
+
+def _verdict(model, name, samples) -> FunctionVerdict:
+    report = cosim_checker(model, name).check(samples)
     return FunctionVerdict(
         name=name, layer=model.layer_map[name], method="cosim",
         checked=report.checked, skipped=report.skipped,
         failures=[str(f) for f in report.failures])
+
+
+def verify_stateful_function(model, name, seed=0, count=24) -> FunctionVerdict:
+    """Co-simulate one stateful corpus function against its low spec.
+
+    The check is layer-modular (:func:`cosim_checker`): ``name``'s own
+    body runs against its callees' specs, so a failing verdict names
+    the function whose body is wrong, and a code-side panic or broken
+    callee precondition is a failure, not a crash.  A callee's body is
+    covered by its own verdict and by the whole-stack check of
+    ``hc_add_page_checked``, not on every caller's samples.
+    """
+    return _verdict(model, name,
+                    sample_states(model, name, seed=seed, count=count))
 
 
 def verify_pure_function(model, name) -> FunctionVerdict:
@@ -588,7 +681,6 @@ class CorpusReport:
 def verify_corpus(model, seed=0, cosim_samples=24,
                   include_as_new=True) -> CorpusReport:
     """Verify every corpus function with the appropriate engine."""
-    from repro.verification.pure_refs import pure_function_names
     report = CorpusReport()
     for name in pure_function_names(model.config, model.layout):
         report.verdicts.append(verify_pure_function(model, name))
@@ -602,23 +694,7 @@ def verify_corpus(model, seed=0, cosim_samples=24,
 
 
 def _verify_as_new(model) -> FunctionVerdict:
-    """as_new returns a pointer; the check is behavioural: the handle's
-    root field equals the frame the specification would have allocated,
-    and the abstract state evolved identically."""
-    ops = _Ops(model)
-    failures = []
-    state = model.initial_absstate()
-    expected_frame, expected_state = ops.alloc(state)
-    interp = model.make_interpreter(absstate=state)
-    result = interp.call("as_new")
-    handle = result.value
-    root = interp.memory.read(handle.path).field(0)
-    if root.value != expected_frame:
-        failures.append(
-            f"as_new allocated frame {root.value}, spec says "
-            f"{expected_frame}")
-    if interp.absstate != expected_state:
-        failures.append("as_new left a different abstract state than "
-                        "its specification")
-    return FunctionVerdict(name="as_new", layer="AddrSpace",
-                           method="cosim", checked=1, failures=failures)
+    """as_new returns a pointer, so it is checked on the boot state
+    alone: the handle's root field equals the frame the specification
+    allocates, and the abstract state evolved identically."""
+    return _verdict(model, "as_new", [((), model.initial_absstate())])

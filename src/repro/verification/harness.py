@@ -43,7 +43,7 @@ import itertools
 import random
 
 from repro.budget import Budget
-from repro.ccal.refinement import CheckReport, CoSimChecker, mir_impl
+from repro.ccal.refinement import CheckReport, mir_impl
 from repro.obs import trace as _trace
 from repro.errors import (
     CheckBudgetExceeded,
@@ -298,6 +298,8 @@ def check_stateful_hardened(model, name, *, max_steps=None,
                             clock=None) -> CheckReport:
     """Co-simulate one stateful function under budget, reseeding boundedly.
 
+    The checker is the layer-modular one every stateful verdict uses
+    (:func:`repro.verification.code_proofs.cosim_checker`).
     A sampled campaign is only evidence if enough samples land inside
     the spec's precondition; when fewer than ``min_checked`` do, the
     generator is reseeded and the campaign rerun — at most
@@ -306,17 +308,12 @@ def check_stateful_hardened(model, name, *, max_steps=None,
     of raising, so a caller sweeping the whole corpus cannot be hung or
     crashed by one hostile function.
     """
-    from repro.verification.code_proofs import (
-        _mir_args_setup, low_spec_for, sample_states,
-    )
+    from repro.verification.code_proofs import cosim_checker, sample_states
 
     pool = _BudgetPool(max_steps=max_steps, max_seconds=max_seconds,
                        clock=clock)
     solver_before = solver_stats()
-    spec = low_spec_for(model, name)
-    impl = mir_impl(model.program, name, trusted=model.trusted,
-                    setup=_mir_args_setup(model, name))
-    checker = CoSimChecker(name=name, impl=impl, spec=spec)
+    checker = cosim_checker(model, name)
     degradations = []
     last = None
     with _trace.span("check.stateful", name=name):

@@ -73,29 +73,42 @@ class TestResolveWorkers:
         assert message.startswith(f"workers={value}")
         assert ">= 1" in message
 
+    @pytest.mark.parametrize("bad", [
+        (["--workers", "0"], None, "workers=0: worker count must be >= 1"),
+        ([], "0", f"{WORKERS_ENV}='0': worker count must be >= 1"),
+        ([], "-2", f"{WORKERS_ENV}='-2': worker count must be >= 1"),
+        ([], "banana", f"{WORKERS_ENV}='banana': not an integer"),
+    ], ids=["flag", "env-zero", "env-negative", "env-non-integer"])
     @pytest.mark.parametrize("verb", [
         ["campaign", "--store"], ["resume"], ["serve", "--root"]],
         ids=lambda argv: argv[0])
-    def test_cli_refuses_workers_below_one(self, verb, capsys, tmp_path,
-                                           monkeypatch):
-        """``--workers 0`` is a usage error (exit 2) naming the count,
-        before any campaign or daemon starts."""
+    def test_cli_refuses_workers_below_one(self, verb, bad, capsys,
+                                           tmp_path, monkeypatch):
+        """A worker count below 1, from ``--workers`` or from
+        ``REPRO_CHECK_WORKERS`` when no flag is given, is a usage error
+        (exit 2) naming the flag or the variable, before any campaign or
+        daemon starts."""
         import repro.service
         import repro.service.daemon
         from repro.__main__ import main
 
+        flags, env, message = bad
+        if env is None:
+            monkeypatch.delenv(WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(WORKERS_ENV, env)
+
         def started(*_args, **_kwargs):
-            raise AssertionError("--workers 0 got past the parser")
+            raise AssertionError("a bad worker count got past the CLI")
 
         for module, name in ((repro.service, "run_durable_campaign"),
                              (repro.service, "resume_campaign"),
                              (repro.service.daemon, "CheckingDaemon")):
             monkeypatch.setattr(module, name, started)
         with pytest.raises(SystemExit) as excinfo:
-            main(verb + [str(tmp_path / "store"), "--workers", "0"])
+            main(verb + [str(tmp_path / "store")] + flags)
         assert excinfo.value.code == 2
-        assert "workers=0: worker count must be >= 1" in \
-            capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_config_error_is_a_repro_error(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "banana")

@@ -118,6 +118,40 @@ class TestReplay:
         outcome = replay_bundle(bundle)
         assert not outcome.matched
 
+    def test_crash_step_bundle_replays_on_its_monitor(self, tmp_path):
+        """A crash-step finding on a planted monitor replays on that
+        monitor: the NonTransactionalMonitor lets the injected fault
+        escape ``create``, where RustMonitor would roll it back."""
+        from repro.faults.campaign import (
+            crash_step_campaign,
+            crash_step_units,
+            default_workload,
+            default_world_factory,
+        )
+        from repro.hyperenclave.buggy import NonTransactionalMonitor
+
+        factory = default_world_factory(monitor_cls=NonTransactionalMonitor)
+        calls = default_workload()[:2]
+        record = crash_step_campaign(factory, calls, sites=()).runs[0]
+        assert record.outcome == "escaped:FaultInjected"
+        unit = crash_step_units(factory, calls, sites=())[0]
+        bundle = crash_step_bundle(*unit, record=record,
+                                   monitor_cls=NonTransactionalMonitor)
+        assert bundle.monitor == \
+            "repro.hyperenclave.buggy:NonTransactionalMonitor"
+        loaded = ProvenanceBundle.load(
+            bundle.save(str(tmp_path / "bundle.json")))
+        outcome = replay_bundle(loaded)
+        assert outcome.matched, outcome.summary()
+
+    def test_crash_step_bundle_without_monitor_replays_rust_monitor(self):
+        """Bundles cut before the field existed name no monitor and
+        replay on RustMonitor."""
+        (index, site, kind, step), record = _crash_step_record()
+        bundle = crash_step_bundle(index, site, kind, step, record=record)
+        assert bundle.monitor is None
+        assert replay_bundle(bundle).matched
+
     def test_crash_step_bundle_replays_on_its_own_arch(self, tmp_path):
         """A fault only VMSAv8-64 reaches: the first ``add_page``
         writes 262 words there (256-word pages) and 38 on

@@ -32,7 +32,6 @@ class TestTrustKnob:
         """walk_terminal in the TCB: its spec answers, its code never
         runs — the 'limit the scope of verification' mode."""
         walk_spec = low_spec_for(model, "walk_terminal")
-        walk_spec.name = "walk_terminal"  # dispatch by callee name
         report = checker_for_query(model,
                                    extra_trusted=[walk_spec]).check(
             sample_states(model, "query", seed=2, count=16))
@@ -46,7 +45,6 @@ class TestTrustKnob:
     def test_trusted_mode_executes_less_code(self, model):
         """The point of trusting: the callee's loop never runs."""
         walk_spec = low_spec_for(model, "walk_terminal")
-        walk_spec.name = "walk_terminal"
         samples = sample_states(model, "query", seed=3, count=1)
         (args, state), = samples
 
@@ -82,7 +80,6 @@ class TestTrustKnob:
         for boundary in ("get_or_create_next", "read_entry",
                          "write_entry"):
             spec = low_spec_for(model, boundary)
-            spec.name = boundary
             impl = mir_impl(model.program, "map_page",
                             trusted=list(model.trusted) + [spec])
             checker = CoSimChecker(f"map_page/{boundary}", impl,
