@@ -401,8 +401,7 @@ class SnapshotPlan:
             # nothing, so re-entering the step replays its pure
             # prologue exactly
             scope = task.txn_scope
-            return scope is None or (not scope.journal
-                                     and not scope.structures)
+            return scope is None or not scope.recorded()
         return False
 
     def _capture(self, sched) -> SnapshotNode:

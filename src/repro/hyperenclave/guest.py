@@ -89,7 +89,15 @@ class PrimaryOS:
     # -- guest page-table construction (plain memory writes) ------------------------------
 
     def reserve_table_frame(self) -> int:
-        """Pick an untrusted frame to hold a guest page table."""
+        """Pick an untrusted frame to hold a guest page table, zeroed.
+
+        The frame is zeroed through the EPT like any other guest store,
+        with one translation for the whole frame: the EPT maps whole
+        pages, so every word of the guest frame lands at the same
+        offset of one host frame, and :meth:`PhysMemory.zero_frame
+        <repro.hyperenclave.hardware.PhysMemory.zero_frame>` clears
+        exactly the words a store per word would.
+        """
         while self._next_table_frame in self._reserved_frames:
             self._next_table_frame += 1
         frame = self._next_table_frame
@@ -97,10 +105,8 @@ class PrimaryOS:
             raise HypervisorError("untrusted memory exhausted for GPTs")
         self._reserved_frames.add(frame)
         self._next_table_frame += 1
-        # zero it through the EPT like any other guest store
-        base = self.config.frame_base(frame)
-        for offset in range(self.config.words_per_page):
-            self.gpa_write_word(base + offset * WORD_BYTES, 0)
+        hpa = self.ept.translate(self.config.frame_base(frame), write=True)
+        self.phys.zero_frame(self.config.frame_of(hpa))
         return frame
 
     def reserve_data_frame(self) -> int:

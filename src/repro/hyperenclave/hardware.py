@@ -3,15 +3,24 @@
 The paper's testbed is real x86-64 hardware with VT-x nested paging;
 here the machine is simulated (see DESIGN.md substitutions).  Physical
 memory is a flat array of 64-bit words — deliberately the *same
-representation* as the paper's bottom-layer abstract data ("a big flat
+semantics* as the paper's bottom-layer abstract data ("a big flat
 array of integers representing the physical memory of the frame area",
 Sec. 4.1), so the flat-view specification and the machine agree by
 construction and the interesting proofs are about everything above.
+
+Every word keeps its flat address, but the words are stored by frame:
+a map from frame number to an immutable tuple of the frame's words,
+with all-zero frames absent.  The operations that cost time act on
+whole frames — zeroing, copying, the undo journal of either, clones,
+observation and hashing — and each is then one map operation on one
+tuple instead of a visit to every word.  Clones share tuples.
 """
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from itertools import compress
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.concurrency import scheduler as conc
 from repro.errors import HypervisorError
@@ -24,20 +33,26 @@ from repro.obs.metrics import REGISTRY
 #: :mod:`repro.engine.fingerprint` keeps small.
 FRAME_STATS = REGISTRY.counter_group("fingerprint", ("frames_hashed",))
 
+_MASK64 = (1 << 64) - 1
+
 
 class PhysMemory:
-    """Flat word-addressed physical memory (sparse representation).
+    """Word-addressed physical memory, stored by frame.
 
     Semantically a dense array of ``phys_bytes / 8`` words initialised to
-    zero; stored sparsely so the full x86-64 geometry (4 GiB) is as cheap
-    as the tiny one.  All views (snapshots, frame words) present the
-    dense semantics.
+    zero.  Stored as ``frame -> tuple of the frame's words`` holding only
+    the frames with a nonzero word, so the full x86-64 geometry (4 GiB)
+    is as cheap as the tiny one.  All views (snapshots, frame words)
+    present the dense semantics.
     """
 
     def __init__(self, config):
         self.config = config
         self._capacity = config.phys_bytes // WORD_BYTES
-        self._words: Dict[int, int] = {}
+        self._wpp = config.words_per_page
+        self._zero = (0,) * self._wpp
+        # frame -> its words; a frame is present iff a word is nonzero
+        self._frames: Dict[int, Tuple[int, ...]] = {}
         # Monotone mutation counter.  Every path that can change the
         # dense contents bumps it (word writes, frame ops, snapshot
         # loads, transactional undo), which is what lets the engine
@@ -60,7 +75,9 @@ class PhysMemory:
 
     def read_word(self, paddr):
         """Read the 64-bit word at byte address ``paddr`` (word-aligned)."""
-        return self._words.get(self._word_index(paddr), 0)
+        frame, offset = divmod(self._word_index(paddr), self._wpp)
+        words = self._frames.get(frame)
+        return 0 if words is None else words[offset]
 
     def write_word(self, paddr, value):
         """Write the 64-bit word at byte address ``paddr``.
@@ -72,14 +89,13 @@ class PhysMemory:
         index = self._word_index(paddr)
         conc.yield_point("phys.write", f"word {paddr:#x}")
         value = faults.filter_write(paddr, value)
-        conc.record_phys_write(index, self._words.get(index, 0))
+        frame, offset = divmod(index, self._wpp)
+        words = list(self._frames.get(frame, self._zero))
+        conc.record_phys_write(index, words[offset])
         self._version += 1
-        self._dirty_frames.add(index // self.config.words_per_page)
-        masked = value & ((1 << 64) - 1)
-        if masked == 0:
-            self._words.pop(index, None)
-        else:
-            self._words[index] = masked
+        self._dirty_frames.add(frame)
+        words[offset] = value & _MASK64
+        self._put(frame, words)
 
     def _word_index(self, paddr):
         if paddr % WORD_BYTES:
@@ -89,123 +105,162 @@ class PhysMemory:
             raise HypervisorError(f"physical address {paddr:#x} out of range")
         return index
 
+    def _put(self, frame, words: Sequence[int]):
+        """Store ``words`` as ``frame``'s contents (absent if all zero;
+        a tuple is stored as it is, shared)."""
+        if any(words):
+            self._frames[frame] = tuple(words)
+        else:
+            self._frames.pop(frame, None)
+
     # -- frame helpers --------------------------------------------------------------
     #
-    # Bulk frame operations look the running task's undo journal and the
-    # fault plane up once per frame and then work on the word dict
-    # directly; only ``copy_frame`` keeps a per-word hook, because each
-    # copied word is a ``phys.write``/``phys.flip`` fault site.
+    # Frame operations yield once per frame and look the running task's
+    # transaction scope up once; inside a transaction they take one
+    # undo record of the whole frame.  Only ``copy_frame`` under an
+    # installed fault plane goes word by word, because each copied word
+    # is a ``phys.write``/``phys.flip`` fault site.
 
-    def _frame_indices(self, frame) -> range:
-        """Word indices of one frame (range-checked like addresses)."""
+    def _check_frame(self, frame):
+        """Range-check a frame number like an address."""
         if not 0 <= frame < self.config.phys_frames:
             raise HypervisorError(f"frame {frame} out of range")
-        wpp = self.config.words_per_page
-        return range(frame * wpp, (frame + 1) * wpp)
 
     def zero_frame(self, frame):
         """Clear every word of one frame (one yield per frame).
 
-        Inside a transaction every word is journalled, zeros included:
-        a rollback must restore them even if another vCPU wrote one of
-        them in between (a lock-discipline bug).
+        Inside a transaction the frame's prior words are journalled,
+        zeros included: a rollback must restore them even if another
+        vCPU wrote one of them in between (a lock-discipline bug).
         """
-        indices = self._frame_indices(frame)
+        self._check_frame(frame)
         conc.yield_point("phys.write", f"zero frame {frame}")
         self._version += 1
         self._dirty_frames.add(frame)
-        pop = self._words.pop
-        journal = conc.txn_journal()
-        if journal is None:
-            for index in indices:
-                pop(index, None)
-        else:
-            for index in indices:
-                journal.setdefault(index, pop(index, 0))
+        old = self._frames.pop(frame, self._zero)
+        scope = conc.txn_scope()
+        if scope is not None:
+            scope.record_frame(frame, old)
 
     def copy_frame(self, dst_frame, src_frame):
         """Copy a whole frame (zeros included).
 
-        Each destination word goes through the same fault sites as
-        :meth:`write_word`, so the EADD frame copy is injectable
-        word-by-word.
+        Under an installed fault plane each destination word goes
+        through the same fault sites as :meth:`write_word`, so the EADD
+        frame copy is injectable word by word; without one the copy
+        shares the source's word tuple.
         """
-        dst = self._frame_indices(dst_frame)
-        src = self._frame_indices(src_frame)
+        self._check_frame(dst_frame)
+        self._check_frame(src_frame)
         conc.yield_point("phys.write",
                          f"copy frame {src_frame}->{dst_frame}")
         self._version += 1
         self._dirty_frames.add(dst_frame)
-        words = self._words
-        journal = conc.txn_journal()
-        plane = faults.active_plane()
-        for index, src_index in zip(dst, src):
-            value = words.get(src_index, 0)
-            if plane is not None:
+        frames = self._frames
+        src = frames.get(src_frame, self._zero)
+        scope = conc.txn_scope()
+        if faults.active_plane() is None:
+            if scope is not None:
+                scope.record_frame(dst_frame, frames.get(dst_frame,
+                                                         self._zero))
+            self._put(dst_frame, src)
+            return
+        words = list(frames.get(dst_frame, self._zero))
+        base = dst_frame * self._wpp
+        try:
+            for offset, value in enumerate(src):
+                index = base + offset
                 value = faults.filter_write(index * WORD_BYTES, value)
-            if journal is not None:
-                journal.setdefault(index, words.get(index, 0))
-            if value == 0:
-                words.pop(index, None)
-            else:
-                words[index] = value
+                if scope is not None:
+                    scope.record_word(index, words[offset])
+                words[offset] = value
+        finally:
+            # a fault part-way leaves the words copied before it
+            self._put(dst_frame, words)
 
     def frame_words(self, frame) -> Tuple[int, ...]:
         """The frame's contents as an immutable word tuple."""
-        get = self._words.get
-        return tuple([get(index, 0) for index in self._frame_indices(frame)])
+        self._check_frame(frame)
+        return self._frames.get(frame, self._zero)
+
+    def nonzero_frames(self) -> List[int]:
+        """The frames holding a nonzero word, in ascending order."""
+        return sorted(self._frames)
 
     # -- bulk views --------------------------------------------------------------------
 
     def snapshot(self):
-        """The whole memory as an immutable value (sorted nonzero words);
-        equal snapshots mean equal dense contents."""
-        return tuple(sorted(self._words.items()))
+        """The whole memory as an immutable value: ``(frame, words)``
+        for every frame holding a nonzero word, in frame order.  Equal
+        snapshots mean equal dense contents."""
+        return tuple(sorted(self._frames.items()))
 
     def nonzero_words(self) -> int:
-        """How many words are nonzero (the size of the sparse store)."""
-        return len(self._words)
+        """How many words are nonzero."""
+        wpp = self._wpp
+        return sum([wpp - words.count(0) for words in self._frames.values()])
 
-    def load_snapshot(self, items):
+    def load_snapshot(self, items: Iterable[Tuple[int, Tuple[int, ...]]]):
         """Replace the contents with a :meth:`snapshot`'s items."""
-        self._version += 1
-        self._words = dict(items)
-        self._mark_all_dirty()
+        self._replace(dict(items))
 
-    def checkpoint(self):
-        """Cheap mutable checkpoint (unsorted) for transactional rollback."""
-        return dict(self._words)
+    def checkpoint(self) -> Dict[int, Tuple[int, ...]]:
+        """Cheap checkpoint for transactional rollback (the frame map;
+        the tuples are shared, never copied)."""
+        return dict(self._frames)
 
-    def restore_checkpoint(self, checkpoint):
+    def restore_checkpoint(self, checkpoint: Dict[int, Tuple[int, ...]]):
         """Roll back to a :meth:`checkpoint` (transactional abort)."""
+        self._replace(dict(checkpoint))
+
+    def _replace(self, frames: Dict[int, Tuple[int, ...]]):
+        """Wholesale content replacement.  A frame whose tuple is not
+        the very one it held before is queued for re-hashing; the rest
+        keep their cached digests."""
         self._version += 1
-        self._words = dict(checkpoint)
-        self._mark_all_dirty()
+        current = self._frames
+        self._frames = frames
+        self._dirty_frames.update(
+            frame for frame in current.keys() | frames.keys()
+            if current.get(frame) is not frames.get(frame))
 
-    def apply_undo(self, journal):
-        """Restore journalled words (concurrent transactional rollback).
+    def apply_undo(self, frames: Mapping[int, Tuple[int, ...]],
+                   words: Mapping[int, int]):
+        """Restore journalled frames, then journalled words (concurrent
+        transactional rollback).
 
-        ``journal`` maps word index to the pre-transaction value; a zero
-        restores the sparse default.  Going through a method keeps the
-        version counter honest — the undo path used to poke ``_words``
-        directly, which would silently invalidate every cached
-        fingerprint and shared snapshot built on version equality.
+        ``frames`` maps a frame to its pre-transaction words and
+        ``words`` a word index to its pre-transaction value; a word
+        recorded on its own was recorded before any record of its
+        whole frame, so it is restored last and wins.  Going through a
+        method keeps the version counter honest: every cached
+        fingerprint and shared snapshot is built on version equality.
         """
         self._version += 1
-        wpp = self.config.words_per_page
-        for index, old_value in journal.items():
-            self._dirty_frames.add(index // wpp)
-            if old_value == 0:
-                self._words.pop(index, None)
-            else:
-                self._words[index] = old_value
+        dirty = self._dirty_frames
+        for frame, old in frames.items():
+            dirty.add(frame)
+            self._put(frame, old)
+        rows: Dict[int, List[int]] = {}
+        for index, value in words.items():
+            frame, offset = divmod(index, self._wpp)
+            row = rows.get(frame)
+            if row is None:
+                row = rows[frame] = list(self._frames.get(frame, self._zero))
+            row[offset] = value
+        for frame, row in rows.items():
+            dirty.add(frame)
+            self._put(frame, row)
 
     def clone(self):
-        """An independent copy (no yield points, no fault sites)."""
+        """An independent copy (no yield points, no fault sites); the
+        word tuples are shared."""
         new = object.__new__(type(self))
         new.config = self.config
         new._capacity = self._capacity
-        new._words = dict(self._words)
+        new._wpp = self._wpp
+        new._zero = self._zero
+        new._frames = dict(self._frames)
         new._version = self._version
         new._dirty_frames = set(self._dirty_frames)
         new._frame_fps = dict(self._frame_fps)
@@ -213,44 +268,28 @@ class PhysMemory:
 
     # -- incremental fingerprint support ------------------------------------------
 
-    def _mark_all_dirty(self):
-        """Wholesale content replacement: discard every cached frame
-        digest and queue the now-populated frames for re-hashing."""
-        self._frame_fps.clear()
-        self._dirty_frames = {index // self.config.words_per_page
-                              for index in self._words}
-
     def frame_digests(self) -> Dict[int, bytes]:
         """Per-frame blake2b-64 digests of every nonzero frame.
 
         Re-hashes only the frames dirtied since the last call and
         updates the cached table in place (frames that went all-zero
-        drop out, matching the sparse semantics).  A dirty frame's
-        content is built from its nonzero words alone: one pass over
-        the sparse store buckets the words of the dirty frames, and
-        each bucket is sorted by offset — the ``repr`` of the
-        ``(offset, word)`` tuple is the same as a scan of every word
-        index would give.  The engine's fingerprint layer folds the
-        table into one combined digest.
+        drop out, matching the sparse semantics).  A frame's digest is
+        over the ``repr`` of its ``(offset, word)`` pairs with a
+        nonzero word, in offset order.  The engine's fingerprint layer
+        folds the table into one combined digest.
         """
         dirty = self._dirty_frames
         if dirty:
             FRAME_STATS["frames_hashed"] += len(dirty)
-            wpp = self.config.words_per_page
-            buckets = {frame: [] for frame in dirty}
-            for index, value in self._words.items():
-                bucket = buckets.get(index // wpp)
-                if bucket is not None:
-                    bucket.append((index % wpp, value))
-            fps = self._frame_fps
-            for frame, content in buckets.items():
-                if content:
-                    content.sort()
-                    fps[frame] = hashlib.blake2b(
-                        repr(tuple(content)).encode(),
-                        digest_size=8).digest()
-                else:
+            frames, fps = self._frames, self._frame_fps
+            for frame in dirty:
+                words = frames.get(frame)
+                if words is None:
                     fps.pop(frame, None)
+                else:
+                    fps[frame] = hashlib.blake2b(
+                        repr(tuple(compress(enumerate(words), words)))
+                        .encode(), digest_size=8).digest()
             dirty.clear()
         return self._frame_fps
 

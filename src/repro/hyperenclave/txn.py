@@ -21,13 +21,14 @@ Two rollback strategies, same contract:
 * **Concurrent** (running as a scheduled vCPU task): a whole-monitor
   snapshot would capture — and on rollback clobber — *other vCPUs'*
   in-flight writes.  Instead each task keeps a :class:`TxnScope`: a
-  first-write-wins undo journal of physical words (fed by the
-  ``phys.write`` hooks), lazy snapshots of each lock-guarded structure
-  taken at acquire time (2PL guarantees nobody else touches it until
-  release), and a capture of the task's own CPU-local state.  Rolling
-  back undoes exactly the aborted vCPU's footprint.  Remote TLB flushes
-  already sent by a shootdown are deliberately not undone — flushing a
-  cache is always safe, and real IPIs cannot be recalled.
+  first-write-wins undo journal of physical memory (fed by the
+  ``phys.write`` hooks, one record per word or per whole frame), lazy
+  snapshots of each lock-guarded structure taken at acquire time (2PL
+  guarantees nobody else touches it until release), and a capture of
+  the task's own CPU-local state.  Rolling back undoes exactly the
+  aborted vCPU's footprint.  Remote TLB flushes already sent by a
+  shootdown are deliberately not undone — flushing a cache is always
+  safe, and real IPIs cannot be recalled.
 
 Restoration runs with the fault plane and the scheduler hooks
 suspended: rolling back must not itself trip a ``phys.write`` injection
@@ -52,7 +53,7 @@ from repro.faults import plane as faults
 class MonitorCheckpoint:
     """A full value snapshot of the mutable monitor state."""
 
-    phys: Dict[int, int]
+    phys: Dict[int, Tuple[int, ...]]            # frame -> words
     allocator: Tuple[bool, ...]
     epcm: Tuple
     enclaves: Dict[int, object]                  # eid -> Enclave (by ref)
@@ -133,12 +134,15 @@ _MISSING = object()  # enclave lock taken for an eid that did not exist
 class TxnScope:
     """The undo footprint of one in-flight concurrent hypercall.
 
-    * ``journal`` — physical words overwritten by *this* task, first
-      write wins (fed by :func:`repro.concurrency.scheduler
-      .record_phys_write` per word and through
-      :func:`repro.concurrency.scheduler.txn_journal` per frame).
-      Covers every page-table entry, frame copy, and scrub, because all
-      tables live in physical memory.
+    * ``journal`` and ``frame_journal`` — physical memory overwritten
+      by *this* task, first write wins per word.  A single word write
+      (:func:`repro.concurrency.scheduler.record_phys_write`) records
+      ``index -> old word`` in ``journal``; a frame operation records
+      ``frame -> (len(journal) at the time, old words)`` in
+      ``frame_journal``, once per frame, and a later word of a frame
+      journalled whole is already covered.  Covers every page-table
+      entry, frame copy, and scrub, because all tables live in physical
+      memory.  :meth:`word_journal` reads both back one word at a time.
     * ``structures`` — value snapshots of each lock-guarded structure,
       taken lazily when the lock is acquired.  Under strict 2PL no
       other task can have mutated a structure between acquire and
@@ -148,12 +152,50 @@ class TxnScope:
 
     vid: int
     cpu: Tuple
+    words_per_page: int
     journal: Dict[int, int] = field(default_factory=dict)
+    frame_journal: Dict[int, Tuple[int, Tuple[int, ...]]] = field(
+        default_factory=dict)
     structures: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
     def begin(cls, monitor, vid) -> "TxnScope":
-        return cls(vid=vid, cpu=monitor.cpus[vid].snapshot())
+        return cls(vid=vid, cpu=monitor.cpus[vid].snapshot(),
+                   words_per_page=monitor.phys.config.words_per_page)
+
+    def record_word(self, index, old_value):
+        """Journal one physical word about to be overwritten."""
+        if index in self.journal or (
+                self.frame_journal
+                and index // self.words_per_page in self.frame_journal):
+            return
+        self.journal[index] = old_value
+
+    def record_frame(self, frame, old_words: Tuple[int, ...]):
+        """Journal a whole frame about to be overwritten."""
+        if frame not in self.frame_journal:
+            self.frame_journal[frame] = (len(self.journal), old_words)
+
+    def word_journal(self) -> Dict[int, int]:
+        """The journal one word at a time: word index -> pre-transaction
+        value, in the order the words were first written.  A frame
+        record stands for each of its words in offset order, zeros
+        included, so this equals a journal kept word by word."""
+        words = list(self.journal.items())
+        view = {}
+        taken = 0
+        for frame, (position, old_words) in self.frame_journal.items():
+            view.update(words[taken:position])
+            taken = position
+            base = frame * self.words_per_page
+            for offset, value in enumerate(old_words):
+                view.setdefault(base + offset, value)
+        view.update(words[taken:])
+        return view
+
+    def recorded(self) -> bool:
+        """Has this scope journalled or snapshotted anything yet?"""
+        return bool(self.journal or self.frame_journal or self.structures)
 
     def snapshot_structure(self, monitor, lock_name):
         """Capture the acquire-time value of one lock-guarded structure
@@ -181,7 +223,10 @@ class TxnScope:
     def rollback(self, monitor):
         """Undo this task's footprint; leaves other vCPUs' work alone."""
         with conc.suspended(), faults.suspended():
-            monitor.phys.apply_undo(self.journal)
+            monitor.phys.apply_undo(
+                {frame: old_words for frame, (_position, old_words)
+                 in self.frame_journal.items()},
+                self.journal)
             for lock_name, value in self.structures.items():
                 if value is _MISSING:
                     continue

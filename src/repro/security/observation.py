@@ -72,13 +72,11 @@ def _observe_host(state) -> Observation:
             continue
         for _va, pa in enclave.mbuf.pages(config):
             shared_frames.add(config.frame_of(pa))
-    pages = []
-    for frame in monitor.layout.untrusted_frames:
-        if frame in shared_frames:
-            continue
-        words = monitor.phys.frame_words(frame)
-        if any(words):
-            pages.append((("untrusted", frame), words))
+    # Only frames holding a nonzero word can contribute a page.
+    layout = monitor.layout
+    pages = [(("untrusted", frame), monitor.phys.frame_words(frame))
+             for frame in monitor.phys.nonzero_frames()
+             if layout.is_untrusted(frame) and frame not in shared_frames]
     # Host-visible metadata: the lifecycle bookkeeping it drives itself.
     metadata = tuple(sorted(
         (eid, enclave.state.value, enclave.elrange_base,

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.concurrency import scheduler as conc
 from repro.errors import TranslationFault
+from repro.faults import plane as faults
 from repro.hyperenclave import pte
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import TINY, TINY_ARM
+from repro.hyperenclave.monitor import RustMonitor
 
 from tests.conftest import build_enclave_world
 
@@ -77,6 +80,61 @@ class TestGptConstruction:
                            flags=pte.leaf_flags(writable=False))
         assert primary_os.probe(app, 6 * PAGE, write=False) is not None
         assert primary_os.probe(app, 6 * PAGE, write=True) is None
+
+
+@pytest.fixture(params=[TINY, TINY_ARM], ids=["x86_64", "vmsav8_64"])
+def arch_monitor(request):
+    return RustMonitor(request.param)
+
+
+def _dirty_next_frame(monitor):
+    """DMA data into the frame the OS reserves next, at its first, a
+    middle and its last word; returns that frame."""
+    primary_os = monitor.primary_os
+    frame = primary_os._next_table_frame
+    while frame in primary_os._reserved_frames:
+        frame += 1
+    wpp = monitor.config.words_per_page
+    base = monitor.config.frame_base(frame)
+    for offset in (0, wpp // 2, wpp - 1):
+        primary_os.dma_write(base + 8 * offset, 0xA50 + offset)
+    assert sum(map(bool, monitor.phys.frame_words(frame))) == 3
+    return frame
+
+
+class TestReserveTableFrame:
+    """A reserved frame is zeroed with one translation and one frame
+    operation, not a guest store per word."""
+
+    def test_dirty_frame_comes_back_zero(self, arch_monitor):
+        frame = _dirty_next_frame(arch_monitor)
+        assert arch_monitor.primary_os.reserve_table_frame() == frame
+        assert arch_monitor.phys.frame_words(frame) == \
+            (0,) * arch_monitor.config.words_per_page
+
+    def test_yields_one_phys_write_per_frame(self, arch_monitor):
+        frame = _dirty_next_frame(arch_monitor)
+        box = {}
+
+        def task():
+            box["frame"] = arch_monitor.primary_os.reserve_table_frame()
+
+        result = conc.DeterministicScheduler(arch_monitor, [task]).run()
+        assert not result.task_errors
+        assert box["frame"] == frame
+        assert [(y.kind, y.detail) for y in result.yields
+                if y.kind == "phys.write"] == \
+            [("phys.write", f"zero frame {frame}")]
+        assert not any(arch_monitor.phys.frame_words(frame))
+
+    def test_zeroing_is_no_fault_site(self, arch_monitor):
+        frame = _dirty_next_frame(arch_monitor)
+        plane = faults.FaultPlane(record_only=True)
+        with faults.installed(plane):
+            assert arch_monitor.primary_os.reserve_table_frame() == frame
+        assert plane.counts.get(faults.SITE_PHYS_WRITE, 0) == 0
+        assert plane.counts.get(faults.SITE_PHYS_FLIP, 0) == 0
+        assert not any(arch_monitor.phys.frame_words(frame))
 
 
 class TestAdversarialReach:

@@ -151,19 +151,27 @@ class DensePhys:
                        self.words[src * self.wpp + offset])
 
     def load(self, items):
+        """Load a :meth:`PhysMemory.snapshot`: ``(frame, words)`` pairs."""
         self.words = [0] * len(self.words)
-        for index, value in items:
-            self.words[index] = value
+        for frame, words in items:
+            self.words[frame * self.wpp:(frame + 1) * self.wpp] = words
 
     def rollback(self):
         for index, value in self.journal.items():
             self.words[index] = value
 
     def snapshot(self):
-        return tuple((i, v) for i, v in enumerate(self.words) if v)
+        return tuple((frame, self.frame_words(frame))
+                     for frame in range(len(self.words) // self.wpp)
+                     if any(self.frame_words(frame)))
 
     def frame_words(self, frame):
         return tuple(self.words[frame * self.wpp:(frame + 1) * self.wpp])
+
+    def nonzero_frames(self):
+        """The frames holding a nonzero word (operations only touch
+        :data:`FRAMES`)."""
+        return [frame for frame in FRAMES if any(self.frame_words(frame))]
 
     def frame_digests(self):
         """The digest of every nonzero frame, recomputed from the words
@@ -270,7 +278,23 @@ def _apply(machine, ref, ops, eager):
             assert machine.phys.frame_digests() == ref.frame_digests()
         for frame in FRAMES:
             assert machine.phys.frame_words(frame) == ref.frame_words(frame)
+        assert machine.phys.nonzero_frames() == ref.nonzero_frames()
     return left
+
+
+def _check_txn(machine, ref, scope):
+    """The store matches the reference inside the transaction (its
+    per-word journal included, entry for entry and in order) and again
+    after both roll back."""
+    phys = machine.phys
+    assert phys.snapshot() == ref.snapshot()
+    assert list(scope.word_journal().items()) == list(ref.journal.items())
+    assert phys.frame_digests() == ref.frame_digests()
+    scope.rollback(machine)
+    ref.rollback()
+    assert machine.phys.snapshot() == ref.snapshot()
+    assert machine.phys.frame_digests() == ref.frame_digests()
+    assert machine.phys.nonzero_frames() == ref.nonzero_frames()
 
 
 class TestFrameOpsDifferential:
@@ -311,14 +335,51 @@ class TestFrameOpsDifferential:
         for old, snapshot, digests in left:
             assert old.snapshot() == snapshot
             assert old.frame_digests() == digests
-        phys = machine.phys
-        assert phys.snapshot() == ref.snapshot()
-        assert list(scope.journal.items()) == list(ref.journal.items())
-        assert phys.frame_digests() == ref.frame_digests()
-        scope.rollback(machine)
-        ref.rollback()
-        assert machine.phys.snapshot() == ref.snapshot()
-        assert machine.phys.frame_digests() == ref.frame_digests()
+        _check_txn(machine, ref, scope)
+
+    @pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                             ids=["x86_64", "vmsav8_64"])
+    @pytest.mark.parametrize("case", ["rewrite", "unjournalled", "copy"])
+    def test_frame_records_roll_back_like_word_records(self, config, case):
+        """The orders in which a frame record meets word writes, with
+        frame 2 holding 5 at word 3 and 8 at word 4 before the
+        transaction:
+
+        * ``rewrite``: write word 3, zero frame 2, write words 3 and 4;
+          the rollback gives word 3 its pre-transaction value, not the
+          one the frame record saw, and word 4 the frame record's.
+        * ``unjournalled``: zero frame 2, then write its word 5 (zero
+          before) with the journal suspended, as another vCPU would
+          under a lock-discipline bug; the rollback makes it zero.
+        * ``copy``: plane-free ``copy_frame`` over written words.
+        """
+        wpp = config.words_per_page
+        machine, ref = _machine(config), DensePhys(config)
+        _apply(machine, ref, [("fill", 1, 7), ("write", (2, 3), 5),
+                              ("write", (2, 4), 8)], eager=False)
+        ref.journal.clear()
+        ops = {
+            "rewrite": [("write", (2, 3), 9), ("zero", 2),
+                        ("write", (2, 3), 11), ("write", (2, 4), 12)],
+            "unjournalled": [("zero", 2)],
+            "copy": [("write", (5, 1), 4), ("copy", 5, 1),
+                     ("write", (5, 1), 6), ("copy", 2, 5)],
+        }[case]
+        stray = 2 * wpp + 5
+
+        def body():
+            _apply(machine, ref, ops, eager=True)
+            if case == "unjournalled":
+                with conc.suspended():
+                    machine.phys.write_word(8 * stray, 13)
+                ref.words[stray] = 13
+
+        scope = TxnScope.begin(machine, 0)
+        _in_txn(machine, scope, body)
+        _check_txn(machine, ref, scope)
+        base = config.frame_base(2)
+        assert [machine.phys.read_word(base + 8 * offset)
+                for offset in (3, 4, 5)] == [5, 8, 0]
 
     @pytest.mark.parametrize("config", [TINY, TINY_ARM],
                              ids=["x86_64", "vmsav8_64"])

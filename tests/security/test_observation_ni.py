@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hyperenclave import buggy
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import TINY, TINY_ARM
 from repro.hyperenclave.monitor import HOST_ID, RustMonitor
 from repro.security import (
     DataOracle, Hypercall, LocalCompute, MemLoad, MemStore, SystemState,
@@ -81,6 +81,56 @@ class TestObservation:
         state, _, eid = make_state()
         state.monitor.hc_destroy(eid)
         assert observe(state, eid).metadata == ("destroyed",)
+
+
+def _scan_untrusted_pages(state):
+    """The host's memory pages by a scan of every untrusted frame, the
+    way ``observe`` read them before it consulted only the frames that
+    hold data: kept here as the reference."""
+    monitor = state.monitor
+    config = monitor.config
+    shared_frames = set()
+    for enclave in monitor.enclaves.values():
+        if enclave.mbuf is None:
+            continue
+        for _va, pa in enclave.mbuf.pages(config):
+            shared_frames.add(config.frame_of(pa))
+    pages = []
+    for frame in monitor.layout.untrusted_frames:
+        if frame in shared_frames:
+            continue
+        words = monitor.phys.frame_words(frame)
+        if any(words):
+            pages.append((("untrusted", frame), words))
+    return tuple(pages)
+
+
+@pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                         ids=["x86_64", "vmsav8_64"])
+def test_host_view_matches_a_scan_of_every_untrusted_frame(config):
+    """Data in untrusted, marshalling-buffer and secure frames, and an
+    untrusted frame written and then cleared: the host sees exactly
+    what a scan of every untrusted frame shows."""
+    monitor, app, eid = build_enclave_world(secret=0x41, config=config)
+    state = SystemState(monitor, oracle=DataOracle.seeded(7))
+    page = config.page_size
+    primary_os = monitor.primary_os
+    primary_os.store(app, 12 * page, 0x1234)          # marshalling buffer
+    data = config.frame_of(primary_os.app_map_data(app, 6 * page))
+    primary_os.store(app, 6 * page, 0x77)
+    cleared = config.frame_base(primary_os.reserve_data_frame())
+    primary_os.gpa_write_word(cleared + 8, 0x99)
+    primary_os.gpa_write_word(cleared + 8, 0)
+    mbuf = config.frame_of(monitor.enclaves[eid].mbuf.pa_base)
+    assert monitor.phys.frame_words(mbuf)[0] == 0x1234
+    assert any(any(monitor.phys.frame_words(frame))
+               for frame in monitor.layout.secure_frames)
+    pages = observe(state, HOST_ID).memory_pages
+    assert pages == _scan_untrusted_pages(state)
+    seen = {page_id[1] for page_id, _words in pages}
+    assert data in seen
+    assert mbuf not in seen
+    assert config.frame_of(cleared) not in seen
 
 
 class TestLemma52Integrity:
