@@ -38,11 +38,6 @@ from repro.concurrency.locks import (
     lock_rank,
     order_locks,
 )
-from repro.concurrency.arena import (
-    FiberArena,
-    process_arena,
-    reset_process_arena,
-)
 from repro.concurrency.scheduler import (
     BRANCH_KINDS,
     SCHED_STATS,
@@ -53,7 +48,6 @@ from repro.concurrency.scheduler import (
     Schedule,
     Task,
     YieldPoint,
-    acquire_locks,
     active_scheduler,
     current_task,
     current_vid,
@@ -80,7 +74,6 @@ __all__ = [
     "Decision",
     "DeterministicScheduler",
     "ExplorationResult",
-    "FiberArena",
     "LOCK_ENCLAVES",
     "LOCK_EPCM",
     "LOCK_FRAMES",
@@ -92,7 +85,6 @@ __all__ = [
     "Task",
     "Violation",
     "YieldPoint",
-    "acquire_locks",
     "active_scheduler",
     "current_task",
     "current_vid",
@@ -105,10 +97,8 @@ __all__ = [
     "lock_rank",
     "locality_key",
     "order_locks",
-    "process_arena",
     "process_tree",
     "record_phys_write",
-    "reset_process_arena",
     "reset_process_tree",
     "release_locks",
     "replay",

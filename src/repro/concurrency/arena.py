@@ -1,12 +1,15 @@
 """Reusable fiber arena for the deterministic scheduler.
 
-The scheduler runs almost every script step as a plain
-function call on the scheduling loop's own thread.  The exception is a
-step that might genuinely context-switch mid-stack — a pending forced
-preemption, or a lock already held somewhere — which needs a real call
-stack that can block while the loop keeps scheduling.  A :class:`Fiber`
-is that stack: a parked daemon thread that executes one step at a time
-on request and can suspend itself cooperatively at a yield point.
+The scheduler's script driver owns every park outside a hypercall
+body (``step``, ``lock.acquire``, ``hc.return``) and runs almost every
+body as a plain function call on the scheduling loop's own thread.  The
+exception is a body that starts while a forced preemption is still
+pending: it may be interrupted mid-stack — at a ``shootdown.ipi``, or
+at a ``phys.write`` a hand-made schedule forces — so it needs a real
+call stack that can block while the loop keeps scheduling (an opaque
+callable task in the same position gets one too).  A :class:`Fiber` is
+that stack: a parked daemon thread that executes one body at a time on
+request and can suspend itself cooperatively at a yield point.
 
 Fibers are **pooled per process** (:class:`FiberArena`): a schedule
 that needs one borrows it, runs the step, and returns it, so the

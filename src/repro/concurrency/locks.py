@@ -12,10 +12,10 @@ lock name               guards
 ``frames``              the page-table frame allocator bitmap
 ======================  =============================================
 
-Every hypercall pre-declares the locks it needs (strict two-phase
-locking: all acquires up front in rank order, all releases at hypercall
-return), which makes deadlock impossible by construction and makes the
-three discipline rules checkable:
+Every hypercall declares its lock set next to its body (strict
+two-phase locking: all acquires up front in rank order, all releases
+at hypercall return), which makes deadlock impossible by construction
+and makes the three discipline rules checkable:
 
 1. **global lock order** — acquires must be strictly rank-ascending
    within one hypercall,
@@ -25,11 +25,12 @@ three discipline rules checkable:
    of a guarded structure asserts its lock is held by the executing
    vCPU.
 
-The :class:`LockManager` enforces blocking/mutual exclusion always; the
-*discipline* rules are recorded (campaign mode, the default — so a
-buggy monitor keeps running and its downstream damage stays observable)
-or raised as :class:`~repro.errors.LockProtocolViolation` (strict
-mode).
+The scheduler's script driver takes a step's declared set before the
+body runs, parking at one ``lock.acquire`` yield per lock until it is
+free; a hypercall entered any other way takes its set on entry,
+without a yield.  The :class:`LockManager` enforces mutual exclusion
+always and records discipline breaches, so a buggy monitor keeps
+running and its downstream damage stays observable.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -68,17 +69,13 @@ class LockManager:
     """Mutual exclusion plus the three-rule discipline checker.
 
     Mutual exclusion is always enforced (``would_block`` /
-    ``acquire``); discipline breaches are appended to ``violations``
-    unless ``strict`` is set, in which case they raise immediately.
+    ``acquire``); discipline breaches are appended to ``violations``.
     """
 
-    def __init__(self, strict=False):
-        self.strict = strict
+    def __init__(self):
         self._owner: Dict[str, int] = {}          # lock -> vid
         self._held: Dict[int, List[str]] = {}     # vid -> locks, in order
         self.violations: List[LockProtocolViolation] = []
-        self.acquisitions = 0
-        self.contentions = 0
 
     # -- queries ------------------------------------------------------------------
 
@@ -116,7 +113,6 @@ class LockManager:
                           f"{' < '.join(order_locks(held + [name]))})")
         self._owner[name] = vid
         held.append(name)
-        self.acquisitions += 1
         _trace.event("lock.acquire", vid=vid, lock=name,
                      held=len(held))
 
@@ -146,7 +142,4 @@ class LockManager:
                           f"still holds {list(held)} at {where}")
 
     def _violate(self, rule, vid, message):
-        violation = LockProtocolViolation(rule, vid, message)
-        if self.strict:
-            raise violation
-        self.violations.append(violation)
+        self.violations.append(LockProtocolViolation(rule, vid, message))

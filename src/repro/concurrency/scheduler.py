@@ -1,23 +1,27 @@
 """Deterministic cooperative multi-vCPU scheduler.
 
 Instrumented code inside the monitor calls :func:`yield_point` at every
-lock acquire, lock release (hypercall return), physical-memory write,
-shootdown IPI, and security-model step; each such call hands control to
-the scheduler, which picks the next vCPU.  Because the *only*
-scheduling freedom in the whole system is that choice at each decision
-point, an execution is fully determined by its :class:`Schedule` — a
-seed, a tuple of preemptions, and an optional vCPU crash — which is
-what makes every explored interleaving replayable from a single small
-value.
+physical-memory write and shootdown IPI; the scheduler's script driver
+adds its own yields at every security-model step, lock acquire and
+hypercall return.  Each yield hands control to the scheduler, which
+picks the next vCPU.  Because the *only* scheduling freedom in the
+whole system is that choice at each decision point, an execution is
+fully determined by its :class:`Schedule` — a seed, a tuple of
+preemptions, and an optional vCPU crash — which is what makes every
+explored interleaving replayable from a single small value.
 
 Every vCPU is driven as a generator continuation by one plain-Python
-loop on the calling thread.  A step whose scheduling is already
-settled — no forced preemption pending, no lock held anywhere — is a
-plain function call (its yields resolve inline, see
-:meth:`DeterministicScheduler._decide_inline`); a step that might
-genuinely context-switch mid-stack borrows a pooled fiber from
-:mod:`repro.concurrency.arena`.  No thread is created or joined per
-run, and the common case does zero ``Event`` handoffs.
+loop on the calling thread.  The driver owns every suspension outside
+a hypercall body: it parks at the ``step`` yield, takes the step's
+declared lock plan one ``lock.acquire`` park at a time, runs the body,
+and parks at ``hc.return``.  A body can therefore suspend only where
+it is really interrupted — at a ``shootdown.ipi``, or at a
+``phys.write`` a hand-made schedule forces.  A body that starts while
+a forced preemption is still pending borrows a pooled fiber from
+:mod:`repro.concurrency.arena` so it can suspend mid-stack; every other
+body is a plain function call whose yields resolve inline (see
+:meth:`DeterministicScheduler._decide_inline`).  No thread is created
+or joined per run.
 
 The module doubles as the instrumentation plane (mirroring
 ``repro.faults.plane``): all hooks are module-level functions that
@@ -33,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.arena import process_arena
 from repro.concurrency.locks import LockManager
-from repro.errors import FaultInjected
+from repro.errors import FaultInjected, LockProtocolViolation
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which the interleaving explorer considers preempting.
@@ -45,6 +49,10 @@ BRANCH_KINDS = frozenset(
 
 #: Synthetic fault site used when a schedule crashes a vCPU.
 VCPU_CRASH_SITE = "vcpu.crash"
+
+#: How long either side of a fiber handoff waits for the other before
+#: the run is declared hung.
+FIBER_TIMEOUT_S = 60.0
 
 #: Scheduler telemetry, surfaced through ``/metrics`` next to the
 #: ``snapshot_cache.*`` family.  ``handoffs`` counts fiber start/resume
@@ -136,20 +144,6 @@ class Task:
     done: bool = False
     exc: Optional[BaseException] = None
     txn_scope: Optional[object] = None
-    # Set by a snapshot-tree restore: the task is parked *inside* its
-    # current script step, so the first ``resume_swallow`` yields it
-    # re-executes were already recorded (and crash-checked) in the
-    # cached prefix and are silently consumed instead of being recorded
-    # again (1 for a ``step`` park, 2 for a ``lock.acquire`` park —
-    # the step yield plus the acquire yield).
-    resume_swallow: int = 0
-    # Also set by a restore, for a task parked at ``hc.return``: its
-    # script position was seeded *post-advance* (the next step to run),
-    # unlike a live park where the position still names the step in
-    # flight.  Snapshot capture consults this so it doesn't advance the
-    # position a second time; cleared the moment the task records a new
-    # yield of its own.
-    restored_return: bool = False
 
 
 @dataclass
@@ -179,15 +173,15 @@ class DeterministicScheduler:
     """Runs one :class:`Schedule` over a set of vCPU workloads.
 
     ``workloads`` is either a list of callables (``workloads[i]``
-    becomes vCPU ``i``'s task) or a step-drivable workload object
-    exposing ``scripts``/``positions``/``run_step``/``advance``/
-    ``steps_remaining`` (see
-    :class:`~repro.faults.campaign.ScriptWorkloads`) — the latter lets
-    the loop drive scripts step by step and the snapshot tree
-    park/restore tasks between steps.  ``probe``, if given, is called
-    with the monitor after every decision — outside any task, so it
-    must not hit any yield points — and returns an iterable of
-    findings (the stale-translation detector).
+    becomes vCPU ``i``'s task, one opaque step) or a step-drivable
+    workload object exposing ``scripts``/``positions``/
+    ``steps_remaining``/``plan_step``/``count_step``/``run_step``/
+    ``advance`` (see :class:`~repro.faults.campaign.ScriptWorkloads`) —
+    the latter lets the loop drive scripts step by step and the
+    snapshot tree park/restore tasks between driver yields.  ``probe``,
+    if given, is called with the monitor after every decision — outside
+    any task, so it must not hit any yield points — and returns an
+    iterable of findings (the stale-translation detector).
 
     Every not-done task gets a *driver generator* (:meth:`_drive`) and
     the loop simply ``next()``s the chosen task's driver at each
@@ -195,37 +189,35 @@ class DeterministicScheduler:
     must be made by the loop — i.e. when the pick at a yield point is
     *not* the yielding task itself.
 
-    The load-bearing dichotomy is decided at each step boundary
-    (:meth:`_can_inline`): once every forced preemption index is behind
-    ``len(decisions)`` (monotone — decisions only grow) and no lock is
-    held anywhere, a step's every yield must pick the running task
-    itself: ``_pick`` falls through *forced* (none pending) to *last*
-    (the running task), and the running task can never be lock-blocked
-    because only its own locks exist.  Such a step is executed as a
-    plain function call — its yields resolve through
-    :meth:`_decide_inline` with zero control transfers.  A step that
-    cannot be proven settled runs on a pooled fiber
+    For a script the driver does, per step and in this order
+    (:meth:`_script_body`): park at ``step``; count the step; park at
+    one ``lock.acquire`` per lock of the step's declared plan, in
+    global order, and take it; run the body; park at ``hc.return``
+    once a transactional hypercall released its locks
+    (:meth:`_release_locks` defers that yield to the driver).  The
+    transaction scope opens inside the body, after the whole plan is
+    held.  Every driver park has an empty stack under it, which is what
+    makes those parks capture-eligible for the snapshot tree.
+
+    The body's own yields (``phys.write``, ``shootdown.ipi``) are the
+    only ones with a stack under them.  Once every forced preemption
+    index is behind ``len(decisions)`` (monotone — decisions only grow)
+    each of them must pick the running task itself: ``_pick`` falls
+    through *forced* (none pending) to *last* (the running task), and
+    a body never waits for a lock because its whole plan is held
+    before it starts.  Such a body runs as a plain function call, its
+    yields resolved through :meth:`_decide_inline` with zero control
+    transfers (:meth:`_can_inline`).  A body that starts while a forced
+    preemption is pending runs on a pooled fiber
     (:mod:`repro.concurrency.arena`), which can suspend mid-stack under
     strict token passing.
-
-    For step-drivable workloads the ``hc.return`` yield is *hoisted* to
-    the driver: :meth:`_release_locks` releases the locks and defers
-    the yield, and the driver emits it after the step's stack has fully
-    unwound — which is what makes tasks parked at ``hc.return``
-    capture-eligible for the snapshot tree (no stack to clone).
-    Nothing observable runs between the in-stack site and the hoisted
-    one: the post-release tail of a hypercall is pure bookkeeping
-    (``check_none_held`` after ``release_all`` cannot fire, and a
-    rejected ``StepOutcome`` is returned to a caller that discards it).
     """
 
-    def __init__(self, monitor, workloads, schedule=None, *,
-                 lock_manager=None, probe=None, timeout=60.0):
+    def __init__(self, monitor, workloads, schedule=None, *, probe=None):
         self.monitor = monitor
         self.schedule = schedule if schedule is not None else Schedule()
-        self.locks = lock_manager if lock_manager is not None else LockManager()
+        self.locks = LockManager()
         self.probe = probe
-        self.timeout = timeout
         if hasattr(workloads, "run_step"):
             self.script_workloads = workloads
             fns = [None] * len(workloads.scripts)
@@ -340,18 +332,9 @@ class DeterministicScheduler:
         self._last = chosen.vid
         return chosen
 
-    def _record_yield(self, task, kind, detail) -> bool:
+    def _record_yield(self, task, kind, detail):
         """The front half of every yield: the record, the crash check,
-        the pending-kind update.  Returns True when the yield was a
-        snapshot-restore swallow (execution just continues)."""
-        if task.resume_swallow:
-            # Snapshot restore: this yield is the cached prefix's park
-            # point being re-reached; everything about it — the yield
-            # record, the crash check, the scheduling decision — is
-            # already seeded.  Consume it and keep executing.
-            task.resume_swallow -= 1
-            return True
-        task.restored_return = False
+        the pending-kind update."""
         task.yield_index += 1
         self.yields.append(YieldPoint(
             vid=task.vid, yield_index=task.yield_index, kind=kind,
@@ -366,7 +349,6 @@ class DeterministicScheduler:
             raise _VCpuParked()
         task.pending_kind = kind
         task.pending_detail = detail
-        return False
 
     def _decide_inline(self, task) -> bool:
         """Decide the next step from inside the yielding task itself.
@@ -411,9 +393,10 @@ class DeterministicScheduler:
     # -- hook dispatch ----------------------------------------------------------
 
     def _task_yield(self, task, kind, detail):
-        """Record the yield; decide inline or park the task's fiber."""
-        if self._record_yield(task, kind, detail):
-            return
+        """A yield with a stack under it (a body's, or an opaque
+        callable's): record it, then decide inline or park the task's
+        fiber."""
+        self._record_yield(task, kind, detail)
         if self._decide_inline(task):
             return
         fiber = self._fiber_of.get(task.vid)
@@ -421,7 +404,7 @@ class DeterministicScheduler:
             raise RuntimeError(
                 f"scheduler invariant violated: vcpu{task.vid} needed a "
                 f"context switch at {kind!r} inside an inline step")
-        fiber.park(self.timeout)
+        fiber.park(FIBER_TIMEOUT_S)
 
     def _release_locks(self, task, where):
         """Drop the task's locks; defer the hc.return yield if scripted."""
@@ -441,8 +424,7 @@ class DeterministicScheduler:
     # -- the inline/fiber dichotomy ---------------------------------------------
 
     def _can_inline(self) -> bool:
-        return (len(self.decisions) > self._max_forced
-                and not self.locks.any_held())
+        return len(self.decisions) > self._max_forced
 
     # -- drivers ----------------------------------------------------------------
 
@@ -469,10 +451,24 @@ class DeterministicScheduler:
             task.done = True
 
     def _script_body(self, task):
+        """One script, step by step, in the order the class docstring
+        gives.  A task restored from a snapshot node enters just past
+        the park its ``pending_kind`` names (``task.start`` is the top)
+        and re-executes nothing."""
         workloads = self.script_workloads
         vid = task.vid
+        resume = task.pending_kind
+        if resume == "hc.return":
+            workloads.advance(vid)
         while workloads.steps_remaining(vid):
+            detail, hypercall, locks = workloads.plan_step(vid)
+            if resume not in ("step", "lock.acquire"):
+                yield from self._emit(task, "step", detail)
+            if resume != "lock.acquire":
+                workloads.count_step()
             try:
+                yield from self._acquire(task, hypercall, locks,
+                                         resume == "lock.acquire")
                 if self._can_inline():
                     workloads.run_step(vid)
                 else:
@@ -481,8 +477,8 @@ class DeterministicScheduler:
             finally:
                 # Emit a deferred hc.return even while an exception
                 # unwinds the step (a crashed vCPU's _VCpuParked): the
-                # yield belongs to the hypercall wrapper's finally, so
-                # a crashed vCPU still records it.
+                # yield belongs to the hypercall's return, so a crashed
+                # vCPU still records it.
                 where = self._deferred.pop(vid, None)
                 if where is not None:
                     try:
@@ -491,6 +487,32 @@ class DeterministicScheduler:
                         self.locks.check_none_held(
                             vid, f"return from {where}")
             workloads.advance(vid)
+            resume = None
+
+    def _acquire(self, task, hypercall, locks, parked):
+        """Take a step's lock plan in global order, parking at one
+        ``lock.acquire`` yield before each lock; the loop only picks a
+        task whose awaited lock is free.  ``parked``: a restored task
+        was captured at the first of these parks (captures hold no
+        lock), so it takes that lock without parking again.
+
+        A crash delivered at one of these parks stops ``hypercall``
+        before its body and its transaction begin, so there is nothing
+        to roll back: the vCPU drops what it holds and still returns.
+        """
+        vid = task.vid
+        try:
+            for name in locks:
+                task.waiting_lock = name
+                if not parked:
+                    yield from self._emit(task, "lock.acquire", name)
+                parked = False
+                task.waiting_lock = None
+                self.locks.acquire(vid, name)
+        except FaultInjected:
+            self.locks.release_all(vid)
+            self._deferred[vid] = hypercall
+            raise
 
     def _callable_body(self, task):
         # An opaque callable is one indivisible "step": the inline
@@ -503,11 +525,9 @@ class DeterministicScheduler:
 
     def _emit(self, task, kind, detail):
         """A driver-level yield point (empty stack below it)."""
-        if self._record_yield(task, kind, detail):
-            return
-        if self._decide_inline(task):
-            return
-        yield
+        self._record_yield(task, kind, detail)
+        if not self._decide_inline(task):
+            yield
 
     def _fiber_step(self, task, fn):
         """Run one step on a pooled fiber, yielding to the loop at
@@ -519,11 +539,11 @@ class DeterministicScheduler:
         self._fiber_of[task.vid] = fiber
         try:
             SCHED_STATS["handoffs"] += 1
-            status, exc = fiber.start(fn, self.timeout)
+            status, exc = fiber.start(fn, FIBER_TIMEOUT_S)
             while status == "parked":
                 yield
                 SCHED_STATS["handoffs"] += 1
-                status, exc = fiber.resume(self.timeout)
+                status, exc = fiber.resume(FIBER_TIMEOUT_S)
         finally:
             self._fiber_of.pop(task.vid, None)
             process_arena().release(fiber)
@@ -595,28 +615,27 @@ def yield_point(kind, detail=None):
     sched._task_yield(task, kind, detail)
 
 
-def acquire_locks(monitor, names):
-    """Pre-acquire ``names`` in global order (strict 2PL entry).
-
-    Blocks (by parking at a ``lock.acquire`` yield that the scheduler
-    only resumes once the lock is free) rather than spinning, so the
-    enabled-set the explorer sees is exact.
-    """
+def take_locks(names):
+    """Hold ``names`` for the running vCPU without a yield: the entry of
+    a transactional hypercall.  Under the script driver the step's plan
+    is already held and this takes nothing; an opaque task takes the
+    plan here, and another vCPU holding one of the locks is a
+    :class:`~repro.errors.LockProtocolViolation`."""
     sched = _ACTIVE
     if sched is None or _suspended():
         return
     task = sched._current
     if task is None:
         return
-    from repro.concurrency.locks import order_locks
-    for name in order_locks(names):
-        task.waiting_lock = name
-        sched._task_yield(task, "lock.acquire", name)
-        task.waiting_lock = None
+    for name in names:
+        owner = sched.locks.owner_of(name)
+        if owner == task.vid:
+            continue
+        if owner is not None:
+            raise LockProtocolViolation(
+                "contended-entry", task.vid,
+                f"entered a hypercall while vCPU {owner} holds {name!r}")
         sched.locks.acquire(task.vid, name)
-        scope = task.txn_scope
-        if scope is not None:
-            scope.snapshot_structure(monitor, name)
 
 
 def release_locks(where):

@@ -13,27 +13,20 @@ the structured clone layer and executes only the suffix.
 Correctness rests on three properties:
 
 * **Snapshot-safe decision points.**  A node is taken only when every
-  live vCPU's continuation is reconstructible from its script position
-  alone.  That is always true at a ``step`` or ``task.start`` park (no
-  lock held or waited on, no transaction in flight): the ``step`` yield
-  sits at the very top of ``apply_step``, before any mutation, so the
-  parked task's continuation is "run the rest of my script".  Two more
-  park kinds qualify — a ``hc.return`` park (the hypercall fully
-  committed and its locks released; the scheduler hoists this yield to
-  an empty stack, and a restored task simply starts the *next* step)
-  and a ``lock.acquire`` park on the task's *first* lock (nothing
-  journalled, nothing snapshotted, the transaction scope still empty —
-  re-entering the step replays its pure prologue exactly).  Parks at
-  ``phys.write``/``shootdown.ipi`` stay ineligible by design: they sit
-  inside an open transaction whose journal and structure snapshots
-  cannot be re-seeded soundly (and under a buggy lock-free monitor the
-  prologue before them is not replay-pure).  Restored tasks re-enter
-  the step they were parked in; ``resume_swallow`` consumes the
-  re-executed park-point yields (already recorded, already
-  crash-checked) instead of double-recording them — one yield for a
-  ``step`` park, two (step + acquire) for a ``lock.acquire`` park,
-  whose re-entered ``step_count`` bump :meth:`SnapshotNode.apply_to`
-  compensates.
+  live vCPU is parked in its scheduler driver, with an empty stack
+  under it, and no lock is held anywhere.  The driver's parks are the
+  ``step`` yield, each ``lock.acquire`` of the step's declared lock
+  plan, and ``hc.return`` (see
+  :class:`~repro.concurrency.scheduler.DeterministicScheduler`); a
+  task that has not started yet sits at ``task.start``.  A task parked
+  there is its script position plus that park, and a restored task
+  resumes its driver just past the park its ``pending_kind`` names:
+  nothing re-executes and nothing is counted twice.  With no lock
+  held, a ``lock.acquire`` park is the plan's first and no
+  transaction is open.  Parks at ``phys.write``/``shootdown.ipi`` sit
+  inside a hypercall body, with a stack and an open transaction whose
+  journal and structure snapshots cannot be re-seeded soundly, and
+  stay ineligible.
 * **Deterministic prefix prediction.**  A child's trace prefix equals
   its parent's trace up to the forced decision plus the forced vid, so
   a side index of recorded traces keyed by ``(world key, preemptions)``
@@ -73,9 +66,9 @@ and warm it across waves; a durable campaign resumed after ``kill -9``
 starts new workers whose trees are rebuilt from live execution, so
 pre-crash snapshots are structurally impossible to reuse.  Runs with no
 campaign bound — single-schedule ``replay``, provenance bundles, the
-crash-in-critical-section sweep, custom workloads — capture nothing,
-and :func:`~repro.faults.campaign.execute_interleaved` runs each of
-them from a plain prototype clone.
+crash-in-critical-section sweep — capture nothing, and
+:func:`~repro.faults.campaign.execute_interleaved` runs each of them
+from a plain prototype clone.
 """
 
 import os
@@ -87,12 +80,11 @@ from repro.concurrency import scheduler as conc
 from repro.concurrency.explorer import first_branch_index
 from repro.obs.metrics import REGISTRY
 
-#: Yield kinds at which a vCPU's continuation is just "finish the
-#: current script step, then the rest of the script".  ``hc.return``
-#: and first-lock ``lock.acquire`` parks are capturable too, under the
-#: conditions :meth:`SnapshotPlan._capturable` checks (see the module
-#: docstring for why these are sound and others are not).
-SAFE_PARK_KINDS = frozenset({"task.start", "step"})
+#: The scheduler driver's own parks (plus ``task.start``, before a
+#: task's driver has run): the yield kinds with no stack under them,
+#: where a vCPU's continuation is its script position plus the park.
+SAFE_PARK_KINDS = frozenset({"task.start", "step", "lock.acquire",
+                             "hc.return"})
 
 ENV_BUDGET = "REPRO_SNAPSHOT_BUDGET_MB"
 DEFAULT_BUDGET_MB = 256.0
@@ -134,18 +126,14 @@ def locality_key(schedule) -> str:
 class TaskMeta:
     """One vCPU's restart coordinates inside a snapshot node.
 
-    ``position`` is the script step the restored task re-enters (for an
-    ``hc.return`` park that is the *next* step — the parked one fully
-    committed); ``swallow`` is how many already-recorded yields the
-    re-entered step replays before live recording resumes (0 for
-    ``task.start``/``hc.return``, 1 for ``step``, 2 for
-    ``lock.acquire``); ``waiting_lock`` re-seeds the runnability test
-    so a restored blocked task cannot be picked into a contended
-    acquire.
+    ``position`` is the script step the task was in when captured and
+    ``pending_kind`` the driver park it waits at; ``waiting_lock``
+    re-seeds the runnability test so a restored blocked task cannot be
+    picked into a contended acquire.
     """
 
     vid: int
-    position: int                      # script step the task re-enters
+    position: int                      # script step the task is in
     pending_kind: str
     pending_detail: Optional[str]
     yield_index: int
@@ -154,25 +142,22 @@ class TaskMeta:
     crashed: bool
     exc: Optional[BaseException]
     waiting_lock: Optional[str] = None
-    swallow: int = 0
 
 
 class SnapshotNode:
     """A frozen mid-execution world plus everything needed to resume.
 
     ``state`` is only ever used as a clone source; the cached prefix
-    records (decisions, yields, stale findings, lock telemetry) are
+    records (decisions, yields, stale findings, lock violations) are
     seeded into the resuming scheduler so its :class:`RunResult` is
     byte-identical to a from-scratch run.
     """
 
     __slots__ = ("state", "versions", "metas", "decisions", "yields",
-                 "stale", "lock_violations", "acquisitions",
-                 "contentions", "last", "depth", "nbytes")
+                 "stale", "lock_violations", "last", "depth", "nbytes")
 
     def __init__(self, state, versions, metas, decisions, yields, stale,
-                 lock_violations, acquisitions, contentions, last,
-                 nbytes):
+                 lock_violations, last, nbytes):
         self.state = state
         self.versions = versions
         self.metas = metas
@@ -180,8 +165,6 @@ class SnapshotNode:
         self.yields = yields
         self.stale = stale
         self.lock_violations = lock_violations
-        self.acquisitions = acquisitions
-        self.contentions = contentions
         self.last = last
         self.depth = len(decisions)
         self.nbytes = nbytes
@@ -195,8 +178,6 @@ class SnapshotNode:
         sched.yields = list(self.yields)
         sched.stale = list(self.stale)
         sched.locks.violations = list(self.lock_violations)
-        sched.locks.acquisitions = self.acquisitions
-        sched.locks.contentions = self.contentions
         sched._last = self.last
         for task, meta in zip(sched.tasks, self.metas):
             task.pending_kind = meta.pending_kind
@@ -207,22 +188,6 @@ class SnapshotNode:
             task.crashed = meta.crashed
             task.exc = meta.exc
             task.waiting_lock = meta.waiting_lock
-            # A live task parked inside a script step re-executes the
-            # step's prologue; ``swallow`` counts the yields of that
-            # prologue the prefix already recorded.
-            task.resume_swallow = 0 if meta.done else meta.swallow
-            # An hc.return meta carries the *post-advance* position
-            # (the next step); flag it so a capture taken before this
-            # task re-runs doesn't advance the position a second time.
-            task.restored_return = (not meta.done
-                                    and meta.pending_kind == "hc.return")
-            if (not meta.done and meta.swallow >= 2
-                    and sched.script_workloads is not None):
-                # A lock.acquire park sits *after* apply_step's
-                # step-count bump: the frozen state already counted the
-                # step this task re-enters, and re-entering bumps it
-                # again.  Undo one so the step counts exactly once.
-                sched.script_workloads.state.step_count -= 1
 
 
 class SnapshotTree:
@@ -364,13 +329,12 @@ class SnapshotPlan:
             if task.done:
                 continue
             live += 1
-            if not self._capturable(sched, task):
+            if task.pending_kind not in SAFE_PARK_KINDS:
                 return
         if live < 2 or sched.locks.any_held():
-            # a single live vCPU can never branch; held locks mean a
-            # hypercall is mid-flight somewhere (for lock-disciplined
-            # monitors), so a parked waiter could be restored into a
-            # contended acquire
+            # a single live vCPU can never branch; a held lock is part
+            # of a plan mid-acquire or a hypercall mid-flight, which a
+            # node does not re-seed
             return
         prefix = tuple(d.chosen for d in sched.decisions)
         key = (self.world_key, prefix)
@@ -383,26 +347,6 @@ class SnapshotPlan:
             self._prev = existing
             return
         tree.insert(key, self._capture(sched))
-
-    def _capturable(self, sched, task) -> bool:
-        """Is this live task's continuation reconstructible from its
-        script position (plus a swallow count) alone?"""
-        kind = task.pending_kind
-        if (kind in SAFE_PARK_KINDS and task.waiting_lock is None
-                and task.txn_scope is None):
-            return True
-        if kind == "hc.return":
-            # locks released, transaction scope closed, step committed:
-            # the continuation is "start the next step"
-            return task.txn_scope is None
-        if kind == "lock.acquire" and not sched.locks.held_by(task.vid):
-            # parked at the *first* acquire of a strict-2PL plan: the
-            # open scope has journalled nothing and snapshotted
-            # nothing, so re-entering the step replays its pure
-            # prologue exactly
-            scope = task.txn_scope
-            return scope is None or not scope.recorded()
-        return False
 
     def _capture(self, sched) -> SnapshotNode:
         from repro.engine.fingerprint import (
@@ -435,40 +379,20 @@ class SnapshotPlan:
             yields=tuple(sched.yields),
             stale=tuple(sched.stale),
             lock_violations=tuple(sched.locks.violations),
-            acquisitions=sched.locks.acquisitions,
-            contentions=sched.locks.contentions,
             last=sched._last,
             nbytes=_estimate_bytes(frozen, sched, reuse))
         self._prev = node
         return node
 
     def _task_meta(self, task) -> TaskMeta:
-        position = self.workloads.positions[task.vid]
-        kind = task.pending_kind
-        if task.done:
-            swallow = 0
-        elif kind == "hc.return":
-            # the parked step fully committed; the restored task starts
-            # the next one with nothing to replay.  A task that is
-            # itself an untouched restore of an hc.return park already
-            # holds the post-advance position — don't advance it twice.
-            if not task.restored_return:
-                position += 1
-            swallow = 0
-        elif kind == "step":
-            swallow = 1                # the top-of-step yield
-        elif kind == "lock.acquire":
-            swallow = 2                # the step yield + the acquire yield
-        else:
-            swallow = 0                # task.start: nothing executed yet
         return TaskMeta(
-            vid=task.vid, position=position,
+            vid=task.vid, position=self.workloads.positions[task.vid],
             pending_kind=task.pending_kind,
             pending_detail=task.pending_detail,
             yield_index=task.yield_index,
             done=task.done, parked=task.parked,
             crashed=task.crashed, exc=task.exc,
-            waiting_lock=task.waiting_lock, swallow=swallow)
+            waiting_lock=task.waiting_lock)
 
 
 def _estimate_bytes(state, sched, reuse) -> int:

@@ -370,23 +370,25 @@ class FaultInjected(ReproError):
 class LockProtocolViolation(ReproError):
     """The multi-vCPU lock discipline was broken.
 
-    Raised (strict mode) or recorded (campaign mode) by the
-    :class:`repro.concurrency.locks.LockManager` when a vCPU acquires
-    locks against the global order, still holds a lock at a
-    hypercall return, or mutates a lock-guarded structure without
-    holding its owning lock.  Deliberately *not* a
-    :class:`HypervisorError` — like :class:`FaultInjected`, it reports
-    the checking harness catching the monitor misbehaving, so code
-    that catches hypervisor errors for normal control flow (validation
-    rejections, exhaustion) can never swallow a discipline violation
-    by accident.
+    Recorded by the :class:`repro.concurrency.locks.LockManager` when
+    a vCPU acquires locks against the global order, still holds a lock
+    at a hypercall return, or mutates a lock-guarded structure without
+    holding its owning lock; raised when a hypercall entered outside
+    the scheduler's script driver needs a lock another vCPU holds.
+    Deliberately *not* a :class:`HypervisorError` — like
+    :class:`FaultInjected`, it reports the checking harness catching
+    the monitor misbehaving, so code that catches hypervisor errors for
+    normal control flow (validation rejections, exhaustion) can never
+    swallow a discipline violation by accident.
     """
 
     _CTOR_ATTRS = ("rule", "vid", "message")
 
     def __init__(self, rule, vid, message):
         super().__init__(f"[{rule}] vCPU {vid}: {message}")
-        self.rule = rule      # lock-order | hold-across-return | unlocked-mutation
+        # lock-order | hold-across-return | unlocked-mutation
+        # | contended-entry
+        self.rule = rule
         self.vid = vid
         self.message = message
 

@@ -39,7 +39,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FaultInjected, HypercallAborted, ReproError
+from repro.errors import (
+    FaultInjected,
+    HypercallAborted,
+    ReproError,
+    SecurityError,
+)
 from repro.obs import trace as _trace
 from repro.faults.plane import (
     EXHAUST,
@@ -510,7 +515,6 @@ def _split(item):
 def _apply_tolerant(state, step):
     """Apply one step; schedule violations after an aborted hypercall
     (e.g. enclave moves after a crashed ``enter``) become no-op skips."""
-    from repro.errors import SecurityError
     from repro.security.transitions import apply_step
     try:
         return apply_step(state, step).applied
@@ -669,18 +673,18 @@ class ScriptWorkloads:
     """Script runners whose per-vCPU progress is observable/restorable.
 
     This is the scheduler's *step-drivable workload protocol*
-    (``scripts``/``positions``/``run_step``/``advance``/
-    ``steps_remaining``): handed to
+    (``scripts``/``positions``/``steps_remaining``/``plan_step``/
+    ``count_step``/``run_step``/``advance``): handed to
     :class:`~repro.concurrency.DeterministicScheduler` directly, it lets
-    the scheduling loop drive each script one step at a time — inline
-    when the scheduling is settled, on a pooled fiber otherwise.
+    the scheduler's driver take each step apart — park at it, count it,
+    take its hypercall's lock plan, run it — with its body inline when
+    the scheduling is settled and on a pooled fiber otherwise.
 
     The snapshot tree needs to know, at a capture point, *where in its
-    script* each vCPU is — and needs restored tasks to pick up from an
-    arbitrary step.  ``positions[vid]`` is the index of the step the
-    vCPU is currently inside (incremented only after the step
-    completes), so a task parked at the top-of-step yield restores by
-    re-entering exactly that step.
+    script* each vCPU is.  ``positions[vid]`` is the index of the step
+    the vCPU is currently inside (incremented only after the step
+    completes); a restored task re-enters its driver at that step, just
+    past the park it was captured at.
     """
 
     def __init__(self, state, scripts, positions=None):
@@ -692,9 +696,26 @@ class ScriptWorkloads:
     def steps_remaining(self, vid) -> bool:
         return self.positions[vid] < len(self.scripts[vid])
 
+    def plan_step(self, vid):
+        """``(detail, hypercall, locks)`` of vCPU ``vid``'s current
+        step: its ``step`` yield's detail, then what
+        :func:`~repro.security.transitions.step_lock_plan` gives."""
+        from repro.security.transitions import step_lock_plan
+        step = self.scripts[vid][self.positions[vid]]
+        return (type(step).__name__,) + step_lock_plan(self.state, step)
+
+    def count_step(self):
+        self.state.step_count += 1
+
     def run_step(self, vid):
-        """Execute vCPU ``vid``'s current step (position unchanged)."""
-        _apply_tolerant(self.state, self.scripts[vid][self.positions[vid]])
+        """Run vCPU ``vid``'s current step, already counted and with its
+        lock plan held (position unchanged); a step mis-sequenced after
+        an aborted hypercall is a skip."""
+        from repro.security.transitions import execute_step
+        try:
+            execute_step(self.state, self.scripts[vid][self.positions[vid]])
+        except SecurityError:
+            pass
 
     def advance(self, vid):
         self.positions[vid] += 1
@@ -730,22 +751,20 @@ def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
     return SystemState(monitor, DataOracle.seeded(13)), ctx
 
 
-def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
-                        tree=None, world_key=None,
-                        preemption_bound=None):
+def execute_interleaved(prototype, ctx, schedule, *, tree=None,
+                        world_key=None, preemption_bound=None):
     """Run ``schedule`` on a clone of a :func:`build_interleaved_world`
     prototype; returns ``(state, RunResult)``.
 
     ``prototype`` itself never executes, so one build serves every
-    schedule.  The vCPUs run :func:`default_concurrent_scripts` unless
-    ``workloads(state, ctx)`` builds a list of callables instead; the
+    schedule.  The vCPUs run :func:`default_concurrent_scripts`; the
     stale-translation detector probes after every decision.
 
-    With ``tree`` (a :class:`~repro.concurrency.snapshot.SnapshotTree`;
-    default scripts only) and the campaign's ``preemption_bound``, the
-    run starts from a clone of the deepest cached ancestor of the
-    schedule's predicted trace prefix under ``world_key``, with the
-    cached prefix records pre-seeded, and executes only the rest; a
+    With ``tree`` (a :class:`~repro.concurrency.snapshot.SnapshotTree`)
+    and the campaign's ``preemption_bound``, the run starts from a
+    clone of the deepest cached ancestor of the schedule's predicted
+    trace prefix under ``world_key``, with the cached prefix records
+    pre-seeded, and executes only the rest; a
     :class:`~repro.concurrency.snapshot.SnapshotPlan` captures new
     nodes at the snapshot-safe decisions where a child of this
     schedule can branch under the bound, and the finished trace is
@@ -766,11 +785,8 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
     source = prototype if node is None else node.state
     warm_fingerprints(source.monitor)
     state = source.clone()
-    if workloads is not None:
-        built = workloads(state, dict(ctx))
-    else:
-        built = ScriptWorkloads(state, default_concurrent_scripts(ctx),
-                                None if node is None else node.positions())
+    built = ScriptWorkloads(state, default_concurrent_scripts(ctx),
+                            None if node is None else node.positions())
     scheduler = DeterministicScheduler(
         state.monitor, built, schedule, probe=detect_stale_translations)
     if tree is not None:
@@ -794,21 +810,20 @@ def execute_interleaved(prototype, ctx, schedule, *, workloads=None,
 
 
 def make_interleaved_run(monitor_cls=None, config=None, *,
-                         workloads=None, preemption_bound=None):
+                         preemption_bound=None):
     """A ``run_world(secret, schedule) -> (state, RunResult)`` factory.
 
     Each distinct ``secret``'s world is built once and every call runs
     on a clone of it (:func:`execute_interleaved`), so a campaign pays
     the assembly cost twice, not per schedule.
 
-    A campaign passes its ``preemption_bound`` (default scripts only):
-    every call then goes through a
-    :class:`~repro.concurrency.snapshot.SnapshotTree` that belongs to
-    the returned function, keyed by world ``(secret, seed, crash)``, so
-    a schedule restores the prefix its parent already ran and the tree
-    is freed with the function.  Without a bound nothing is captured.
-    ``run_world(secret, schedule, branch_bound)`` overrides the bound
-    captures honour for one call — the explorer's
+    A campaign passes its ``preemption_bound``: every call then goes
+    through a :class:`~repro.concurrency.snapshot.SnapshotTree` that
+    belongs to the returned function, keyed by world ``(secret, seed,
+    crash)``, so a schedule restores the prefix its parent already ran
+    and the tree is freed with the function.  Without a bound nothing
+    is captured.  ``run_world(secret, schedule, branch_bound)``
+    overrides the bound captures honour for one call — the explorer's
     :meth:`~repro.concurrency.explorer.FrontierState.branch_bound`, 0
     once ``max_schedules`` will end the sweep before the schedule's
     children run.
@@ -824,7 +839,7 @@ def make_interleaved_run(monitor_cls=None, config=None, *,
             proto = prototypes[secret] = build_interleaved_world(
                 monitor_cls, config, secret=secret)
         return execute_interleaved(
-            *proto, schedule, workloads=workloads, tree=tree,
+            *proto, schedule, tree=tree,
             world_key=(secret, schedule.seed, schedule.crash),
             preemption_bound=branch_bound)
 

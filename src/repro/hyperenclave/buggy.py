@@ -447,8 +447,8 @@ class NonTransactionalMonitor(RustMonitor):
 class MissingLockMonitor(RustMonitor):
     """Runs every hypercall with no locking discipline at all.
 
-    The hypercall *bodies* are unchanged — only the strict-2PL
-    pre-acquisition is dropped, which is exactly the bug a sequential
+    The hypercall *bodies* are unchanged — only the strict-2PL lock
+    plan is dropped, which is exactly the bug a sequential
     test suite can never see: every single-vCPU execution is identical
     to the correct monitor's.  Under the interleaving explorer the
     rule-3 mutation guards convict it on the very first schedule that
@@ -459,8 +459,10 @@ class MissingLockMonitor(RustMonitor):
 
     BUG = "no-locking-discipline"
 
-    def _plan_locks(self, *names):
-        """BUG: acquire nothing; every mutation below runs unlocked."""
+    def lock_plan(self, hypercall, args):
+        """BUG: plan no lock; every mutation of every body runs
+        unlocked."""
+        return ()
 
 
 @_register

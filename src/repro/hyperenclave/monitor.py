@@ -17,9 +17,12 @@ Every hypercall is **transactional** (see :mod:`repro.hyperenclave.txn`):
 a failure at any step — validation, resource exhaustion, or an injected
 fault — rolls the monitor back to its pre-hypercall state before
 re-raising, so the Sec. 5.2 invariants are preserved by *failed*
-hypercalls too, not just successful ones.  The ``faults.crash_point``
-calls between mutations are the named abort-at-step-k injection sites
-the crash-step campaign sweeps.
+hypercalls too, not just successful ones.  The ``@transactional``
+decorator also declares the locks each hypercall takes
+(:meth:`RustMonitor.lock_plan`), which the concurrency plane's
+scheduler holds before the body runs.  The ``faults.crash_point`` calls
+between mutations are the named abort-at-step-k injection sites the
+crash-step campaign sweeps.
 """
 
 from contextlib import contextmanager
@@ -196,16 +199,20 @@ class RustMonitor:
                 new.__dict__[key] = copy.deepcopy(value)
         return new
 
-    def _plan_locks(self, *names):
-        """Declare and pre-acquire this hypercall's whole lock set.
+    def lock_plan(self, hypercall, args) -> Tuple[str, ...]:
+        """The locks ``hypercall`` declares for ``args``, in global
+        order: its ``@transactional`` lock set (declared in that
+        order), with a function in the set applied to the first
+        argument (the ``eid``).
 
-        Strict two-phase locking with rank-ordered acquisition (see
-        :mod:`repro.concurrency.locks`); the transactional wrapper
-        releases everything at hypercall return.  A no-op without an
-        installed scheduler — and in the ``MissingLockMonitor`` bug
-        variant, which overrides this with ``pass``.
+        The scheduler's script driver takes this plan before the body
+        runs, and the transactional wrapper takes whatever of it is not
+        held yet (see :mod:`repro.concurrency.locks`).  A hypercall
+        without a declared set — a planted bug's own override — plans
+        nothing.  ``MissingLockMonitor`` overrides this with ``()``.
         """
-        conc.acquire_locks(self, names)
+        return tuple(name(args[0]) if callable(name) else name
+                     for name in getattr(hypercall, "lock_set", ()))
 
     def _tlb_shootdown(self):
         """Run the TLB shootdown protocol (method indirection so the
@@ -238,7 +245,7 @@ class RustMonitor:
 
     # -- hypercalls ------------------------------------------------------------------
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, LOCK_EPCM, LOCK_FRAMES)
     def hc_create(self, elrange_base, elrange_size, mbuf_va, mbuf_pa,
                   mbuf_size) -> int:
         """ECREATE: establish a new enclave with empty page tables.
@@ -248,7 +255,6 @@ class RustMonitor:
         real-world bug of Sec. 4.1; see
         :class:`repro.hyperenclave.buggy.ShallowCopyMonitor`.)
         """
-        self._plan_locks(LOCK_ENCLAVES, LOCK_EPCM, LOCK_FRAMES)
         config = self.config
         self._require_page_aligned(elrange_base, "elrange_base")
         self._require_page_aligned(mbuf_va, "mbuf_va")
@@ -298,13 +304,11 @@ class RustMonitor:
         self.enclaves[eid] = enclave
         return eid
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM, LOCK_FRAMES)
     def hc_add_page(self, eid, va, src_gpa) -> int:
         """EADD: copy one source page from untrusted memory into a fresh
         EPC page and map it at ``va`` in the enclave.  Returns the EPC
         frame chosen."""
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid), LOCK_EPCM,
-                         LOCK_FRAMES)
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.CREATED)
         config = self.config
@@ -337,7 +341,7 @@ class RustMonitor:
         enclave.absorb_measurement(va, self.phys.frame_words(dst_frame))
         return frame
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM, LOCK_FRAMES)
     def hc_aug_page(self, eid, va) -> int:
         """EAUG: add a fresh EPC page to an *initialized* enclave.
 
@@ -347,8 +351,6 @@ class RustMonitor:
         destroy-time scrubbing load-bearing: the NoScrub buggy variant
         turns this hypercall into a cross-enclave leak.
         """
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid), LOCK_EPCM,
-                         LOCK_FRAMES)
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.INITIALIZED)
         self._require_page_aligned(va, "va")
@@ -367,7 +369,7 @@ class RustMonitor:
                              self.config.arch.leaf_flags())
         return frame
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM)
     def hc_remove_page(self, eid, va):
         """EREMOVE: take one REG page back out of a *pre-init* enclave.
 
@@ -376,7 +378,6 @@ class RustMonitor:
         its EPCM entry freed — in that order, so no window exists where
         a mapping points at a free frame.
         """
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid), LOCK_EPCM)
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.CREATED)
         self._require_page_aligned(va, "va")
@@ -395,7 +396,7 @@ class RustMonitor:
         self._tlb_shootdown()
         return frame
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM)
     def hc_trim_page(self, eid, va):
         """EMODT/TRIM + ETRACK: take one REG page out of a *live* enclave.
 
@@ -411,7 +412,6 @@ class RustMonitor:
         flushes and the interleaving campaign's stale-translation
         detector convicts it.
         """
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid), LOCK_EPCM)
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.INITIALIZED,
                               EnclaveState.RUNNING)
@@ -432,20 +432,18 @@ class RustMonitor:
         self.epcm.release(frame, eid)
         return frame
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock)
     def hc_init(self, eid):
         """EINIT: freeze the memory layout; the enclave becomes enterable."""
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid))
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.CREATED)
         faults.crash_point("hc.init", "pre-commit")
         enclave.state = EnclaveState.INITIALIZED
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock)
     def hc_enter(self, eid):
         """Synchronous enclave entry: save host context, install the
         enclave's GPT/EPT roots, flush the TLB (Sec. 2.1)."""
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid))
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.INITIALIZED)
         if self.active != HOST_ID:
@@ -464,10 +462,9 @@ class RustMonitor:
         enclave.state = EnclaveState.RUNNING
         self.active = eid
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock)
     def hc_exit(self, eid):
         """Enclave exit: save enclave context, restore the host world."""
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid))
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.RUNNING)
         if self.active != eid:
@@ -483,12 +480,10 @@ class RustMonitor:
         enclave.state = EnclaveState.INITIALIZED
         self.active = HOST_ID
 
-    @transactional
+    @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM, LOCK_FRAMES)
     def hc_destroy(self, eid):
         """Tear down an enclave: scrub and release its EPC pages and
         page-table frames."""
-        self._plan_locks(LOCK_ENCLAVES, enclave_lock(eid), LOCK_EPCM,
-                         LOCK_FRAMES)
         enclave = self._enclave(eid)
         enclave.require_state(EnclaveState.CREATED,
                               EnclaveState.INITIALIZED)

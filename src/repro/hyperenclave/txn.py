@@ -22,13 +22,17 @@ Two rollback strategies, same contract:
   snapshot would capture — and on rollback clobber — *other vCPUs'*
   in-flight writes.  Instead each task keeps a :class:`TxnScope`: a
   first-write-wins undo journal of physical memory (fed by the
-  ``phys.write`` hooks, one record per word or per whole frame), lazy
-  snapshots of each lock-guarded structure taken at acquire time (2PL
-  guarantees nobody else touches it until release), and a capture of
-  the task's own CPU-local state.  Rolling back undoes exactly the
-  aborted vCPU's footprint.  Remote TLB flushes already sent by a
-  shootdown are deliberately not undone — flushing a cache is always
-  safe, and real IPIs cannot be recalled.
+  ``phys.write`` hooks, one record per word or per whole frame),
+  snapshots of each structure of the hypercall's declared lock set,
+  and a capture of the task's own CPU-local state.  The scope opens
+  only once the whole lock set is held — the scheduler's script driver
+  takes it before the body runs, and a hypercall entered any other way
+  takes it on entry — so 2PL guarantees nobody else touches a
+  snapshotted structure until release, and nothing another vCPU did
+  while this one waited for a lock is ever undone.  Rolling back undoes
+  exactly the aborted vCPU's footprint.  Remote TLB flushes already
+  sent by a shootdown are deliberately not undone — flushing a cache is
+  always safe, and real IPIs cannot be recalled.
 
 Restoration runs with the fault plane and the scheduler hooks
 suspended: rolling back must not itself trip a ``phys.write`` injection
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.concurrency import scheduler as conc
+from repro.concurrency.locks import lock_rank
 from repro.errors import (
     FaultInjected,
     HypercallAborted,
@@ -143,11 +148,11 @@ class TxnScope:
       journalled whole is already covered.  Covers every page-table
       entry, frame copy, and scrub, because all tables live in physical
       memory.  :meth:`word_journal` reads both back one word at a time.
-    * ``structures`` — value snapshots of each lock-guarded structure,
-      taken lazily when the lock is acquired.  Under strict 2PL no
-      other task can have mutated a structure between acquire and
-      abort, so restoring the acquire-time snapshot is exact.
-    * ``cpu`` — the task's own CPU-local capture from hypercall entry.
+    * ``structures`` — value snapshots of each structure of the
+      hypercall's lock set, taken when the scope opens with the set
+      held.  Under strict 2PL no other task can have mutated a
+      structure between then and abort, so restoring it is exact.
+    * ``cpu`` — the task's own CPU-local capture from the same moment.
     """
 
     vid: int
@@ -193,15 +198,8 @@ class TxnScope:
         view.update(words[taken:])
         return view
 
-    def recorded(self) -> bool:
-        """Has this scope journalled or snapshotted anything yet?"""
-        return bool(self.journal or self.frame_journal or self.structures)
-
     def snapshot_structure(self, monitor, lock_name):
-        """Capture the acquire-time value of one lock-guarded structure
-        (idempotent — the first capture per lock wins)."""
-        if lock_name in self.structures:
-            return
+        """Capture the current value of one lock-guarded structure."""
         if lock_name == "frames":
             value = monitor.pt_allocator.snapshot()
         elif lock_name == "epcm":
@@ -249,16 +247,21 @@ class TxnScope:
 
 def _run_concurrent(fn, monitor, args, kwargs, task):
     """The scheduled-vCPU flavour of a transactional hypercall."""
-    scope = TxnScope.begin(monitor, task.vid)
-    task.txn_scope = scope
+    plan = monitor.lock_plan(fn, args)
     try:
-        return fn(monitor, *args, **kwargs)
-    except HypercallError:
-        scope.rollback(monitor)
-        raise
-    except (FaultInjected, HypervisorError) as exc:
-        scope.rollback(monitor)
-        raise HypercallAborted(fn.__name__, exc) from exc
+        conc.take_locks(plan)
+        scope = TxnScope.begin(monitor, task.vid)
+        for name in plan:
+            scope.snapshot_structure(monitor, name)
+        task.txn_scope = scope
+        try:
+            return fn(monitor, *args, **kwargs)
+        except HypercallError:
+            scope.rollback(monitor)
+            raise
+        except (FaultInjected, HypervisorError) as exc:
+            scope.rollback(monitor)
+            raise HypercallAborted(fn.__name__, exc) from exc
     finally:
         task.txn_scope = None
         # Strict 2PL exit: drop every lock, yield the hc.return point,
@@ -269,8 +272,16 @@ def _run_concurrent(fn, monitor, args, kwargs, task):
         conc.release_locks(fn.__name__)
 
 
-def transactional(fn):
-    """Make one hypercall atomic: any failure rolls back, then re-raises.
+def transactional(*lock_set):
+    """Make one hypercall atomic and declare the locks it takes.
+
+    ``lock_set`` is the hypercall's strict-2PL lock set, declared next
+    to its body in global lock order: lock names, or functions of the
+    hypercall's first argument
+    (:func:`~repro.concurrency.locks.enclave_lock`: the lock of the
+    enclave ``eid`` names).  It is stored on the body as ``lock_set``,
+    which ``functools.wraps`` copies onto every wrapper;
+    :meth:`~repro.hyperenclave.monitor.RustMonitor.lock_plan` reads it.
 
     * Validation rejections (:class:`HypercallError`) re-raise as-is —
       the rollback is a no-op for them, but running it anyway means the
@@ -281,28 +292,40 @@ def transactional(fn):
 
     On a scheduled vCPU task the journal-based :class:`TxnScope` path
     is used instead of the whole-monitor snapshot; see the module
-    docstring for why.
+    docstring for why.  It takes any lock of the plan the task does not
+    hold yet, without a yield — for a script step the scheduler's
+    driver already holds the whole plan.
 
     The undecorated body stays reachable as ``__wrapped__`` — the
     deliberately broken ``NonTransactionalMonitor`` uses it, and the
     fault campaign demonstrates that variant violating rollback.
     """
 
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        task = conc.current_task()
-        if task is not None:
-            return _run_concurrent(fn, self, args, kwargs, task)
-        checkpoint = capture(self)
-        try:
-            return fn(self, *args, **kwargs)
-        except HypercallError:
-            with faults.suspended():
-                restore(self, checkpoint)
-            raise
-        except (FaultInjected, HypervisorError) as exc:
-            with faults.suspended():
-                restore(self, checkpoint)
-            raise HypercallAborted(fn.__name__, exc) from exc
+    classes = [lock_rank(name(0) if callable(name) else name)[0]
+               for name in lock_set]
+    if classes != sorted(set(classes)):
+        raise ValueError(f"lock set {lock_set} is not in global lock order")
 
-    return wrapper
+    def decorate(fn):
+        fn.lock_set = lock_set
+
+        @functools.wraps(fn)
+        def wrapper(self, *args, **kwargs):
+            task = conc.current_task()
+            if task is not None:
+                return _run_concurrent(fn, self, args, kwargs, task)
+            checkpoint = capture(self)
+            try:
+                return fn(self, *args, **kwargs)
+            except HypercallError:
+                with faults.suspended():
+                    restore(self, checkpoint)
+                raise
+            except (FaultInjected, HypervisorError) as exc:
+                with faults.suspended():
+                    restore(self, checkpoint)
+                raise HypercallAborted(fn.__name__, exc) from exc
+
+        return wrapper
+
+    return decorate

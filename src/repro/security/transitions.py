@@ -21,7 +21,6 @@ hits the real simulated memory.
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.concurrency import scheduler as conc
 from repro.errors import (
     HypercallError,
     HypervisorError,
@@ -213,15 +212,21 @@ def _resolve(state, step, write) -> Optional[int]:
 
 
 def apply_step(state, step) -> StepOutcome:
-    """Apply one step to ``state`` (in place).
+    """Apply one step to ``state`` (in place) and count it.
 
-    Under the deterministic scheduler each step is a preemption point
-    (``step`` is a branch kind): the explorer may hand the CPU to a
-    different vCPU between any two steps of a workload, which is the
-    hardware-level interleaving the concurrency plane quantifies over.
+    Under the deterministic scheduler a script step is not applied in
+    one go: the scheduler's driver parks at the step (``step`` is a
+    branch kind, so the explorer may hand the CPU to another vCPU
+    between any two steps of a workload), counts it, takes the lock
+    plan of its hypercall (:func:`step_lock_plan`), and only then runs
+    :func:`execute_step`.
     """
-    conc.yield_point("step", type(step).__name__)
     state.step_count += 1
+    return execute_step(state, step)
+
+
+def execute_step(state, step) -> StepOutcome:
+    """Apply one step to ``state`` (in place) without counting it."""
     if isinstance(step, LocalCompute):
         return _apply_local(state, step)
     if isinstance(step, MemLoad):
@@ -231,6 +236,18 @@ def apply_step(state, step) -> StepOutcome:
     if isinstance(step, Hypercall):
         return _apply_hypercall(state, step)
     raise SecurityError(f"unknown step {step!r}")
+
+
+def step_lock_plan(state, step) -> Tuple[Optional[str], Tuple[str, ...]]:
+    """``(hypercall, locks)``: the monitor method a step dispatches to
+    and the locks it declares (:meth:`RustMonitor.lock_plan`), or
+    ``(None, ())`` for a step that dispatches none."""
+    if not isinstance(step, Hypercall):
+        return None, ()
+    handler, _refusal = _dispatch(state, step)
+    if handler is None:
+        return None, ()
+    return handler.__name__, state.monitor.lock_plan(handler, step.args)
 
 
 def _apply_local(state, step) -> StepOutcome:
@@ -292,18 +309,24 @@ _HOST_HYPERCALLS = frozenset({"create", "add_page", "aug_page",
                               "destroy"})
 
 
-def _apply_hypercall(state, step) -> StepOutcome:
-    monitor = state.monitor
+def _dispatch(state, step):
+    """``(handler, None)`` for the bound ``hc_*`` method a hypercall
+    step dispatches to, or ``(None, refusal)``."""
     if step.name in _HOST_HYPERCALLS:
         if state.active != HOST_ID or step.principal != HOST_ID:
-            return StepOutcome(step, False,
-                               "lifecycle hypercalls need the active host")
+            return None, "lifecycle hypercalls need the active host"
     elif step.name == "exit":
         if state.active != step.principal or step.principal == HOST_ID:
-            return StepOutcome(step, False, "exit needs the active enclave")
+            return None, "exit needs the active enclave"
     else:
-        return StepOutcome(step, False, f"unknown hypercall {step.name!r}")
-    handler = getattr(monitor, f"hc_{step.name}")
+        return None, f"unknown hypercall {step.name!r}"
+    return getattr(state.monitor, f"hc_{step.name}"), None
+
+
+def _apply_hypercall(state, step) -> StepOutcome:
+    handler, refusal = _dispatch(state, step)
+    if handler is None:
+        return StepOutcome(step, False, refusal)
     try:
         result = handler(*step.args)
     except (HypercallError, HypervisorError) as exc:

@@ -8,9 +8,12 @@ carrying a standalone-replayable ``(seed, schedule)``.
 
 import pytest
 
-from repro.concurrency import Schedule, replay
+from repro.concurrency import Schedule, replay, scheduler as conc
+from repro.concurrency.arena import Fiber
 from repro.faults import interleaving_campaign, make_interleaved_run
 from repro.hyperenclave import buggy
+from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.hyperenclave.monitor import RustMonitor
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +84,31 @@ class TestNonTransactionalDeadlock:
         run_world = make_interleaved_run(buggy.NonTransactionalMonitor)
         with pytest.raises(RuntimeError, match="deadlock"):
             run_world(41, Schedule())
+
+
+#: Fiber parks of one bound-2, seed-0 campaign, per arch.
+FIBER_PARKS = {RustMonitor: 4, buggy.MissingLockMonitor: 14,
+               buggy.NoShootdownMonitor: 0}
+
+
+class TestFiberParks:
+    @pytest.mark.parametrize("monitor_cls", list(FIBER_PARKS),
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+    def test_fibers_park_only_where_a_body_is_interrupted(
+            self, arch, monitor_cls, monkeypatch):
+        """The scheduler's driver owns every park outside a hypercall
+        body, so a fiber parks only at a body's ``shootdown.ipi`` —
+        never at a step, a lock acquire or a hypercall return."""
+        parks = []
+        park = Fiber.park
+
+        def recording(fiber, timeout):
+            parks.append(conc.current_task().pending_kind)
+            return park(fiber, timeout)
+
+        monkeypatch.setattr(Fiber, "park", recording)
+        interleaving_campaign(monitor_cls, preemption_bound=2, seed=0,
+                              config=ARCH_CONFIGS[arch])
+        assert set(parks) <= {"shootdown.ipi"}
+        assert len(parks) == FIBER_PARKS[monitor_cls]

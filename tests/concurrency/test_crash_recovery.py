@@ -1,29 +1,19 @@
 """Crash-in-critical-section recovery: PR 1's crash model composed
 with the concurrency plane."""
 
+import pytest
+
 from repro.concurrency import DeterministicScheduler, Schedule
 from repro.concurrency.shootdown import detect_stale_translations
-from repro.faults import crash_in_critical_section_campaign
+from repro.faults import (
+    crash_in_critical_section_campaign,
+    make_interleaved_run,
+)
 from repro.faults.campaign import ScriptWorkloads, default_concurrent_scripts
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
 from repro.hyperenclave.monitor import RustMonitor
 from repro.security import DataOracle, SystemState, check_all_invariants
 from repro.security.invariants import check_vcpu_consistency
-
-
-def script_tasks(state, ctx):
-    """The default scripts as two plain callables: the scheduler's
-    callable-workload contract, whose hypercalls return in-stack."""
-    scripts = ScriptWorkloads(state, default_concurrent_scripts(ctx))
-
-    def task(vid):
-        def run():
-            while scripts.steps_remaining(vid):
-                scripts.run_step(vid)
-                scripts.advance(vid)
-        return run
-
-    return [task(0), task(1)]
 
 
 def build_scheduled_world(schedule):
@@ -40,8 +30,8 @@ def build_scheduled_world(schedule):
     primary_os.gpa_write_word(ctx["src_pa"], 0x5EC2E7)
     state = SystemState(monitor, DataOracle.seeded(13))
     scheduler = DeterministicScheduler(
-        monitor, script_tasks(state, ctx), schedule,
-        probe=detect_stale_translations)
+        monitor, ScriptWorkloads(state, default_concurrent_scripts(ctx)),
+        schedule, probe=detect_stale_translations)
     return monitor, scheduler
 
 
@@ -95,3 +85,31 @@ class TestSingleCrash:
         assert 1 not in result.parked
         assert 1 not in result.task_errors
         assert check_all_invariants(monitor).ok
+
+
+#: vCPU 1 waits at ``hc_exit``'s first lock while ``hc_trim_page`` on
+#: vCPU 0 shoots down its TLB, then crashes at ``hc_exit``'s second.
+CRASH_WHILE_TAKING_LOCKS = Schedule(
+    seed=0, preemptions=((43, 1), (51, 0)), crash=(1, 9))
+
+
+class TestCrashWhileTakingLocks:
+    @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+    def test_no_flushed_translation_comes_back(self, arch):
+        """A vCPU that crashes while it takes its lock plan has started
+        no transaction, so nothing rolls its CPU state back to before
+        the shootdown that flushed its TLB: no translation to the
+        trimmed, released frame reappears."""
+        state, result = make_interleaved_run(config=ARCH_CONFIGS[arch])(
+            41, CRASH_WHILE_TAKING_LOCKS)
+        assert not result.stale_translations
+        assert result.parked == (1,)
+        crash, returned = [y for y in result.yields if y.vid == 1][-2:]
+        assert (crash.kind, crash.detail) == ("lock.acquire", "enclave:1")
+        assert (returned.kind, returned.detail) == ("hc.return", "hc_exit")
+        for vid in (0, 1):
+            last = [y for y in result.yields if y.vid == vid][-1]
+            assert last.locks_held == ()
+        assert not result.lock_violations
+        entries, _flushes = state.monitor.cpus[1].tlb.snapshot()
+        assert entries == ()

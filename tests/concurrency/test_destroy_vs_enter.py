@@ -9,61 +9,66 @@ never to a broken invariant, a stale translation, or a vCPU error.
 
 import pytest
 
-from repro.concurrency import Schedule, explore
+from repro.concurrency import DeterministicScheduler, Schedule, explore
+from repro.concurrency.shootdown import detect_stale_translations
 from repro.errors import HypervisorError, SecurityError
-from repro.faults import make_interleaved_run
+from repro.faults import build_interleaved_world, make_interleaved_run
+from repro.faults.campaign import ScriptWorkloads
 from repro.hyperenclave.monitor import HOST_ID
 from repro.security import check_all_invariants
 from repro.security.invariants import check_vcpu_consistency
-from repro.security.transitions import Hypercall, MemLoad, apply_step
+from repro.security.transitions import Hypercall, MemLoad, execute_step
 
 
-def racing_workloads(teardown_steps):
-    """``make_interleaved_run`` workload builder: vCPU 0 builds an
-    enclave then tears it down while vCPU 1 races a session into it.
-    Each run's per-step verdicts land in ``build.outcomes``."""
+class RecordingScripts(ScriptWorkloads):
+    """Script workloads that record each step's ``applied`` verdict
+    (None for a malformed, skipped step) per vCPU in ``outcomes``."""
 
-    def build(state, ctx):
-        page, base = ctx["page"], ctx["elrange_base"]
-        host_script = [
-            Hypercall(HOST_ID, "create",
-                      (base, 4 * page, 12 * page, ctx["mbuf_pa"], page)),
-            Hypercall(HOST_ID, "add_page", (1, base, ctx["src_pa"])),
-            Hypercall(HOST_ID, "init", (1,)),
-        ] + teardown_steps(page, base)
-        guest_script = [
-            Hypercall(HOST_ID, "enter", (1,)),
-            MemLoad(1, base, "rax"),
-            Hypercall(1, "exit", (1,)),
-        ]
+    def __init__(self, state, scripts):
+        super().__init__(state, scripts)
+        self.outcomes = tuple([] for _ in scripts)
 
-        def script_task(script, outcomes):
-            def run():
-                for step in script:
-                    try:
-                        outcomes.append((step, apply_step(state,
-                                                          step).applied))
-                    except SecurityError:
-                        outcomes.append((step, None))  # malformed: skip
-            return run
+    def run_step(self, vid):
+        step = self.scripts[vid][self.positions[vid]]
+        try:
+            applied = execute_step(self.state, step).applied
+        except SecurityError:
+            applied = None
+        self.outcomes[vid].append((step, applied))
 
-        build.outcomes = ([], [])
-        return [script_task(host_script, build.outcomes[0]),
-                script_task(guest_script, build.outcomes[1])]
 
-    return build
+def racing_scripts(ctx, teardown_steps):
+    """vCPU 0 builds an enclave then tears it down while vCPU 1 races
+    a session into it."""
+    page, base = ctx["page"], ctx["elrange_base"]
+    host_script = [
+        Hypercall(HOST_ID, "create",
+                  (base, 4 * page, 12 * page, ctx["mbuf_pa"], page)),
+        Hypercall(HOST_ID, "add_page", (1, base, ctx["src_pa"])),
+        Hypercall(HOST_ID, "init", (1,)),
+    ] + teardown_steps(page, base)
+    guest_script = [
+        Hypercall(HOST_ID, "enter", (1,)),
+        MemLoad(1, base, "rax"),
+        Hypercall(1, "exit", (1,)),
+    ]
+    return [host_script, guest_script]
 
 
 def sweep(teardown_steps, preemption_bound=2):
-    build = racing_workloads(teardown_steps)
-    run_world = make_interleaved_run(workloads=build)
+    prototype, ctx = build_interleaved_world()
     holder = {}
     outcomes_per_run = []
 
     def run_schedule(schedule, _branch_bound):
-        state, result = run_world(41, schedule)
+        state = prototype.clone()
+        workloads = RecordingScripts(state,
+                                     racing_scripts(ctx, teardown_steps))
+        result = DeterministicScheduler(
+            state.monitor, workloads, schedule,
+            probe=detect_stale_translations).run()
         holder["monitor"] = state.monitor
-        outcomes_per_run.append(build.outcomes)
+        outcomes_per_run.append(workloads.outcomes)
         return result
 
     def check(_schedule, _result):

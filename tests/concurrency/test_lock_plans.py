@@ -4,8 +4,7 @@
 hypercall takes, in order, when it runs alone on a one-vCPU scheduler,
 for :class:`RustMonitor` and every planted bug.  The locks are read
 from the ``lock.acquire`` trace events :class:`LockManager.acquire`
-emits, so the table does not depend on who takes a lock (the hypercall
-body, the transactional wrapper or the scheduler's script driver).
+emits, so the table reads the same whichever code takes a lock.
 
 Each call runs both ways the scheduler runs work: as one step of a
 one-vCPU :class:`ScriptWorkloads` script, and as an opaque callable
@@ -19,8 +18,12 @@ from repro.concurrency import DeterministicScheduler, Schedule
 from repro.errors import ReproError
 from repro.faults import default_workload, default_world_factory
 from repro.faults.campaign import ScriptWorkloads, scheduled_runner
-from repro.hyperenclave.buggy import ALL_BUGGY_MONITORS
+from repro.hyperenclave.buggy import (
+    ALL_BUGGY_MONITORS,
+    NonTransactionalMonitor,
+)
 from repro.hyperenclave.monitor import HOST_ID, RustMonitor
+from repro.hyperenclave.txn import transactional
 from repro.obs import trace
 from repro.security import SystemState
 from repro.security.transitions import Hypercall
@@ -35,6 +38,9 @@ RUST = (("create", CREATE), ("add_page", ALL),
         ("remove_page", ENCLAVE_EPCM), ("add_page", ALL),
         ("init", ENCLAVE), ("aug_page", ALL), ("trim_page", ENCLAVE_EPCM),
         ("enter", ENCLAVE), ("exit", ENCLAVE), ("destroy", ALL))
+
+#: No lock at any call.
+NO_LOCKS = tuple((name, ()) for name, _plan in RUST)
 
 
 def _except(overrides):
@@ -58,7 +64,7 @@ LOCK_PLANS = {
     "NoTlbFlushMonitor": _except({8: ()}),
     "NoScrubMonitor": _except({9: ()}),
     "NonTransactionalMonitor": RUST,
-    "MissingLockMonitor": tuple((name, ()) for name, _plan in RUST),
+    "MissingLockMonitor": NO_LOCKS,
     "NoShootdownMonitor": RUST,
 }
 
@@ -125,4 +131,17 @@ def test_script_steps_take_the_pinned_plan(monitor_cls):
 @pytest.mark.parametrize("monitor_cls", MONITORS,
                          ids=lambda cls: cls.__name__)
 def test_opaque_callables_take_the_pinned_plan(monitor_cls):
-    assert _as_callable(monitor_cls) == LOCK_PLANS[monitor_cls.__name__]
+    """For an opaque callable only the transactional wrapper takes a
+    plan, so ``NonTransactionalMonitor``'s unwrapped bodies take none
+    there (a script step still takes their declared plan)."""
+    expected = LOCK_PLANS[monitor_cls.__name__]
+    if monitor_cls is NonTransactionalMonitor:
+        expected = NO_LOCKS
+    assert _as_callable(monitor_cls) == expected
+
+
+def test_a_lock_set_out_of_global_order_is_refused():
+    with pytest.raises(ValueError, match="global lock order"):
+        transactional("frames", "epcm")
+    with pytest.raises(ValueError, match="global lock order"):
+        transactional("epcm", "epcm")

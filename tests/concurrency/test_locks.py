@@ -97,11 +97,6 @@ class TestDisciplineRules:
         locks.check_mutation(1, LOCK_EPCM)
         assert not locks.violations
 
-    def test_strict_mode_raises(self):
-        locks = LockManager(strict=True)
-        with pytest.raises(LockProtocolViolation):
-            locks.check_mutation(0, LOCK_FRAMES)
-
 
 class TestErrorTaxonomy:
     def test_violations_are_not_hypervisor_errors(self):

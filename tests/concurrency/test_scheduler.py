@@ -3,10 +3,12 @@
 import pytest
 
 from repro.concurrency import (
+    LOCK_EPCM,
     DeterministicScheduler,
     Schedule,
     scheduler as conc,
 )
+from repro.errors import LockProtocolViolation
 
 
 def counting_workloads(log, steps=3):
@@ -112,3 +114,21 @@ class TestInstrumentationPlane:
         result = DeterministicScheduler(object(), [boom]).run()
         assert isinstance(result.task_errors[0], ValueError)
         assert not result.ok
+
+    def test_taking_a_held_lock_on_entry_is_a_violation(self):
+        """A hypercall entered outside the script driver takes its
+        plan without a yield, so it cannot wait: another vCPU holding
+        one of the locks is a protocol violation."""
+        def holder():
+            conc.take_locks([LOCK_EPCM])
+            conc.yield_point("step", "holding")
+
+        def taker():
+            conc.take_locks([LOCK_EPCM])
+
+        result = DeterministicScheduler(
+            object(), [holder, taker], Schedule(preemptions=((1, 1),))).run()
+        error = result.task_errors[1]
+        assert isinstance(error, LockProtocolViolation)
+        assert error.rule == "contended-entry"
+        assert 0 not in result.task_errors
