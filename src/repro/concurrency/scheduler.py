@@ -241,6 +241,11 @@ class DeterministicScheduler:
         self._gens: Dict[int, object] = {}
         self._fiber_of: Dict[int, object] = {}
         self._deferred: Dict[int, str] = {}
+        # vids whose step is unwinding an exception through its
+        # deferred hc.return park
+        self._unwinding = set()
+        # the snapshot tree's completion that ends this run, once found
+        self._spliced = None
 
     # -- the run ----------------------------------------------------------------
 
@@ -262,8 +267,19 @@ class DeterministicScheduler:
                 if chosen is None:
                     break
                 self._advance(chosen)
+                if self._spliced is not None:
+                    self._splice()
+                    break
                 self._probe_now()
         return self.result()
+
+    def _splice(self):
+        """End the run with the completion :meth:`_emit` found: close
+        every driver (each sits at a driver park, so nothing runs),
+        then take the completion's records and final task states."""
+        for gen in self._gens.values():
+            gen.close()
+        self._spliced.apply_to(self)
 
     def result(self) -> RunResult:
         return RunResult(
@@ -466,6 +482,7 @@ class DeterministicScheduler:
                 yield from self._emit(task, "step", detail)
             if resume != "lock.acquire":
                 workloads.count_step()
+            ran = False
             try:
                 yield from self._acquire(task, hypercall, locks,
                                          resume == "lock.acquire")
@@ -474,16 +491,22 @@ class DeterministicScheduler:
                 else:
                     yield from self._fiber_step(
                         task, lambda: workloads.run_step(vid))
+                ran = True
             finally:
                 # Emit a deferred hc.return even while an exception
                 # unwinds the step (a crashed vCPU's _VCpuParked): the
                 # yield belongs to the hypercall's return, so a crashed
-                # vCPU still records it.
+                # vCPU still records it.  Parked there, the task goes
+                # on to re-raise, not to its next step, so no snapshot
+                # or resume key may be taken meanwhile.
                 where = self._deferred.pop(vid, None)
                 if where is not None:
+                    if not ran:
+                        self._unwinding.add(vid)
                     try:
                         yield from self._emit(task, "hc.return", where)
                     finally:
+                        self._unwinding.discard(vid)
                         self.locks.check_none_held(
                             vid, f"return from {where}")
             workloads.advance(vid)
@@ -524,9 +547,19 @@ class DeterministicScheduler:
             yield from self._fiber_step(task, task.fn)
 
     def _emit(self, task, kind, detail):
-        """A driver-level yield point (empty stack below it)."""
+        """A driver-level yield point (empty stack below it).
+
+        Past the last forced preemption of a leaf run, the snapshot
+        plan may recognise the state as one an earlier run went on
+        from to its end (``SnapshotPlan.resume``): the task then hands
+        control back to the loop undecided, and the loop splices that
+        run's records in and stops (:meth:`_splice`)."""
         self._record_yield(task, kind, detail)
-        if not self._decide_inline(task):
+        plan = self.snapshots
+        if (plan is not None and plan.completes
+                and len(self.decisions) > self._max_forced):
+            self._spliced = plan.resume(self)
+        if self._spliced is not None or not self._decide_inline(task):
             yield
 
     def _fiber_step(self, task, fn):

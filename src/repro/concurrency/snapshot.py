@@ -8,9 +8,15 @@ module caches that shared work: a **snapshot tree** whose nodes hold
 frozen :class:`~repro.security.state.SystemState` forks captured at
 scheduling decision points, keyed by ``(world key, trace prefix)``.
 Running a child schedule restores its deepest cached ancestor through
-the structured clone layer and executes only the suffix.
+the structured clone layer and executes only the suffix.  What is left
+of a leaf schedule — one no child branches from — converges on states
+earlier runs already ran to the end, so the tree also keeps
+**completions**: how a leaf run went on from a driver park to its end,
+keyed by ``(world key, resume key)``.  A later leaf run that parks in
+an equal state takes that run's records and frozen final state and
+stops.
 
-Correctness rests on three properties:
+Correctness rests on four properties:
 
 * **Snapshot-safe decision points.**  A node is taken only when every
   live vCPU is parked in its scheduler driver, with an empty stack
@@ -36,6 +42,28 @@ Correctness rests on three properties:
   consecutive captures in one run share the previous node's cloned
   structure by reference when the counter did not move.  Safe because
   node states are frozen — only ever used as clone sources.
+* **Determinism past the last forced preemption.**  Once
+  ``len(decisions)`` passes a schedule's last forced preemption, every
+  pick continues the running vCPU or the lowest enabled one.  The rest
+  of the run is then a function of the state, of every vCPU's script
+  position and scheduling state, and of the last pick, which
+  :func:`resume_key` covers at each driver park with no lock held:
+  every field the two ``clone`` methods copy but the fingerprint cache,
+  with ``config``, ``layout`` and the oracle's values fixed per world
+  (:func:`static_key`).  Two parks with equal keys append equal
+  records and end in equal states, up to each decision's index, which
+  a splice shifts.  A run whose monitor or state carries a field no
+  key covers, or that runs under a fault plane, keys nothing.
+
+Only leaf runs key parks.  A run with children has to execute its
+suffix, because that is where it captures the nodes its children
+restore; a leaf run captures nothing, so splicing it leaves captures,
+hits, misses and decisions saved exactly as they were.  A leaf run
+notes every key it misses and, when it ends, publishes one
+:class:`Completion` per noted key, all sharing one :class:`RunTail`
+and one frozen final state per distinct final content
+(:meth:`SnapshotTree.intern_final`).  Completions share the nodes' byte
+budget and ``max_nodes`` and are evicted first.
 
 Only captures a child can look up are taken.  A child branches at or
 after :func:`~repro.concurrency.explorer.first_branch_index` of its
@@ -72,6 +100,7 @@ from a plain prototype clone.
 """
 
 import os
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -179,21 +208,95 @@ class SnapshotNode:
         sched.stale = list(self.stale)
         sched.locks.violations = list(self.lock_violations)
         sched._last = self.last
-        for task, meta in zip(sched.tasks, self.metas):
-            task.pending_kind = meta.pending_kind
-            task.pending_detail = meta.pending_detail
-            task.yield_index = meta.yield_index
-            task.done = meta.done
-            task.parked = meta.parked
-            task.crashed = meta.crashed
-            task.exc = meta.exc
-            task.waiting_lock = meta.waiting_lock
+        _seed_tasks(sched, self.metas)
+
+
+class RunTail:
+    """The end of one leaf run, from its first resume key on: the
+    records it appended from there, every vCPU's final
+    :class:`TaskMeta`, and the frozen final state (interned by
+    :meth:`SnapshotTree.intern_final`).  Shared by every
+    :class:`Completion` of the run."""
+
+    __slots__ = ("decisions", "yields", "stale", "lock_violations",
+                 "metas", "final")
+
+    def __init__(self, decisions, yields, stale, lock_violations, metas,
+                 final):
+        self.decisions = decisions
+        self.yields = yields
+        self.stale = stale
+        self.lock_violations = lock_violations
+        self.metas = metas
+        self.final = final
+
+
+class Completion:
+    """How a leaf run went on to its end from one resume key: offsets
+    into its :class:`RunTail`, and ``index``, the number of decisions
+    made before the key."""
+
+    __slots__ = ("tail", "index", "decisions", "yields", "stale",
+                 "lock_violations", "nbytes")
+
+    def __init__(self, tail, index, decisions, yields, stale,
+                 lock_violations, nbytes):
+        self.tail = tail
+        self.index = index
+        self.decisions = decisions
+        self.yields = yields
+        self.stale = stale
+        self.lock_violations = lock_violations
+        self.nbytes = nbytes
+
+    @property
+    def length(self) -> int:
+        """Decisions this completion supplies."""
+        return len(self.tail.decisions) - self.decisions
+
+    def apply_to(self, sched):
+        """End ``sched``'s run with this suffix: its records appended
+        (decisions re-indexed from ``len(sched.decisions)``) and every
+        task in its final state."""
+        tail = self.tail
+        decisions = tail.decisions[self.decisions:]
+        shift = len(sched.decisions) - self.index
+        if shift:
+            decisions = [conc.Decision(
+                index=d.index + shift, chosen=d.chosen,
+                chosen_kind=d.chosen_kind, enabled=d.enabled,
+                kinds=d.kinds) for d in decisions]
+        sched.decisions.extend(decisions)
+        sched.yields.extend(tail.yields[self.yields:])
+        sched.stale.extend(tail.stale[self.stale:])
+        sched.locks.violations.extend(
+            tail.lock_violations[self.lock_violations:])
+        _seed_tasks(sched, tail.metas)
+
+
+def _seed_tasks(sched, metas):
+    """Put every task of ``sched`` in the scheduling state its
+    :class:`TaskMeta` records."""
+    for task, meta in zip(sched.tasks, metas):
+        task.pending_kind = meta.pending_kind
+        task.pending_detail = meta.pending_detail
+        task.yield_index = meta.yield_index
+        task.done = meta.done
+        task.parked = meta.parked
+        task.crashed = meta.crashed
+        task.exc = meta.exc
+        task.waiting_lock = meta.waiting_lock
 
 
 class SnapshotTree:
-    """LRU byte-budgeted store of :class:`SnapshotNode` plus the
-    parent-trace side index used for prefix prediction.
+    """LRU byte-budgeted store of :class:`SnapshotNode` and
+    :class:`Completion` plus the parent-trace side index used for
+    prefix prediction.
 
+    ``nodes`` are keyed by ``(world key, trace prefix)``,
+    ``completions`` by ``(world key, resume key)``; both share the byte
+    budget and ``max_nodes``, and completions are evicted first (one
+    serves a single leaf run's suffix, a node every child's prefix).
     ``max_nodes`` is a test knob forcing tiny capacities (the
     equivalence suite runs at capacity 0 and 1)."""
 
@@ -203,12 +306,18 @@ class SnapshotTree:
                        if budget_bytes is None else int(budget_bytes))
         self.max_nodes = max_nodes
         self.nodes: "OrderedDict[tuple, SnapshotNode]" = OrderedDict()
+        self.completions: "OrderedDict[tuple, Completion]" = OrderedDict()
+        # frozen final states by content, alive while a completion
+        # holds them (so equal ends of many runs are one clone source)
+        self.finals = weakref.WeakValueDictionary()
+        self.statics: Dict[tuple, tuple] = {}
         self.traces: "OrderedDict[tuple, Tuple[int, ...]]" = OrderedDict()
         self.bytes_resident = 0
         self.stats = REGISTRY.counter_group(
             "snapshot_cache",
             ("hits", "misses", "evictions", "captures", "steps_saved",
-             "cow_shared"))
+             "cow_shared", "completion_hits", "completion_misses",
+             "decisions_spliced"))
 
     @property
     def capacity_disabled(self) -> bool:
@@ -265,16 +374,48 @@ class SnapshotTree:
         self.nodes[key] = node
         self.bytes_resident += node.nbytes
         self.stats["captures"] += 1
-        while self.nodes and (
-                self.bytes_resident > self.budget
-                or (self.max_nodes is not None
-                    and len(self.nodes) > self.max_nodes)):
-            _, evicted = self.nodes.popitem(last=False)
+        self._shrink()
+
+    def publish(self, key, completion):
+        """Add a leaf run's :class:`Completion` under ``key``, evicting
+        like :meth:`insert`."""
+        if self.capacity_disabled:
+            return
+        self.completions[key] = completion
+        self.bytes_resident += completion.nbytes
+        self._shrink()
+
+    def _shrink(self):
+        """Evict least-recently-used entries, completions first, until
+        the byte budget and ``max_nodes`` hold."""
+        while self.bytes_resident > self.budget or (
+                self.max_nodes is not None
+                and len(self.nodes) + len(self.completions)
+                > self.max_nodes):
+            table = self.completions or self.nodes
+            if not table:
+                break
+            _, evicted = table.popitem(last=False)
             self.bytes_resident -= evicted.nbytes
             self.stats["evictions"] += 1
         if self is _PROCESS_TREE:
             REGISTRY.set_gauge("snapshot_cache.bytes_resident",
                                float(self.bytes_resident))
+
+    def intern_final(self, world_key, static, state):
+        """The frozen clone of a leaf run's final ``state`` shared by
+        every run of the world that ended in the same content, and
+        whether this call made it."""
+        key = (world_key, static, state_key(state))
+        frozen = self.finals.get(key)
+        if frozen is not None:
+            return frozen, False
+        from repro.engine.fingerprint import warm_fingerprints
+
+        # warm first: every spliced run's clone inherits the digests
+        warm_fingerprints(state.monitor)
+        frozen = self.finals[key] = state.clone()
+        return frozen, True
 
 
 class SnapshotPlan:
@@ -293,10 +434,16 @@ class SnapshotPlan:
     every live vCPU at a snapshot-safe park, no lock held.  It dedups
     by node key *before* cloning, so re-executed shared prefixes cost a
     dict probe, not a clone.
+
+    A plan that never captures (a leaf run) ``completes`` instead,
+    unless :func:`static_key` refuses the run: the scheduler asks
+    :meth:`resume` for a completion at each driver park past the last
+    forced preemption, and the caller hands the finished scheduler to
+    :meth:`finish`.
     """
 
     __slots__ = ("tree", "world_key", "state", "workloads", "first",
-                 "_prev")
+                 "_prev", "completes", "_static", "_noted", "_hit")
 
     def __init__(self, tree, world_key, state, workloads, schedule,
                  preemption_bound: int,
@@ -307,6 +454,15 @@ class SnapshotPlan:
         self.workloads = workloads
         self.first = first_branch_index(schedule, preemption_bound)
         self._prev = resumed_from
+        self._static = None
+        if self.first is None and not tree.capacity_disabled:
+            static = static_key(state, schedule)
+            if static is not None:
+                # one copy per distinct world, shared by all its keys
+                self._static = tree.statics.setdefault(static, static)
+        self.completes = self._static is not None
+        self._noted = []
+        self._hit: Optional[Completion] = None
 
     def offer(self, sched):
         """Capture the scheduler's state at the current decision point
@@ -324,17 +480,9 @@ class SnapshotPlan:
         tree = self.tree
         if tree.capacity_disabled:
             return
-        live = 0
-        for task in sched.tasks:
-            if task.done:
-                continue
-            live += 1
-            if task.pending_kind not in SAFE_PARK_KINDS:
-                return
-        if live < 2 or sched.locks.any_held():
-            # a single live vCPU can never branch; a held lock is part
-            # of a plan mid-acquire or a hypercall mid-flight, which a
-            # node does not re-seed
+        if sum(not task.done for task in sched.tasks) < 2 \
+                or not _parked_in_drivers(sched):
+            # a single live vCPU can never branch
             return
         prefix = tuple(d.chosen for d in sched.decisions)
         key = (self.world_key, prefix)
@@ -347,6 +495,68 @@ class SnapshotPlan:
             self._prev = existing
             return
         tree.insert(key, self._capture(sched))
+
+    def resume(self, sched) -> Optional[Completion]:
+        """At a driver park of a leaf run past its last forced
+        preemption (called by the scheduler's ``_emit``): the
+        completion an earlier run of the world published for this
+        exact resume key, or None, noting the key for :meth:`finish`.
+        Only a snapshot-safe point is keyed."""
+        if not _parked_in_drivers(sched):
+            return None
+        key = resume_key(sched, self.state, self.workloads.positions)
+        if key is None:
+            return None
+        key = (self.world_key, self._static, key)
+        tree = self.tree
+        completion = tree.completions.get(key)
+        if completion is None:
+            self._noted.append((key, len(sched.decisions),
+                                len(sched.yields), len(sched.stale),
+                                len(sched.locks.violations)))
+            return None
+        tree.completions.move_to_end(key)
+        tree.stats["completion_hits"] += 1
+        tree.stats["decisions_spliced"] += completion.length
+        self._hit = completion
+        return completion
+
+    def finish(self, sched):
+        """After the run: publish a :class:`Completion` for every key
+        the run noted, and return the state it ended in — the live
+        state, or for a spliced run a clone of the frozen final state
+        it took over."""
+        hit, noted = self._hit, self._noted
+        if hit is None and not noted:
+            return self.state
+        tree = self.tree
+        if hit is None:
+            tree.stats["completion_misses"] += 1
+            final, fresh = tree.intern_final(self.world_key, self._static,
+                                             self.state)
+            metas = tuple(self._task_meta(task) for task in sched.tasks)
+        else:
+            final, fresh = hit.tail.final, False
+            metas = hit.tail.metas
+        if noted:
+            _key, d0, y0, s0, v0 = noted[0]
+            tail = RunTail(tuple(sched.decisions[d0:]),
+                           tuple(sched.yields[y0:]),
+                           tuple(sched.stale[s0:]),
+                           tuple(sched.locks.violations[v0:]),
+                           metas, final)
+            for key, d, y, s, v in noted:
+                nbytes = COMPLETION_BYTES + 48 * (
+                    len(tail.decisions) - (d - d0)
+                    + len(tail.yields) - (y - y0))
+                if fresh:
+                    # the final state is charged to the first completion
+                    # that holds it
+                    nbytes += _state_bytes(final, {})
+                    fresh = False
+                tree.publish(key, Completion(tail, d, d - d0, y - y0,
+                                             s - s0, v - v0, nbytes))
+        return self.state if hit is None else final.clone()
 
     def _capture(self, sched) -> SnapshotNode:
         from repro.engine.fingerprint import (
@@ -395,9 +605,30 @@ class SnapshotPlan:
             waiting_lock=task.waiting_lock)
 
 
+def _parked_in_drivers(sched) -> bool:
+    """A snapshot-safe point: every live vCPU parked in its driver, no
+    lock held (a held lock is part of a plan mid-acquire or a hypercall
+    mid-flight), and no step unwinding an exception through its
+    ``hc.return`` park (the task goes on to re-raise, not to its next
+    step).  Nodes and resume keys re-seed none of those."""
+    if sched.locks.any_held() or sched._unwinding:
+        return False
+    for task in sched.tasks:
+        if not task.done and task.pending_kind not in SAFE_PARK_KINDS:
+            return False
+    return True
+
+
 def _estimate_bytes(state, sched, reuse) -> int:
     """Deterministic byte estimate of one node (shared structures are
     charged to the node that owns them)."""
+    return _state_bytes(state, reuse) + 48 * (len(sched.decisions)
+                                              + len(sched.yields))
+
+
+def _state_bytes(state, reuse) -> int:
+    """Deterministic byte estimate of one frozen state, less the
+    structures it shares by reference."""
     monitor = state.monitor
     total = 8192
     if "phys" not in reuse:
@@ -408,8 +639,99 @@ def _estimate_bytes(state, sched, reuse) -> int:
         total += 120 * len(monitor.epcm._entries)
     total += 256 * len(monitor.enclaves)
     total += 512 * len(monitor.cpus)
-    total += 48 * (len(sched.decisions) + len(sched.yields))
     return total
+
+
+#: Byte estimate of one completion's resume key and entry, records
+#: apart (about 2 KB of key tuples at bound 2 on TINY).
+COMPLETION_BYTES = 2048
+
+
+def static_key(state, schedule):
+    """The part of a run's resume keys fixed for the whole run, or None
+    when the run must not splice: a fault plane is installed (its hit
+    counters are state no key covers), or the monitor or the state
+    carries an instance field their ``clone`` does not copy
+    structurally, or an oracle other than a
+    :class:`~repro.security.oracle.DataOracle`."""
+    from repro.faults.plane import active_plane
+    from repro.hyperenclave.monitor import RustMonitor
+    from repro.security.oracle import DataOracle
+    from repro.security.state import SystemState
+
+    monitor = state.monitor
+    if (active_plane() is not None
+            or not RustMonitor._CLONE_FIELDS.issuperset(monitor.__dict__)
+            or not SystemState._CLONE_FIELDS.issuperset(state.__dict__)):
+        return None
+    oracle = state.oracle
+    if oracle is None:
+        oracle_key = None
+    elif type(oracle) is DataOracle:
+        oracle_key = (tuple(oracle._values), oracle._cycle)
+    else:
+        return None
+    return (type(state), type(monitor), state.use_spec_walk, oracle_key,
+            schedule.crash)
+
+
+def _table_key(table):
+    return (table.root_frame, table.owner_lock, table.allow_huge,
+            table.name)
+
+
+def state_key(state) -> tuple:
+    """Every field :meth:`SystemState.clone` and
+    :meth:`RustMonitor.clone` copy, bar the per-world constants
+    (``config``, ``layout``, the oracle's values; see
+    :func:`static_key`) and the fingerprint caches: ``phys``,
+    ``frames`` and ``epcm`` through their version-cached fingerprints,
+    the rest as exact tuples (TLB entries in insertion order, flush
+    counts included)."""
+    from repro.engine.fingerprint import versioned_fingerprints
+
+    monitor = state.monitor
+    primary_os = monitor.primary_os
+    oracle = state.oracle
+    return (
+        versioned_fingerprints(monitor),
+        tuple((eid, e.eid, e.elrange_base, e.elrange_size, e.mbuf,
+               _table_key(e.gpt), _table_key(e.ept), e.gpa_base, e.state,
+               e.saved_context, e.measurement)
+              for eid, e in monitor.enclaves.items()),
+        monitor._next_eid, monitor._vid,
+        tuple((cpu.active, cpu.saved_host_context,
+               tuple(cpu.vcpu.regs), tuple(cpu.vcpu.regs.values()),
+               cpu.vcpu.gpt_root,
+               cpu.vcpu.ept_root, tuple(cpu.tlb._entries.items()),
+               cpu.tlb.flush_count)
+              for cpu in monitor.cpus),
+        _table_key(monitor.os_ept),
+        tuple((app_id, app.app_id, app.gpt_root_gpa, app.mbuf_va,
+               app.mbuf_size) for app_id, app in primary_os.apps.items()),
+        primary_os._next_table_frame,
+        tuple(sorted(primary_os._reserved_frames)),
+        state.step_count,
+        None if oracle is None else oracle._cursor)
+
+
+def resume_key(sched, state, positions) -> Optional[tuple]:
+    """What the rest of a scheduled run reads, at a driver park past
+    its last forced preemption with no lock held: :func:`state_key`,
+    every vCPU's script position and scheduling state, and the
+    scheduler's last pick.  None if a task is an opaque callable or
+    has a transaction open."""
+    tasks = []
+    for task, position in zip(sched.tasks, positions):
+        if task.fn is not None or task.txn_scope is not None:
+            return None
+        exc = task.exc
+        tasks.append((task.vid, position, task.pending_kind,
+                      task.pending_detail, task.yield_index, task.done,
+                      task.parked, task.crashed,
+                      None if exc is None else (type(exc), repr(exc)),
+                      task.waiting_lock))
+    return state_key(state), tuple(tasks), sched._last
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +764,8 @@ def reset_process_tree(tree: Optional[SnapshotTree] = None):
 
 __all__ = [
     "SAFE_PARK_KINDS", "ENV_BUDGET",
-    "TaskMeta", "SnapshotNode", "SnapshotTree",
-    "SnapshotPlan",
+    "TaskMeta", "SnapshotNode", "RunTail", "Completion", "SnapshotTree",
+    "SnapshotPlan", "static_key", "state_key", "resume_key",
     "snapshot_budget_bytes", "locality_key", "process_tree",
     "reset_process_tree",
 ]

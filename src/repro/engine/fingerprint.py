@@ -203,6 +203,16 @@ def warm_fingerprints(monitor) -> None:
         _cached_fingerprint(monitor, cache, name)
 
 
+def versioned_fingerprints(monitor) -> tuple:
+    """``(phys, frames, epcm)`` fingerprints through the monitor's
+    version cache: a dict probe per structure that did not move since
+    it was last fingerprinted (the snapshot tree's resume keys)."""
+    cache = monitor._fp_cache
+    return (_cached_fingerprint(monitor, cache, "phys"),
+            _cached_fingerprint(monitor, cache, "frames"),
+            _cached_fingerprint(monitor, cache, "epcm"))
+
+
 def fingerprint(monitor, fps: Dict[str, int] = None) -> int:
     """The combined 64-bit monitor fingerprint."""
     fps = fps or structure_fingerprints(monitor)

@@ -769,8 +769,12 @@ def execute_interleaved(prototype, ctx, schedule, *, tree=None,
     nodes at the snapshot-safe decisions where a child of this
     schedule can branch under the bound, and the finished trace is
     recorded so children of this schedule can predict their prefixes.
-    Results are byte-identical with or without the tree — the golden
-    digests pin this, including under forced eviction.
+    A schedule no child branches from instead stops at the first
+    driver park an earlier run of the world went on from to its end,
+    and returns a clone of that run's frozen final state
+    (:class:`~repro.concurrency.snapshot.Completion`).  Results are
+    byte-identical with or without the tree — the golden digests pin
+    this, including under forced eviction.
 
     The clone source (prototype or node) is warmed first
     (:func:`~repro.engine.fingerprint.warm_fingerprints`), so the final
@@ -792,12 +796,13 @@ def execute_interleaved(prototype, ctx, schedule, *, tree=None,
     if tree is not None:
         if node is not None:
             node.apply_to(scheduler)
-        scheduler.snapshots = SnapshotPlan(tree, world_key, state, built,
-                                           schedule, preemption_bound,
-                                           resumed_from=node)
+        plan = scheduler.snapshots = SnapshotPlan(
+            tree, world_key, state, built, schedule, preemption_bound,
+            resumed_from=node)
     result = scheduler.run()
     if tree is not None:
         tree.record_trace(world_key, schedule, result.trace)
+        state = plan.finish(scheduler)
     # Scrub the source page the harness used to seed the secret —
     # the concurrent analogue of :func:`default_two_worlds` zeroing
     # it right after ``hc_add_page``.  Once inside the enclave the

@@ -2,17 +2,18 @@
 metrics.
 
 The snapshot tree's one hard guarantee mirrors the fabric's: a
-campaign run through restored snapshots is **byte-identical**
-(``repr``-equal) to the from-scratch reference that runs every
-schedule from a prototype clone — at any cache capacity, including a
-budget of zero and a single-node LRU that evicts on every insert, and
-through both campaign drivers (the sequential campaign's own tree and
-the one-worker pool's process tree).  Hypothesis drives random (seed,
-preemption bound, fault plan) configurations through both; the
-directed tests pin the cache actually *working* (hits, suffix steps
-saved), the capture rule (snapshots only where a child schedule can
-branch), the sequential tree's lifetime, and the counters surfacing
-through the metrics registry.
+campaign run through restored snapshots and spliced completions is
+**byte-identical** (``repr``-equal) to the from-scratch reference that
+runs every schedule from a prototype clone — at any cache capacity,
+including a budget of zero and a single-node LRU that evicts on every
+insert, and through both campaign drivers (the sequential campaign's
+own tree and the one-worker pool's process tree).  Hypothesis drives
+random (seed, preemption bound, fault plan) configurations through
+both; the directed tests pin the cache actually *working* (hits,
+suffix steps saved, leaf runs ending on an earlier run's completion),
+the capture rule (snapshots only where a child schedule can branch),
+the sequential tree's lifetime, and the counters surfacing through
+the metrics registry.
 
 Everything here runs in-process (``workers=1``) so the tests control
 the process-local tree directly via
@@ -21,12 +22,14 @@ the process-local tree directly via
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.concurrency import snapshot
 from repro.concurrency.snapshot import (
+    Completion,
     SnapshotTree,
     locality_key,
     process_tree,
@@ -41,6 +44,7 @@ from repro.faults import (
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 from repro.hyperenclave.constants import ARCH_CONFIGS
 from repro.hyperenclave.monitor import RustMonitor
+from repro.hyperenclave.txn import transactional
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
 from repro.service import CampaignSpec, run_durable_campaign
@@ -145,6 +149,8 @@ def test_forced_eviction_preserves_equivalence(data):
     if kwargs.get("budget_bytes") == 0:
         assert delta["snapshot_cache.hits"] == 0
         assert delta["snapshot_cache.captures"] == 0
+        assert delta["snapshot_cache.completion_hits"] == 0
+        assert not tree.completions
     else:
         assert len(tree.nodes) <= 1
         assert delta["snapshot_cache.evictions"] > 0
@@ -162,6 +168,78 @@ def test_cache_hits_and_saves_suffix_steps():
     assert delta["snapshot_cache.steps_saved"] > 0
     assert delta["snapshot_cache.cow_shared"] > 0
     assert tree.bytes_resident > 0
+
+
+def _carried(monitor_cls, crash):
+    """The findings a case's spliced suffixes must carry: lock
+    violations of the missing-lock bug, stale translations of the
+    missing-shootdown bug and crashed vCPUs, wherever the campaign has
+    them past a leaf run's last preemption."""
+    expected = set()
+    if crash is not None:
+        expected.add("crashed vCPUs")
+    if monitor_cls is MissingLockMonitor and crash != (0, 9):
+        expected.add("lock violations")
+    if monitor_cls is NoShootdownMonitor and crash is None:
+        expected.add("stale translations")
+    return expected
+
+
+@pytest.mark.parametrize("crash", [None, (1, 5), (0, 9)], ids=str)
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+@pytest.mark.parametrize(
+    "monitor_cls", [RustMonitor, MissingLockMonitor, NoShootdownMonitor],
+    ids=lambda cls: cls.__name__)
+def test_spliced_completions_match_from_scratch(monitor_cls, arch, crash,
+                                                monkeypatch):
+    """Bound 2, full battery: leaf runs end on completions earlier runs
+    published, and the campaign's runs and violations stay
+    ``repr``-equal to the from-scratch reference — findings and
+    crashed vCPUs that live in the spliced suffixes included."""
+    carried = Counter()
+    splice = Completion.apply_to
+
+    def counted(self, sched):
+        violations, stale = len(sched.locks.violations), len(sched.stale)
+        splice(self, sched)
+        carried["lock violations"] += \
+            len(sched.locks.violations) - violations
+        carried["stale translations"] += len(sched.stale) - stale
+        carried["crashed vCPUs"] += sum(t.parked for t in sched.tasks)
+
+    monkeypatch.setattr(Completion, "apply_to", counted)
+    grid = dict(preemption_bound=2, crash=crash, config=ARCH_CONFIGS[arch])
+    before = REGISTRY.snapshot()
+    cached = interleaving_campaign(monitor_cls, **grid)
+    delta = REGISTRY.delta(before)["counters"]
+    reference = from_scratch_campaign(monitor_cls, **grid)
+    assert repr(cached.runs) == repr(reference.runs)
+    assert repr(cached.violations) == repr(reference.violations)
+    assert delta["snapshot_cache.completion_hits"] > 0
+    assert delta["snapshot_cache.decisions_spliced"] > 0
+    assert {kind for kind, count in carried.items() if count} \
+        >= _carried(monitor_cls, crash)
+
+
+class RaisingTrimMonitor(RustMonitor):
+    """``hc_trim_page`` raises an error the transition layer does not
+    absorb, after its wrapper released the locks: vCPU 0 parks at its
+    ``hc.return`` while the error unwinds, then dies with it."""
+
+    @transactional(*RustMonitor.hc_trim_page.lock_set)
+    def hc_trim_page(self, eid, va):
+        raise RuntimeError("trim escaped")
+
+
+def test_an_unwinding_hc_return_is_neither_captured_nor_keyed():
+    """A node or completion taken while a vCPU sits at an unwinding
+    ``hc.return`` would resume it into its next step; the cached
+    campaign keeps every vCPU error of the reference."""
+    grid = dict(preemption_bound=2, check_ni=False)
+    cached = interleaving_campaign(RaisingTrimMonitor, **grid)
+    reference = from_scratch_campaign(RaisingTrimMonitor, **grid)
+    assert any(run.task_errors for _schedule, run in reference.runs)
+    assert repr(cached) == repr(reference)
 
 
 def test_ni_worlds_restore_byte_identically(tree):
@@ -297,6 +375,9 @@ def test_counters_surface_in_render_metrics(tree):
     table = render_metrics(REGISTRY.snapshot())
     for name in ("snapshot_cache.hits", "snapshot_cache.misses",
                  "snapshot_cache.steps_saved",
+                 "snapshot_cache.completion_hits",
+                 "snapshot_cache.completion_misses",
+                 "snapshot_cache.decisions_spliced",
                  "snapshot_cache.bytes_resident"):
         assert name in table
     assert REGISTRY.snapshot()["gauges"][
