@@ -52,7 +52,8 @@ class AbsState:
 
         If an owner is declared for the field and ``_writer_layer`` is
         given, the write is permitted only from the owning layer — the
-        data-encapsulation rule of layered proofs.
+        data-encapsulation rule of layered proofs.  A permitted write of
+        the very object the field already holds returns ``self``.
         """
         if name not in self._fields:
             raise LayerError(
@@ -66,6 +67,8 @@ class AbsState:
                 f"layer {_writer_layer!r} wrote field {name!r} owned by "
                 f"layer {owner!r}"
             )
+        if self._fields[name] is value:
+            return self
         fields = dict(self._fields)
         fields[name] = value
         new = AbsState.__new__(AbsState)

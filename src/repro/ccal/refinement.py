@@ -54,8 +54,9 @@ def mir_impl(program, fn_name, trusted=(), setup=None, extract=None,
     """Adapt MIR code into the spec shape ``(args, state) -> (ret, state)``.
 
     Each invocation builds a fresh interpreter (fresh object memory) over
-    ``program``, registers the ``trusted`` specs as trusted functions,
-    installs the abstract state, and runs ``fn_name``.
+    ``program``, registers the ``trusted`` specs as trusted functions
+    (converted once, here), installs the abstract state, and runs
+    ``fn_name``.
 
     ``setup(interp, args) -> mir_args`` converts high-level sample
     arguments into runtime values — e.g. allocating a struct into object
@@ -63,13 +64,13 @@ def mir_impl(program, fn_name, trusted=(), setup=None, extract=None,
     co-simulated.  ``extract(interp, ret) -> ret`` post-processes the
     return value symmetrically (e.g. reading back through a pointer).
     """
+    trusted_functions = [spec.as_trusted_function() for spec in trusted]
 
     def run(args, state):
         interp = Interpreter(program, absstate=state)
         if fuel is not None:
             interp.fuel = fuel
-        for spec in trusted:
-            interp.register_trusted(spec.as_trusted_function())
+        interp.register_trusted_many(trusted_functions)
         for owner, resolver in (rdata_resolvers or {}).items():
             interp.register_rdata_resolver(owner, resolver)
         mir_args = setup(interp, args) if setup is not None else args

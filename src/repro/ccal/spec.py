@@ -50,9 +50,15 @@ class Spec:
         return ret, new_state
 
     def as_trusted_function(self):
-        """Adapt for the MIR interpreter's trusted-function registry."""
+        """Adapt for the MIR interpreter's trusted-function registry.
+
+        A spec with no precondition and no purity claim has nothing to
+        check around ``fn``, so ``fn`` itself is registered.
+        """
         from repro.mir.interp import TrustedFunction
-        return TrustedFunction(name=self.name, spec=self.__call__,
+        call = self.fn if self.pre is None and not self.pure \
+            else self.__call__
+        return TrustedFunction(name=self.name, spec=call,
                                layer=self.layer, doc=self.doc)
 
 

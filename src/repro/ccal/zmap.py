@@ -31,11 +31,22 @@ class ZMap:
     __getitem__ = get
 
     def set(self, key, value):
-        """Return a new ZMap with ``key`` bound to ``value``."""
-        entries = dict(self._entries)
+        """Return a ZMap with ``key`` bound to ``value``.
+
+        A write that changes nothing (the key already holds an equal
+        value, or is absent and ``value`` is the default) returns
+        ``self``; any other write returns a new map.
+        """
+        entries = self._entries
         if value == self._default:
-            entries.pop(key, None)
+            if key not in entries:
+                return self
+            entries = dict(entries)
+            del entries[key]
         else:
+            if key in entries and entries[key] == value:
+                return self
+            entries = dict(entries)
             entries[key] = value
         new = ZMap.__new__(ZMap)
         new._default = self._default

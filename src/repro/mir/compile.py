@@ -1,120 +1,88 @@
-"""Per-CFG precompilation of mirlight functions.
+"""Mirlight basic blocks as generated Python functions.
 
-The naive interpreter (:mod:`repro.mir.interp`) re-discovers the shape
-of every statement on every step: an ``isinstance`` ladder for the
-statement kind, another for the rvalue, one per operand, one per
-projection, and a fresh :class:`~repro.mir.path.Path` for every global
-base it touches.  For the checking workloads (co-simulation sweeps run
-the same 49 functions tens of thousands of times) that discovery work
-dominates the runtime even though its outcome is identical on every
-execution.
+The naive interpreter (:meth:`~repro.mir.interp.Interpreter.step`)
+re-discovers the shape of every statement on every step: an
+``isinstance`` ladder for the statement kind, another for the rvalue,
+one per operand and one per projection.  The co-simulation sweeps run
+the same few dozen functions tens of thousands of times, so that
+discovery dominates their runtime although its outcome never changes.
 
-This module walks each function **once** and compiles every statement
-and terminator into a closure ``op(interp, frame)`` with the discovery
-pre-resolved:
+This module writes each basic block of a function as the source text of
+one Python function ``block(interp, frame)``, compiles the function's
+blocks together the first time the function is called under a program,
+and caches them on the function (:func:`compiled_blocks`).  A block
+function runs its statements and its terminator inline:
 
-* statement/rvalue/operand kinds become direct closure calls,
-* arithmetic dispatches through per-op lambdas instead of an if-ladder,
-* binop, compare, switch and cast closures test ``type(v) is
-  IntValue`` before anything else; any other operand falls through to
-  the generic ``expect_int``/``isinstance`` checks, so errors are
-  unchanged,
-* global base paths are constructed once per function, not per access,
-* bare temporary reads/writes go straight at the ``TempEnv`` dict
-  (the write keeps ``TempEnv.write``'s Value check inline),
-* the common ``temp.field...`` projection chains are unrolled.
+* bare temporaries are read and written straight on the frame's
+  ``TempEnv`` dict (a value that is not a ``Value`` goes to
+  ``_write_place``, which raises the naive path's error);
+* integer arithmetic (not division), compares and casts run behind a
+  ``type(v) is IntValue`` (``BoolValue`` for bool casts) test, with
+  ``IntValue`` constants as literals; any other operand goes to the
+  interpreter's own ``_eval_binop``/``_eval_cast``, so errors are the
+  naive path's;
+* ``switchInt`` tests the ``mk_bool`` singletons and ``IntValue``
+  first, and any other value goes through :func:`_as_switch_int`;
+* ``goto``, ``drop``, ``assert`` and ``switchInt`` store the next label
+  in ``frame.block``;
+* a call to a registered trusted function goes through
+  ``interp._trusted`` and stays in the block function; any other call
+  pushes a frame with ``interp._push_frame`` and returns ``True``, as a
+  return does, to tell :meth:`~repro.mir.interp.Interpreter.call`'s
+  driver that the stack changed.
+
+Everything else falls back to the interpreter's generic
+``_read_place``/``_write_place`` (projections, locals in object memory,
+derefs, dynamic indices, a temporary that is unbound and names a global
+or a memory base), ``_eval_rvalue`` (aggregates, references, ``Len``,
+division, unary and checked ops, ...), ``_exec_statement`` and
+``_exec_terminator``: the single source of truth for the rare shapes.
+
+**Semantic contract.**  A block function behaves exactly like the
+``step()`` calls it replaces: same values, abstract-state transitions,
+error types and messages, and one fuel unit per statement (no-ops
+included) and per terminator, checked before each step.  The block
+charges its whole cost on entry when the fuel covers it; when it does
+not, the block runs with the reference :meth:`step` (:func:`_fuel_edge`),
+which stops at exactly the step and position the naive interpreter
+stops at.  Each statement stores its index in the local ``at`` before
+it runs, and one handler around the body hands back the steps not
+taken and leaves ``frame.stmt_index`` at ``at`` when a statement or the
+terminator raises.  A call that pushes a frame leaves the caller at its
+terminator, as ``step()`` does.
+
+**What the source may contain.**  Program text reaches the generated
+source only as the ``repr()`` of a ``str`` or an ``int``
+(:meth:`_Writer.lit`): labels, temporary names, function names, assert
+messages and the integers of ``IntValue`` constants.  Every other
+object (values, places, types, rvalues, helpers) is bound in the
+namespace the source runs in, under a name the generator makes up.  The
+builder takes any label or name, and assert messages parsed from text
+by :mod:`repro.mir.parser` hold any character, so this is what keeps
+program text from being read as code.
 
 The artifact is cached on ``function.__dict__['_compiled']`` keyed by
-the owning program (functions are rebuilt with their program; a function
-shared across programs with different globals recompiles).  Compilation
-assumes the CFG is not mutated afterwards — true for every corpus
-builder, which constructs fresh ``Function`` objects per program.
-
-**Semantic contract.**  Every closure reproduces the naive path's
-observable behaviour exactly: same values, same abstract-state
-transitions, same exception types and messages, and — load-bearing for
-the checking harness — the same *step accounting* (the driver loop in
-:meth:`~repro.mir.interp.Interpreter.call` still charges one fuel unit
-per statement including no-ops, exactly like :meth:`step`).  The
-symbolic bench asserts byte-identical verdicts over the whole corpus
-with this layer on and off.
+the owning program: a function shared across programs with different
+globals is generated again.  Generation assumes the CFG is not mutated
+afterwards, true for every corpus builder.
 
 The cheap structural pieces are shared with the symbolic executor via
-:func:`block_plan` — both engines iterate ``(statements, terminator,
-n_statements)`` tuples resolved once per block instead of re-reading
-the AST maps each step.
+:func:`block_plan`.
 """
 
-import operator
-
-from repro.errors import (
-    MirAssertError,
-    MirRuntimeError,
-    MirTypeError,
-)
+from repro.errors import MirAssertError, MirTypeError
 from repro.mir import ast
-from repro.mir.ast import BinOp, CastKind, UnOp
+from repro.mir.ast import BinOp, CastKind
 from repro.mir.path import Path
 from repro.mir.value import (
-    Aggregate,
     BoolValue,
     FnValue,
     IntValue,
     Value,
     mk_bool,
     mk_int,
-    mk_tuple,
     unit,
 )
-
-_MISSING = object()
-_TRUE = mk_bool(True)
-_FALSE = mk_bool(False)
-
-
-# ---------------------------------------------------------------------------
-# Raw arithmetic, one lambda per operator (mirrors interp._arith_raw)
-# ---------------------------------------------------------------------------
-
-
-def _raw_div(lhs, rhs):
-    a, b = lhs.value, rhs.value
-    if b == 0:
-        raise MirAssertError("attempt to divide by zero")
-    return int(a / b) if (a < 0) != (b < 0) else a // b
-
-
-def _raw_rem(lhs, rhs):
-    a, b = lhs.value, rhs.value
-    if b == 0:
-        raise MirAssertError(
-            "attempt to calculate remainder with divisor zero")
-    return a - b * (int(a / b) if (a < 0) != (b < 0) else a // b)
-
-
-_RAW_ARITH = {
-    BinOp.ADD: lambda lhs, rhs: lhs.value + rhs.value,
-    BinOp.SUB: lambda lhs, rhs: lhs.value - rhs.value,
-    BinOp.MUL: lambda lhs, rhs: lhs.value * rhs.value,
-    BinOp.DIV: _raw_div,
-    BinOp.REM: _raw_rem,
-    BinOp.BITAND: lambda lhs, rhs: lhs.as_unsigned & rhs.as_unsigned,
-    BinOp.BITOR: lambda lhs, rhs: lhs.as_unsigned | rhs.as_unsigned,
-    BinOp.BITXOR: lambda lhs, rhs: lhs.as_unsigned ^ rhs.as_unsigned,
-    BinOp.SHL: lambda lhs, rhs: lhs.as_unsigned << (
-        rhs.as_unsigned % lhs.ty.width),
-    BinOp.SHR: lambda lhs, rhs: lhs.as_unsigned >> (
-        rhs.as_unsigned % lhs.ty.width),
-}
-
-_RAW_CMP = {
-    BinOp.EQ: operator.eq,
-    BinOp.NE: operator.ne,
-    BinOp.LT: operator.lt,
-    BinOp.LE: operator.le,
-    BinOp.GT: operator.gt,
-    BinOp.GE: operator.ge,
-}
 
 
 def _as_switch_int(value):
@@ -126,335 +94,335 @@ def _as_switch_int(value):
         raise MirTypeError(f"switchInt/assert on non-integer {value!r}")
 
 
-# ---------------------------------------------------------------------------
-# Places
-# ---------------------------------------------------------------------------
-#
-# A compiled place is a (reader, writer) pair of closures.  Three tiers:
-# bare temporaries hit the TempEnv dict directly; temp-rooted chains of
-# static field projections (and downcasts) are unrolled; everything else
-# (locals, derefs, dynamic indices) falls back to the interpreter's
-# generic resolver, which stays the single source of truth for the
-# exotic cases.
-
-_PROJ_FIELD = 0
-_PROJ_DOWNCAST = 1
+def _fuel_edge(interp):
+    """The fuel runs out inside the current block: take its steps with
+    the reference :meth:`step`, which raises ``OutOfFuel`` (or the
+    failing statement's own error) with ``steps`` and the frame's
+    position where the naive interpreter leaves them."""
+    while True:
+        interp.step()
 
 
-def _simple_steps(place):
-    """The unrolled (kind, payload) steps for a temp-friendly projection
-    chain, or None if the chain needs the generic resolver."""
-    steps = []
-    for proj in place.projections:
-        if isinstance(proj, (ast.FieldProj, ast.ConstantIndex)):
-            steps.append((_PROJ_FIELD, proj.index))
-        elif isinstance(proj, ast.Downcast):
-            steps.append((_PROJ_DOWNCAST, proj.variant))
+#: What every generated block may name besides its own bindings.
+_HELPERS = {
+    "_IntValue": IntValue,
+    "_BoolValue": BoolValue,
+    "_Value": Value,
+    "_mk_int": mk_int,
+    "_TRUE": mk_bool(True),
+    "_FALSE": mk_bool(False),
+    "_UNIT": unit(),
+    "_MirAssertError": MirAssertError,
+    "_as_switch_int": _as_switch_int,
+    "_fuel_edge": _fuel_edge,
+}
+
+# Raw integer operators: on the ``.value`` of both sides, on their
+# two's-complement bits, and the shifts (count modulo the lhs width).
+_VALUE_OPS = {BinOp.ADD: "+", BinOp.SUB: "-", BinOp.MUL: "*"}
+_BIT_OPS = {BinOp.BITAND: "&", BinOp.BITOR: "|", BinOp.BITXOR: "^"}
+_SHIFT_OPS = {BinOp.SHL: "<<", BinOp.SHR: ">>"}
+_CMP_OPS = {BinOp.EQ: "==", BinOp.NE: "!=", BinOp.LT: "<", BinOp.LE: "<=",
+            BinOp.GT: ">", BinOp.GE: ">="}
+_INLINE_BINOPS = frozenset().union(_VALUE_OPS, _BIT_OPS, _SHIFT_OPS,
+                                   _CMP_OPS)
+
+
+class _Writer:
+    """The source text of one function's block functions and the
+    namespace binding every object that text names."""
+
+    def __init__(self, function, program):
+        self.function = function
+        self.program = program
+        self.namespace = dict(_HELPERS)
+        self.lines = []
+        self.indent = 0
+        self._names = 0
+
+    # -- text ---------------------------------------------------------------
+
+    def emit(self, line):
+        self.lines.append("    " * self.indent + line)
+
+    def bind(self, obj):
+        """A fresh namespace name for ``obj``."""
+        name = f"_k{self._names}"
+        self._names += 1
+        self.namespace[name] = obj
+        return name
+
+    def lit(self, value):
+        """``value`` as a literal if it is a ``str`` or an ``int``,
+        else the name it is bound to."""
+        if type(value) in (str, int):
+            return repr(value)
+        return self.bind(value)
+
+    def jump(self, label):
+        if label in self.function.blocks:
+            self.emit(f"frame.block = {self.lit(label)}")
         else:
-            return None
-    return tuple(steps)
+            self.emit(f"frame.jump({self.lit(label)})")  # raises
 
+    # -- blocks -------------------------------------------------------------
 
-def _compile_place(place, function, program):
-    var = place.var
-    if function.is_local_var(var):
-        # Locals live in object memory pinned to the frame — rare in the
-        # corpus (the pure fragment has none); generic path.
-        return (lambda interp, frame: interp._read_place(frame, place),
-                lambda interp, frame, value:
-                    interp._write_place(frame, place, value))
-    is_global = var in program.globals_
-    gbase = Path.global_(var).base
-    steps = _simple_steps(place)
+    def block(self, index, label, block):
+        """Emit block ``label`` as function ``_b<index>``."""
+        count = len(block.statements)
+        self.emit(f"def _b{index}(interp, frame):  # {self.lit(label)}")
+        self.indent += 1
+        self.emit(f"if interp.fuel - interp.steps <= {count}:")
+        self.emit("    _fuel_edge(interp)")
+        self.emit(f"interp.steps += {count + 1}")
+        self.emit("env = frame.env._values")
+        self.emit("try:")
+        self.indent += 1
+        for at, stmt in enumerate(block.statements):
+            self.statement(at, stmt)
+        self.emit(f"at = {count}")
+        self.terminator(block.terminator, count)
+        self.indent -= 1
+        self.emit("except BaseException:")
+        self.emit(f"    interp.steps -= {count} - at")
+        self.emit("    frame.stmt_index = at")
+        self.emit("    raise")
+        self.indent -= 1
 
-    def read(interp, frame):
-        root = frame.env._values.get(var, _MISSING)
-        if root is _MISSING:
-            if is_global or interp.memory.has_base(gbase):
-                return interp._read_place(frame, place)
-            raise MirRuntimeError(f"read of uninitialised temporary {var!r}")
-        for kind, payload in steps:
-            if kind == _PROJ_FIELD:
-                root = root.expect_aggregate("temp projection").field(payload)
+    def statement(self, at, stmt):
+        """Emit statement ``at`` of the block (no-ops emit nothing)."""
+        if isinstance(stmt, (ast.StorageLive, ast.StorageDead, ast.Nop)):
+            return  # Sec. 3.2: allocation is lazy, deallocation a no-op
+        self.emit(f"at = {at}")
+        if isinstance(stmt, ast.Assign):
+            self.rvalue(stmt.rvalue, "x")
+            self.write(stmt.place, "x")
+        else:
+            self.emit(f"interp._exec_statement(frame, {self.bind(stmt)})")
+
+    # -- places -------------------------------------------------------------
+
+    def _is_temp(self, place):
+        return place.is_bare and not self.function.is_local_var(place.var)
+
+    def read(self, place, target):
+        """Emit ``target = <value of place>``."""
+        generic = f"interp._read_place(frame, {self.bind(place)})"
+        if not self._is_temp(place):
+            self.emit(f"{target} = {generic}")
+            return
+        var = self.lit(place.var)
+        self.emit(f"{target} = env[{var}] if {var} in env else {generic}")
+
+    def write(self, place, value):
+        """Emit the write of local ``value`` to ``place``: a ``Value``
+        binds on the dict unless the name is an unbound global or memory
+        base; anything else, including the error, is ``_write_place``'s."""
+        generic = f"interp._write_place(frame, {self.bind(place)}, {value})"
+        if not self._is_temp(place):
+            self.emit(generic)
+            return
+        var = self.lit(place.var)
+        if place.var in self.program.globals_:
+            bound = f"{var} in env"
+        else:
+            base = self.bind(Path.global_(place.var).base)
+            bound = f"({var} in env or not interp.memory.has_base({base}))"
+        self.emit(f"if isinstance({value}, _Value) and {bound}:")
+        self.emit(f"    env[{var}] = {value}")
+        self.emit("else:")
+        self.emit(f"    {generic}")
+
+    # -- operands and rvalues -----------------------------------------------
+
+    def operand(self, operand, target):
+        """Emit the read of ``operand``; returns ``(expr, const)``: an
+        expression for its value, and the value itself when it is an
+        ``IntValue`` constant (else None)."""
+        if isinstance(operand, (ast.Copy, ast.Move)):
+            self.read(operand.place, target)
+            return target, None
+        if isinstance(operand, ast.Constant):
+            value = operand.value
+            return self.bind(value), (value if type(value) is IntValue
+                                      else None)
+        self.emit(f"{target} = interp._eval_operand(frame, "
+                  f"{self.bind(operand)})")  # raises
+        return target, None
+
+    def rvalue(self, rvalue, target):
+        """Emit ``target = <rvalue>``."""
+        if isinstance(rvalue, ast.Use):
+            expr, _const = self.operand(rvalue.operand, target)
+            if expr != target:
+                self.emit(f"{target} = {expr}")
+        elif isinstance(rvalue, ast.BinaryOp) and rvalue.op in _INLINE_BINOPS:
+            self.binop(rvalue, target)
+        elif isinstance(rvalue, ast.Cast) and rvalue.kind in (
+                CastKind.INT_TO_INT, CastKind.BOOL_TO_INT):
+            self.cast(rvalue, target)
+        else:
+            self.emit(f"{target} = interp._eval_rvalue(frame, "
+                      f"{self.bind(rvalue)})")
+
+    def binop(self, rvalue, target):
+        """Emit ``target = <integer binop or compare>``."""
+        op = rvalue.op
+        left, lconst = self.operand(rvalue.left, "l")
+        right, rconst = self.operand(rvalue.right, "r")
+
+        def signed(expr, const):
+            return repr(const.value) if const is not None else f"{expr}.value"
+
+        def bits(expr, const):
+            if const is not None:
+                return repr(const.as_unsigned)
+            return f"({expr}.value % {expr}.ty.modulus)"
+
+        if op in _CMP_OPS:
+            fast = (f"_TRUE if {signed(left, lconst)} {_CMP_OPS[op]} "
+                    f"{signed(right, rconst)} else _FALSE")
+        else:
+            ty = self.bind(lconst.ty) if lconst is not None else f"{left}.ty"
+            if op in _VALUE_OPS:
+                raw = (f"{signed(left, lconst)} {_VALUE_OPS[op]} "
+                       f"{signed(right, rconst)}")
+            elif op in _BIT_OPS:
+                raw = (f"{bits(left, lconst)} {_BIT_OPS[op]} "
+                       f"{bits(right, rconst)}")
             else:
-                live = root.expect_aggregate("downcast")
-                if live.discriminant != payload:
-                    raise MirRuntimeError(
-                        f"downcast to variant {payload} but live "
-                        f"discriminant is {live.discriminant}")
-        return root
+                width = (repr(lconst.ty.width) if lconst is not None
+                         else f"{left}.ty.width")
+                raw = (f"{bits(left, lconst)} {_SHIFT_OPS[op]} "
+                       f"({bits(right, rconst)} % {width})")
+            fast = f"_mk_int({raw}, {ty})"
+        tests = [f"type({expr}) is _IntValue"
+                 for expr, const in ((left, lconst), (right, rconst))
+                 if const is None]
+        if not tests:
+            self.emit(f"{target} = {fast}")
+            return
+        self.emit(f"if {' and '.join(tests)}:")
+        self.emit(f"    {target} = {fast}")
+        self.emit("else:")
+        self.emit(f"    {target} = interp._eval_binop({self.bind(op)}, "
+                  f"{left}, {right})")
 
-    if steps is None:
-        read = (lambda interp, frame: interp._read_place(frame, place))
-
-    if place.is_bare:
-        def write(interp, frame, value):
-            values = frame.env._values
-            if var not in values and (
-                    is_global or interp.memory.has_base(gbase)):
-                interp._write_place(frame, place, value)
-            elif isinstance(value, Value):
-                values[var] = value
-            else:
-                frame.env.write(var, value)  # raises TempEnv's error
-    else:
-        def write(interp, frame, value):
-            interp._write_place(frame, place, value)
-
-    return read, write
-
-
-def _compile_operand(operand, function, program):
-    if isinstance(operand, (ast.Copy, ast.Move)):
-        return _compile_place(operand.place, function, program)[0]
-    if isinstance(operand, ast.Constant):
-        value = operand.value
-        return lambda interp, frame: value
-    def unknown(interp, frame):
-        raise MirRuntimeError(f"unknown operand {operand!r}")
-    return unknown
-
-
-# ---------------------------------------------------------------------------
-# Rvalues
-# ---------------------------------------------------------------------------
-
-
-def _compile_rvalue(rvalue, function, program):
-    if isinstance(rvalue, ast.Use):
-        return _compile_operand(rvalue.operand, function, program)
-    if isinstance(rvalue, (ast.Ref, ast.AddressOf)):
-        place = rvalue.place
-        return lambda interp, frame: interp._eval_ref(frame, place)
-    if isinstance(rvalue, ast.BinaryOp):
-        return _compile_binop(rvalue, function, program)
-    if isinstance(rvalue, ast.CheckedBinaryOp):
-        return _compile_checked_binop(rvalue, function, program)
-    if isinstance(rvalue, ast.UnaryOp):
-        operand = _compile_operand(rvalue.operand, function, program)
-        if rvalue.op is UnOp.NOT:
-            def unop_not(interp, frame):
-                value = operand(interp, frame)
-                if isinstance(value, BoolValue):
-                    return mk_bool(not value.value)
-                as_int = value.expect_int("unop !")
-                return mk_int(~as_int.as_unsigned, as_int.ty)
-            return unop_not
-        if rvalue.op is UnOp.NEG:
-            def unop_neg(interp, frame):
-                as_int = operand(interp, frame).expect_int("unop -")
-                return mk_int(-as_int.value, as_int.ty)
-            return unop_neg
-        def unop_unknown(interp, frame):
-            raise MirRuntimeError(f"unknown unary op {rvalue.op!r}")
-        return unop_unknown
-    if isinstance(rvalue, ast.Cast):
-        operand = _compile_operand(rvalue.operand, function, program)
-        cast = rvalue
+    def cast(self, cast, target):
+        """Emit ``target = <int-to-int or bool-to-int cast>``."""
+        value, _const = self.operand(cast.operand, "l")
+        ty = self.bind(cast.ty)
         if cast.kind is CastKind.INT_TO_INT:
-            ty = cast.ty
-            def cast_int(interp, frame):
-                value = operand(interp, frame)
-                if type(value) is not IntValue:
-                    value = value.expect_int("cast")
-                return mk_int(value.value, ty)
-            return cast_int
-        if cast.kind is CastKind.BOOL_TO_INT:
-            ty = cast.ty
-            def cast_bool(interp, frame):
-                value = operand(interp, frame)
-                if type(value) is not BoolValue:
-                    value = value.expect_bool("cast")
-                return mk_int(1 if value.value else 0, ty)
-            return cast_bool
-        def cast_other(interp, frame):
-            return interp._eval_cast(cast, operand(interp, frame))
-        return cast_other
-    if isinstance(rvalue, ast.AggregateRv):
-        operands = tuple(_compile_operand(o, function, program)
-                         for o in rvalue.operands)
-        discriminant = (rvalue.variant
-                        if rvalue.kind is ast.AggregateKind.VARIANT else 0)
-        return lambda interp, frame: Aggregate(
-            discriminant, tuple(o(interp, frame) for o in operands))
-    if isinstance(rvalue, ast.Repeat):
-        operand = _compile_operand(rvalue.operand, function, program)
-        count = rvalue.count
-        return lambda interp, frame: Aggregate(
-            0, (operand(interp, frame),) * count)
-    if isinstance(rvalue, ast.Len):
-        read = _compile_place(rvalue.place, function, program)[0]
-        return lambda interp, frame: mk_int(
-            len(read(interp, frame).expect_aggregate("Len")))
-    if isinstance(rvalue, ast.Discriminant):
-        read = _compile_place(rvalue.place, function, program)[0]
-        return lambda interp, frame: mk_int(
-            read(interp, frame).expect_aggregate("Discriminant").discriminant)
-    if isinstance(rvalue, ast.CopyForDeref):
-        return _compile_place(rvalue.place, function, program)[0]
-    def generic(interp, frame):
-        return interp._eval_rvalue(frame, rvalue)
-    return generic
+            self.emit(f"if type({value}) is _IntValue:")
+            self.emit(f"    {target} = _mk_int({value}.value, {ty})")
+        else:
+            self.emit(f"if type({value}) is _BoolValue:")
+            self.emit(f"    {target} = _mk_int(1 if {value}.value else 0, "
+                      f"{ty})")
+        self.emit("else:")
+        self.emit(f"    {target} = interp._eval_cast({self.bind(cast)}, "
+                  f"{value})")
+
+    def switch_int(self, operand):
+        """Emit ``s = <operand as switchInt reads it>``."""
+        value, _const = self.operand(operand, "s")
+        self.emit(f"if {value} is _TRUE:")
+        self.emit("    s = 1")
+        self.emit(f"elif {value} is _FALSE:")
+        self.emit("    s = 0")
+        self.emit(f"elif type({value}) is _IntValue:")
+        self.emit(f"    s = {value}.value % {value}.ty.modulus")
+        self.emit("else:")
+        self.emit(f"    s = _as_switch_int({value})")
+
+    # -- terminators ----------------------------------------------------------
+
+    def terminator(self, term, count):
+        if isinstance(term, (ast.Goto, ast.Drop)):
+            self.jump(term.target)
+        elif isinstance(term, ast.SwitchInt):
+            self.switch_int(term.operand)
+            seen = set()
+            keyword = "if"
+            for value, label in term.targets:
+                if value in seen:
+                    continue  # first matching target wins
+                seen.add(value)
+                self.emit(f"{keyword} s == {self.lit(value)}:")
+                self.indent += 1
+                self.jump(label)
+                self.indent -= 1
+                keyword = "elif"
+            if seen:
+                self.emit("else:")
+                self.indent += 1
+            self.jump(term.otherwise)
+            if seen:
+                self.indent -= 1
+        elif isinstance(term, ast.Assert):
+            self.switch_int(term.cond)
+            self.emit(f"if (s != 0) != {self.bind(term.expected)}:")
+            self.emit(f"    raise _MirAssertError({self.lit(term.msg)}, "
+                      f"frame.function.name, frame.block)")
+            self.jump(term.target)
+        elif isinstance(term, ast.Return):
+            self.emit("interp._exec_return(frame)")
+            self.emit("return True")
+        elif isinstance(term, ast.Call) and isinstance(
+                term.func, ast.Constant) and isinstance(
+                term.func.value, FnValue):
+            self.call(term, count)
+        else:
+            self.emit(f"frame.stmt_index = {count}")
+            self.emit(f"interp._exec_terminator(frame, {self.bind(term)})")
+            self.emit("return True")
+
+    def call(self, term, count):
+        """Emit a call terminator to a named function: its trusted spec
+        inline, else a pushed frame."""
+        args = []
+        for index, arg in enumerate(term.args):
+            args.append(self.operand(arg, f"a{index}")[0])
+        values = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
+        name = self.lit(term.func.value.name)
+        self.emit(f"t = interp._trusted.get({name})")
+        self.emit("if t is None:")
+        self.emit(f"    frame.stmt_index = {count}")
+        self.emit(f"    interp._push_frame({name}, {values}, "
+                  f"{self.bind(term.dest)}, {self.lit(term.target)})")
+        self.emit("    return True")
+        self.emit(f"x, interp.absstate = t.spec({values}, interp.absstate)")
+        self.emit("if x is None:")
+        self.emit("    x = _UNIT")
+        self.write(term.dest, "x")
+        self.jump(term.target)
 
 
-def _compile_binop(rvalue, function, program):
-    left = _compile_operand(rvalue.left, function, program)
-    right = _compile_operand(rvalue.right, function, program)
-    op = rvalue.op
-    raw_cmp = _RAW_CMP.get(op)
-    if raw_cmp is not None:
-        message = f"compare {op.value}"
-        def binop_cmp(interp, frame):
-            lv = left(interp, frame)
-            rv = right(interp, frame)
-            if type(lv) is IntValue and type(rv) is IntValue:
-                return _TRUE if raw_cmp(lv.value, rv.value) else _FALSE
-            if isinstance(lv, BoolValue) and isinstance(rv, BoolValue):
-                return mk_bool(raw_cmp(lv.value, rv.value))
-            return mk_bool(raw_cmp(lv.expect_int(message).value,
-                                   rv.expect_int(message).value))
-        return binop_cmp
-    raw = _RAW_ARITH.get(op)
-    if raw is None:
-        def binop_unknown(interp, frame):
-            raise MirRuntimeError(f"unknown arithmetic op {op!r}")
-        return binop_unknown
-    message = f"binop {op.value}"
-    def binop_arith(interp, frame):
-        lhs = left(interp, frame)
-        if type(lhs) is not IntValue:
-            lhs = lhs.expect_int(message)
-        rhs = right(interp, frame)
-        if type(rhs) is not IntValue:
-            rhs = rhs.expect_int(message)
-        return mk_int(raw(lhs, rhs), lhs.ty)
-    return binop_arith
-
-
-def _compile_checked_binop(rvalue, function, program):
-    left = _compile_operand(rvalue.left, function, program)
-    right = _compile_operand(rvalue.right, function, program)
-    op = rvalue.op
-    raw = _RAW_ARITH.get(op)
-    message = f"checked {op.value}"
-    def checked(interp, frame):
-        lhs = left(interp, frame).expect_int(message)
-        rhs = right(interp, frame).expect_int(message)
-        if raw is None:
-            raise MirRuntimeError(f"unknown arithmetic op {op!r}")
-        value = raw(lhs, rhs)
-        return mk_tuple(mk_int(value, lhs.ty),
-                        mk_bool(not lhs.ty.contains(value)))
-    return checked
-
-
-# ---------------------------------------------------------------------------
-# Statements and terminators
-# ---------------------------------------------------------------------------
-
-
-def _noop(interp, frame):
-    pass
-
-
-def _compile_statement(stmt, function, program):
-    if isinstance(stmt, ast.Assign):
-        rvalue = _compile_rvalue(stmt.rvalue, function, program)
-        write = _compile_place(stmt.place, function, program)[1]
-        return lambda interp, frame: write(
-            interp, frame, rvalue(interp, frame))
-    if isinstance(stmt, ast.SetDiscriminant):
-        read, write = _compile_place(stmt.place, function, program)
-        variant = stmt.variant
-        def set_discriminant(interp, frame):
-            agg = read(interp, frame).expect_aggregate("SetDiscriminant")
-            write(interp, frame, agg.with_discriminant(variant))
-        return set_discriminant
-    if isinstance(stmt, (ast.StorageLive, ast.StorageDead, ast.Nop)):
-        return _noop
-    def unknown(interp, frame):
-        raise MirRuntimeError(f"unknown statement {stmt!r}")
-    return unknown
-
-
-def _compile_terminator(term, function, program):
-    if isinstance(term, (ast.Goto, ast.Drop)):
-        target = term.target
-        return lambda interp, frame: frame.jump(target)
-    if isinstance(term, ast.SwitchInt):
-        operand = _compile_operand(term.operand, function, program)
-        # First matching target wins, like the naive linear scan.
-        table = {}
-        for value, label in term.targets:
-            table.setdefault(value, label)
-        otherwise = term.otherwise
-        def switch(interp, frame):
-            value = operand(interp, frame)
-            if type(value) is IntValue:
-                scrutinee = value.as_unsigned
-            else:
-                scrutinee = _as_switch_int(value)
-            frame.jump(table.get(scrutinee, otherwise))
-        return switch
-    if isinstance(term, ast.Return):
-        return lambda interp, frame: interp._exec_return(frame)
-    if isinstance(term, ast.Assert):
-        operand = _compile_operand(term.cond, function, program)
-        expected, message, target = term.expected, term.msg, term.target
-        def assert_(interp, frame):
-            truth = _as_switch_int(operand(interp, frame)) != 0
-            if truth != expected:
-                raise MirAssertError(message, frame.function.name,
-                                     frame.block)
-            frame.jump(target)
-        return assert_
-    if isinstance(term, ast.Call):
-        func = _compile_operand(term.func, function, program)
-        args = tuple(_compile_operand(a, function, program)
-                     for a in term.args)
-        write_dest = _compile_place(term.dest, function, program)[1]
-        dest, target = term.dest, term.target
-        def call(interp, frame):
-            fn_value = func(interp, frame)
-            if not isinstance(fn_value, FnValue):
-                raise MirTypeError(
-                    f"call through non-function value {fn_value!r}")
-            values = tuple([a(interp, frame) for a in args])
-            trusted = interp._trusted.get(fn_value.name)
-            if trusted is not None:
-                ret, interp.absstate = trusted.spec(values, interp.absstate)
-                write_dest(interp, frame,
-                           ret if ret is not None else unit())
-                frame.jump(target)
-                return
-            interp._push_frame(fn_value.name, values,
-                               dest=dest, return_to=target)
-        return call
-    def unknown(interp, frame):
-        raise MirRuntimeError(f"unknown terminator {term!r}")
-    return unknown
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
+def block_source(function, program):
+    """The generated source of ``function``'s blocks under ``program``
+    and the namespace it runs in: ``(source, namespace, labels)``, where
+    block ``labels[i]`` is the function ``_b<i>``."""
+    writer = _Writer(function, program)
+    labels = tuple(function.blocks)
+    for index, label in enumerate(labels):
+        writer.block(index, label, function.blocks[label])
+    return "\n".join(writer.lines) + "\n", writer.namespace, labels
 
 
 def compiled_blocks(function, program):
-    """The compiled artifact for ``function``: a dict mapping block
-    label to ``(statement_closures, terminator_closure, n_statements)``.
+    """Label -> block function for ``function`` under ``program``.
 
-    Cached on the function object, keyed by the owning program.
+    Generated and compiled on first use, then cached on the function
+    object, keyed by the owning program.
     """
     cached = function.__dict__.get("_compiled")
     if cached is not None and cached[0] is program:
         return cached[1]
-    artifact = {}
-    for label, block in function.blocks.items():
-        closures = tuple(_compile_statement(s, function, program)
-                         for s in block.statements)
-        terminator = _compile_terminator(block.terminator, function, program)
-        artifact[label] = (closures, terminator, len(closures))
+    source, namespace, labels = block_source(function, program)
+    exec(compile(source, f"<mirlight {function.name!r}>", "exec"),
+         namespace)
+    artifact = {label: namespace[f"_b{index}"]
+                for index, label in enumerate(labels)}
     function.__dict__["_compiled"] = (program, artifact)
     return artifact
 

@@ -178,38 +178,19 @@ class Interpreter:
     # -- small-step machine ---------------------------------------------------
 
     def _run_compiled(self, base_depth):
-        """Drive compiled dispatch until the outer frame returns.
+        """Run generated block functions until the outer frame returns.
 
-        Step accounting is identical to repeated :meth:`step` calls: one
-        fuel unit per statement (no-ops included) and per terminator,
-        with the fuel check *before* each step — so fuel-bounded runs
-        stop at exactly the same step either way.
+        Each block function (:mod:`repro.mir.compile`) takes its own
+        steps, exactly as repeated :meth:`step` calls would, and returns
+        True when it pushed or popped a frame; until then the loop stays
+        in the same frame.
         """
         frames = self._frames
         while len(frames) > base_depth:
             frame = frames[-1]
-            statements, terminator, count = frame.code[frame.block]
-            index = frame.stmt_index
-            # Statements never touch the step counter or push frames,
-            # so both can live in locals across the block body; the
-            # ``finally`` keeps frame/interpreter state exact when a
-            # statement raises mid-block.
-            steps = self.steps
-            fuel = self.fuel
-            try:
-                while index < count:
-                    if steps >= fuel:
-                        raise OutOfFuel(f"exceeded fuel of {fuel} steps")
-                    steps += 1
-                    statements[index](self, frame)
-                    index += 1
-            finally:
-                self.steps = steps
-                frame.stmt_index = index
-            if steps >= fuel:
-                raise OutOfFuel(f"exceeded fuel of {fuel} steps")
-            self.steps = steps + 1
-            terminator(self, frame)
+            code = frame.code
+            while not code[frame.block](self, frame):
+                pass
 
     def step(self):
         """Fire one statement or terminator rule."""

@@ -31,6 +31,7 @@ against the Python reference.
 
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List
 
 from repro.ccal.refinement import CoSimChecker, mir_impl
@@ -416,8 +417,54 @@ def _build_populated_state(model, rng, mapped_pages=3):
     return state, root, mapped
 
 
+def _self(draws):
+    return Aggregate(0, (mk_u64(draws.root),))
+
+
+#: Each stateful function's argument tuple, built from one sample's
+#: draws (``entry`` is the word ``write_entry`` stores, ``alloc_owner``
+#: the owner ``epcm_alloc_page`` claims for).  ``add_epc_page`` and
+#: ``hc_add_page_checked`` draw their own.
+_SAMPLE_ARGS = {
+    "zero_frame": lambda d: (mk_u64(d.in_pool_frame),),
+    "alloc_frame": lambda d: (),
+    "entry_paddr": lambda d: (mk_u64(d.in_pool_frame), mk_u64(d.index)),
+    "read_entry": lambda d: (mk_u64(d.in_pool_frame), mk_u64(d.index)),
+    "write_entry": lambda d: (mk_u64(d.in_pool_frame), mk_u64(d.index),
+                              mk_u64(d.entry)),
+    "walk_terminal": lambda d: (mk_u64(d.root), mk_u64(d.any_va)),
+    "get_or_create_next": lambda d: (mk_u64(d.root), mk_u64(d.aligned_va),
+                                     mk_u64(d.levels)),
+    "map_page": lambda d: (mk_u64(d.root), mk_u64(d.aligned_va),
+                           mk_u64(d.aligned_pa), mk_u64(d.leaf)),
+    "unmap_page": lambda d: (mk_u64(d.root), mk_u64(d.aligned_va)),
+    "query": lambda d: (mk_u64(d.root), mk_u64(d.any_va)),
+    "translate_page": lambda d: (mk_u64(d.root), mk_u64(d.any_va)),
+    "epcm_find_free": lambda d: (),
+    "epcm_alloc_page": lambda d: (mk_u64(d.alloc_owner), mk_u64(EPCM_REG),
+                                  mk_u64(d.aligned_va)),
+    "epcm_release_page": lambda d: (mk_u64(d.epcm_index),
+                                    mk_u64(d.epcm_owner)),
+    "epcm_owner_of": lambda d: (mk_u64(d.epcm_index),),
+    "add_epc_page": None,
+    "hc_add_page_checked": None,
+    "as_root": lambda d: (_self(d),),
+    "as_map": lambda d: (_self(d), mk_u64(d.aligned_va),
+                         mk_u64(d.aligned_pa), mk_u64(d.leaf)),
+    "as_unmap": lambda d: (_self(d), mk_u64(d.aligned_va)),
+    "as_query": lambda d: (_self(d), mk_u64(d.any_va)),
+    "as_translate": lambda d: (_self(d), mk_u64(d.any_va)),
+}
+
+
 def sample_states(model, name, seed=0, count=24):
-    """Samples ``(args, state)`` for co-simulating function ``name``."""
+    """Samples ``(args, state)`` for co-simulating function ``name``.
+
+    Every sample makes the same draws whatever ``name`` is, so the
+    sample sets of different functions stay in step; only ``name``'s
+    arguments are built from them.
+    """
+    build_args = _SAMPLE_ARGS[name]
     rng = random.Random(f"{name}:{seed}")
     config = model.config
     ops = _Ops(model)
@@ -436,9 +483,12 @@ def sample_states(model, name, seed=0, count=24):
                                       ops.pool_base + ops.pool_size)
         # Bias EPCM samples toward busy entries with matching owners so
         # the release path is exercised, not just precondition-skipped.
-        busy = [(i, state.get("epcm").get(i))
-                for i in range(ops.epc_size)
-                if state.get("epcm").get(i)[0] != EPCM_FREE]
+        epcm = state.get("epcm")
+        busy = []
+        for i in range(ops.epc_size):
+            entry = epcm.get(i)
+            if entry[0] != EPCM_FREE:
+                busy.append((i, entry))
         if busy and rng.random() < 0.8:
             epcm_index, entry = rng.choice(busy)
             epcm_owner = entry[1] if rng.random() < 0.8 \
@@ -446,38 +496,14 @@ def sample_states(model, name, seed=0, count=24):
         else:
             epcm_index = rng.randrange(max(ops.epc_size, 1))
             epcm_owner = rng.randrange(1, 4)
-        struct_self = Aggregate(0, (mk_u64(root),))
-        args_by_name = {
-            "zero_frame": (mk_u64(in_pool_frame),),
-            "alloc_frame": (),
-            "entry_paddr": (mk_u64(in_pool_frame), mk_u64(index)),
-            "read_entry": (mk_u64(in_pool_frame), mk_u64(index)),
-            "write_entry": (mk_u64(in_pool_frame), mk_u64(index),
-                            mk_u64(rng.getrandbits(64))),
-            "walk_terminal": (mk_u64(root), mk_u64(any_va)),
-            "get_or_create_next": (mk_u64(root), mk_u64(aligned_va),
-                                   mk_u64(config.levels)),
-            "map_page": (mk_u64(root), mk_u64(aligned_va),
-                         mk_u64(aligned_pa), mk_u64(leaf)),
-            "unmap_page": (mk_u64(root), mk_u64(aligned_va)),
-            "query": (mk_u64(root), mk_u64(any_va)),
-            "translate_page": (mk_u64(root), mk_u64(any_va)),
-            "epcm_find_free": (),
-            "epcm_alloc_page": (mk_u64(rng.randrange(1, 4)),
-                                mk_u64(EPCM_REG), mk_u64(aligned_va)),
-            "epcm_release_page": (mk_u64(epcm_index),
-                                  mk_u64(epcm_owner)),
-            "epcm_owner_of": (mk_u64(epcm_index),),
-            "add_epc_page": None,       # built below
-            "hc_add_page_checked": None,
-            "as_root": (struct_self,),
-            "as_map": (struct_self, mk_u64(aligned_va),
-                       mk_u64(aligned_pa), mk_u64(leaf)),
-            "as_unmap": (struct_self, mk_u64(aligned_va)),
-            "as_query": (struct_self, mk_u64(any_va)),
-            "as_translate": (struct_self, mk_u64(any_va)),
-        }
-        if name in ("add_epc_page", "hc_add_page_checked"):
+        draws = SimpleNamespace(
+            root=root, any_va=any_va, aligned_va=aligned_va,
+            aligned_pa=aligned_pa, index=index,
+            in_pool_frame=in_pool_frame, epcm_index=epcm_index,
+            epcm_owner=epcm_owner, entry=rng.getrandbits(64),
+            alloc_owner=rng.randrange(1, 4), levels=config.levels,
+            leaf=leaf)
+        if build_args is None:
             # Two fresh roots, an ELRANGE, and a candidate va.
             state = model.initial_absstate()
             gpt_root, state = ops.alloc(state)
@@ -494,7 +520,7 @@ def sample_states(model, name, seed=0, count=24):
                     mk_u64(near % config.va_space))
             samples.append((args, state))
             continue
-        samples.append((args_by_name[name], state))
+        samples.append((build_args(draws), state))
     return samples
 
 

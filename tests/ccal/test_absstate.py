@@ -61,6 +61,29 @@ class TestOwnership:
         make().set("pt_words", (1, 0))
 
 
+class TestNoOpWrites:
+    def test_same_object_returns_same_state(self):
+        state = make()
+        words = state.get("pt_words")
+        before = repr(state)
+        assert state.set("pt_words", words,
+                         _writer_layer="TrustedLayer") is state
+        assert state.set("scratch", state.get("scratch")) is state
+        assert state == make() and repr(state) == before
+
+    def test_equal_but_distinct_object_is_a_write(self):
+        state = make()
+        updated = state.set("pt_words", tuple(state.get("pt_words")[:1])
+                            + (0,))
+        assert updated is not state and updated == state
+
+    def test_non_owner_no_op_still_rejected(self):
+        state = make()
+        with pytest.raises(LayerError, match="owned by"):
+            state.set("pt_words", state.get("pt_words"),
+                      _writer_layer="PtMap")
+
+
 class TestComparison:
     def test_equality_structural(self):
         assert make() == make()

@@ -49,6 +49,34 @@ class TestBasics:
         assert outer.get(0).get(1) == 5
 
 
+class TestNoOpWrites:
+    """A write that changes nothing returns the map it was made on."""
+
+    @pytest.mark.parametrize("key,value", [
+        (1, 5),   # the key already holds an equal value
+        (2, 0),   # the key is absent and the value is the default
+    ], ids=["equal-value", "absent-default"])
+    def test_returns_same_object(self, key, value):
+        m = ZMap(default=0).set(1, 5)
+        before = (repr(m), hash(m), m.items())
+        assert m.set(key, value) is m
+        assert m == ZMap(default=0).set(1, 5)
+        assert (repr(m), hash(m), m.items()) == before
+
+    def test_unset_of_absent_key_returns_same_object(self):
+        m = ZMap(default=0).set(1, 5)
+        assert m.unset(2) is m
+
+    @pytest.mark.parametrize("key,value", [(1, 6), (1, 0), (2, 7)],
+                             ids=["new-value", "back-to-default",
+                                  "new-key"])
+    def test_real_write_returns_new_map(self, key, value):
+        m = ZMap(default=0).set(1, 5)
+        updated = m.set(key, value)
+        assert updated is not m and updated.get(key) == value
+        assert m.get(1) == 5 and m.get(2) == 0
+
+
 @given(st.dictionaries(st.integers(0, 20), st.integers(-5, 5)),
        st.integers(0, 20), st.integers(-5, 5))
 def test_set_then_get(mapping, key, value):

@@ -1,10 +1,11 @@
-"""The compiled dispatch loop must be invisible (PR 4).
+"""The compiled dispatch loop must be invisible.
 
-:mod:`repro.mir.compile` precompiles each CFG into per-block closure
-lists so the hot interpreter loop skips per-step AST dispatch.  The
-contract is byte-identical behaviour with :meth:`Interpreter.step`:
-same values, same step accounting (fuel exhaustion at the same step,
-with the same message), same error types and messages.  These tests
+:mod:`repro.mir.compile` turns each basic block into one generated
+Python function so the hot interpreter loop skips per-step AST
+dispatch.  The contract is byte-identical behaviour with
+:meth:`Interpreter.step`: same values, same step accounting (fuel
+exhaustion at the same step, with the same message), same error types
+and messages, and every frame left at the same position.  These tests
 run the same programs through both modes and compare everything
 observable.
 """
@@ -17,11 +18,12 @@ from repro.errors import MirAssertError, MirRuntimeError, OutOfFuel
 from repro.mir import ast, compile as compile_module
 from repro.mir.ast import BinOp, CastKind
 from repro.mir.builder import ProgramBuilder
-from repro.mir.compile import block_plan, compiled_blocks
-from repro.mir.interp import Interpreter
+from repro.mir.compile import block_plan, block_source, compiled_blocks
+from repro.mir.interp import Interpreter, TrustedFunction
 from repro.mir.path import Path
 from repro.mir.types import U8, U64
-from repro.mir.value import Value, mk_bool, mk_tuple, mk_u64
+from repro.mir.value import (BoolValue, FnValue, Value, mk_bool, mk_tuple,
+                             mk_u64)
 
 from tests.mir.test_random_programs import random_programs
 
@@ -30,7 +32,9 @@ def both_modes(program, name="f", args=(), fuel=None, prepare=None):
     """Run ``name`` naively and compiled; return the two outcomes.
 
     An outcome is ``("ok", value, steps)`` or
-    ``("err", type_name, message, steps)`` — everything the two modes
+    ``("err", type_name, message, steps, positions)``, where
+    ``positions`` is ``(function, block, stmt_index)`` of every frame
+    left on the stack, the top frame last — everything the two modes
     must agree on.  ``prepare(interp)`` runs on each fresh interpreter
     before the call.
     """
@@ -45,8 +49,10 @@ def both_modes(program, name="f", args=(), fuel=None, prepare=None):
             try:
                 result = interp.call(name, args)
             except Exception as exc:  # noqa: BLE001 - parity capture
+                positions = tuple((f.function.name, f.block, f.stmt_index)
+                                  for f in interp._frames)
                 outcomes.append(("err", type(exc).__name__, str(exc),
-                                 interp.steps))
+                                 interp.steps, positions))
             else:
                 outcomes.append(("ok", result.value, interp.steps))
     return outcomes
@@ -322,6 +328,273 @@ class TestBareTempAssign:
         assert naive[:2] == ("err", "MirRuntimeError")
         assert "cannot bind non-Value 7" in naive[2]
         assert compiled == naive
+
+
+def _long_block_program():
+    """``f(a)``: a 12-statement entry block (arithmetic, compares,
+    copies, constants and no-ops) ending in ``goto``, then ``return``."""
+    pb = ProgramBuilder()
+    fb = pb.function("f", ["a"], U64)
+    fb._emit(ast.StorageLive("x"))
+    fb.binop("x", BinOp.ADD, "a", 1)
+    fb.binop("y", BinOp.MUL, "x", 3)
+    fb._emit(ast.Nop())
+    fb.binop("small", BinOp.LT, "y", 100)
+    fb.assign("z", "y")
+    fb.binop("z", BinOp.BITXOR, "z", "x")
+    fb.cast("w", "z", U8)
+    fb.binop("z", BinOp.SHL, "z", 2)
+    fb._emit(ast.StorageDead("x"))
+    fb.assign("k", 7)
+    fb.binop("_0", BinOp.SUB, "z", "k")
+    fb.goto("tail")
+    fb.label("tail")
+    fb.ret()
+    fb.finish()
+    return pb.build()
+
+
+_LONG_BLOCK_STATEMENTS = 12
+
+
+class TestGeneratedBlocks:
+    """A generated block takes one fuel unit per statement and per
+    terminator, and leaves ``steps`` and the frame's position where
+    :meth:`Interpreter.step` does when it stops mid-block."""
+
+    @pytest.mark.parametrize("fuel", range(_LONG_BLOCK_STATEMENTS + 3))
+    def test_fuel_runs_out_at_every_position(self, fuel):
+        naive, compiled = both_modes(_long_block_program(),
+                                     args=[mk_u64(5)], fuel=fuel)
+        assert compiled == naive
+        if fuel <= _LONG_BLOCK_STATEMENTS:
+            # at statement ``fuel`` of the entry block, or its goto
+            assert naive == ("err", "OutOfFuel",
+                             f"exceeded fuel of {fuel} steps", fuel,
+                             (("f", "bb0", fuel),))
+        elif fuel == _LONG_BLOCK_STATEMENTS + 1:
+            assert naive[:2] == ("err", "OutOfFuel")
+            assert naive[4] == (("f", "tail", 0),)
+        else:
+            assert naive[0] == "ok" and naive[2] == fuel
+
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_statement_raising_mid_block(self, at):
+        pb = ProgramBuilder()
+        fb = pb.function("f", ["a"], U64)
+        for index in range(6):
+            if index == at:
+                fb.binop(f"t{index}", BinOp.DIV, "a", 0)
+            else:
+                fb.binop(f"t{index}", BinOp.ADD, "a", index)
+        fb.ret("t5")
+        fb.finish()
+        naive, compiled = both_modes(pb.build(), args=[mk_u64(9)])
+        assert compiled == naive
+        assert naive == ("err", "MirAssertError",
+                         "assertion failed: attempt to divide by zero",
+                         at + 1, (("f", "bb0", at),))
+
+    def test_operands_are_read_before_either_is_checked(self):
+        """``bool + unbound`` fails on the unbound read, as in step()."""
+        pb = ProgramBuilder()
+        fb = pb.function("f", ["a"], U64)
+        fb.binop("_0", BinOp.ADD, "a", "never_written")
+        fb.ret()
+        fb.finish()
+        naive, compiled = both_modes(pb.build(), args=[mk_bool(True)])
+        assert compiled == naive
+        assert naive[:2] == ("err", "MirRuntimeError")
+        assert "never_written" in naive[2]
+
+    @pytest.mark.parametrize("target,error", [
+        (ast.place("t").field(0).downcast(1).field(1), None),
+        (ast.place("t").field(1), None),
+        (ast.place("t").field(0).downcast(0).field(1),
+         "downcast to variant 0 but live discriminant is 1"),
+        (ast.place("t").field(3), "field index 3 out of range"),
+        (ast.place("t").field(1).field(0),
+         "temp projection: expected aggregate"),
+    ], ids=["downcast-field", "field", "wrong-variant", "out-of-range",
+            "through-integer"])
+    def test_temp_projection_chains(self, target, error):
+        """Projected reads of a temporary take the generic resolver."""
+        pb = ProgramBuilder()
+        fb = pb.function("f", ["a"], U64)
+        fb.variant("e", 1, 4, "a")
+        fb.tuple_("t", "e", "a")
+        fb.assign("_0", target)
+        fb.ret()
+        fb.finish()
+        naive, compiled = both_modes(pb.build(), args=[mk_u64(6)])
+        assert compiled == naive
+        if error is None:
+            assert naive[:2] == ("ok", mk_u64(6))
+        else:
+            assert naive[0] == "err" and error in naive[2]
+            assert naive[4] == (("f", "bb0", 2),)
+
+    @staticmethod
+    def _mixed_calls_program():
+        pb = ProgramBuilder()
+        fb = pb.function("double", ["v"], U64)
+        fb.binop("_0", BinOp.MUL, "v", 2)
+        fb.ret()
+        fb.finish()
+        fb = pb.function("f", ["a"], U64)
+        fb.call("x", "bump", ["a"])
+        fb.binop("w", BinOp.ADD, "x", 1)
+        fb.call("y", "double", ["w"])
+        fb.assign("y2", "y")
+        fb.call("z", "bump", ["y2"])
+        fb.binop("_0", BinOp.ADD, "y", "z")
+        fb.ret()
+        fb.finish()
+        return pb.build()
+
+    @staticmethod
+    def _register_bump(limit):
+        """``bump(v)``: ``v + state``, and the state counts calls; it
+        refuses arguments from ``limit`` up."""
+        def bump(args, state):
+            (value,) = args
+            if value.value >= limit:
+                raise MirRuntimeError(f"bump refuses {value.value}")
+            return mk_u64(value.value + state), state + 1
+
+        def prepare(interp):
+            interp.absstate = 10
+            interp.register_trusted(TrustedFunction("bump", bump))
+        return prepare
+
+    def test_trusted_and_mir_callees_in_one_sequence(self):
+        naive, compiled = both_modes(self._mixed_calls_program(),
+                                     args=[mk_u64(1)],
+                                     prepare=self._register_bump(1000))
+        assert compiled == naive
+        # x = 1 + 10, y = 2 * 12, z = 24 + 11
+        assert naive[0] == "ok" and naive[1] == mk_u64(59)
+
+    def test_trusted_callee_raising_leaves_caller_at_its_terminator(self):
+        naive, compiled = both_modes(self._mixed_calls_program(),
+                                     args=[mk_u64(1)],
+                                     prepare=self._register_bump(20))
+        assert compiled == naive
+        assert naive[:3] == ("err", "MirRuntimeError", "bump refuses 24")
+        assert naive[4] == (("f", "bb2", 1),)
+
+    def test_mir_callee_failing_leaves_caller_at_its_terminator(self):
+        naive, compiled = both_modes(self._mixed_calls_program(),
+                                     args=[mk_u64(1)], fuel=4,
+                                     prepare=self._register_bump(1000))
+        assert compiled == naive
+        assert naive[:2] == ("err", "OutOfFuel")
+        assert naive[4] == (("f", "bb1", 1), ("double", "bb0", 1))
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_switch_on_a_bool_that_is_not_the_singleton(self, flag):
+        fresh = BoolValue(flag)
+        assert fresh is not mk_bool(flag)
+        pb = ProgramBuilder()
+        fb = pb.function("f", ["a"], U64)
+        fb.assert_("a", "a must hold", expected=flag)
+        fb.branch("a", "yes", "no")
+        fb.label("yes")
+        fb.ret(1)
+        fb.label("no")
+        fb.ret(2)
+        fb.finish()
+        naive, compiled = both_modes(pb.build(), args=[fresh])
+        assert compiled == naive
+        assert naive[:2] == ("ok", mk_u64(1 if flag else 2))
+        naive, compiled = both_modes(pb.build(), args=[BoolValue(not flag)])
+        assert compiled == naive
+        assert naive[:3] == ("err", "MirAssertError",
+                             "assertion failed in f (block bb0): a must hold")
+
+    @pytest.mark.parametrize("callee", [ast.ConstFn("double"),
+                                        ast.Constant(mk_u64(3))],
+                             ids=["fn-value", "not-a-function"])
+    def test_call_through_a_temporary_and_drop(self, callee):
+        """Terminators the generator leaves to ``_exec_terminator``."""
+        pb = ProgramBuilder()
+        fb = pb.function("double", ["v"], U64)
+        fb.binop("_0", BinOp.MUL, "v", 2)
+        fb.ret()
+        fb.finish()
+        fb = pb.function("f", ["a"], U64)
+        fb.assign("g", callee)
+        fb._terminate(ast.Drop(ast.place("g"), "call"))
+        fb.label("call")
+        fb.binop("b", BinOp.ADD, "a", 1)
+        fb._terminate(ast.Call(ast.Copy(ast.place("g")),
+                               (ast.Copy(ast.place("b")),),
+                               ast.place("_0"), "done"))
+        fb.label("done")
+        fb.ret()
+        fb.finish()
+        naive, compiled = both_modes(pb.build(), args=[mk_u64(4)])
+        assert compiled == naive
+        if isinstance(callee.value, FnValue):
+            assert naive[:2] == ("ok", mk_u64(10))
+        else:
+            assert naive[:2] == ("err", "MirTypeError")
+            assert naive[4] == (("f", "call", 1),)
+
+
+#: Labels, temporaries and a callee name that would break out of a
+#: string literal (or a comment) if they reached the source verbatim.
+_HOSTILE = ("it's", 'say "hi"', "back\\slash\\", "new\nline",
+            "'); raise SystemExit('injected'); ('",
+            "\\'\n__import__('os').system('false')\n#")
+
+
+class TestProgramTextInSource:
+    """Program text reaches generated source only as ``repr()`` of a
+    ``str`` or an ``int``."""
+
+    @staticmethod
+    def _program():
+        pb = ProgramBuilder()
+        callee = _HOSTILE[4]
+        fb = pb.function(callee, ["v"], U64)
+        fb.binop("_0", BinOp.ADD, "v", 1)
+        fb.ret()
+        fb.finish()
+        fb = pb.function("f", ["a"], U64)
+        temps = _HOSTILE[:4]
+        fb.assign(temps[0], "a")
+        for prev, temp in zip(temps, temps[1:]):
+            fb.binop(temp, BinOp.ADD, prev, 1)
+        fb.binop(_HOSTILE[5], BinOp.LT, temps[-1], 100)
+        fb.branch(_HOSTILE[5], _HOSTILE[0], _HOSTILE[1])
+        fb.label(_HOSTILE[0])
+        fb.call("_0", callee, [temps[-1]], target=_HOSTILE[2])
+        fb.label(_HOSTILE[1])
+        fb.assert_(_HOSTILE[5], _HOSTILE[3], target=_HOSTILE[2])
+        fb.label(_HOSTILE[2])
+        fb.ret()
+        fb.finish()
+        return pb.build()
+
+    @pytest.mark.parametrize("a", [1, 500])
+    def test_hostile_names_run_alike(self, a):
+        naive, compiled = both_modes(self._program(), args=[mk_u64(a)])
+        assert compiled == naive
+        if a == 1:
+            assert naive[:2] == ("ok", mk_u64(5))
+        else:
+            assert naive[:2] == ("err", "MirAssertError")
+            assert naive[2].endswith(f"(block {_HOSTILE[1]}): {_HOSTILE[3]}")
+
+    def test_names_appear_only_as_repr(self):
+        program = self._program()
+        source, _namespace, labels = block_source(
+            program.functions["f"], program)
+        assert labels == tuple(program.functions["f"].blocks)
+        for text in _HOSTILE:
+            assert repr(text) in source
+            assert source.replace(repr(text), "").count(text) == 0
 
 
 class TestCaching:

@@ -11,6 +11,7 @@ change meant to move the samples, and say why::
     PYTHONPATH=src python -m tests.verification.test_sample_states
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -25,13 +26,10 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "sample_digests.json")
 SEEDS = (0, 1, 2)
 
-_MODELS = {}
 
-
+@functools.cache
 def _model(arch):
-    if arch not in _MODELS:
-        _MODELS[arch] = build_model(ARCH_CONFIGS[arch])
-    return _MODELS[arch]
+    return build_model(ARCH_CONFIGS[arch])
 
 
 def sample_digest(arch, seed, name):
@@ -50,17 +48,20 @@ def _key(arch, seed, name):
     return f"{arch}:{seed}:{name}"
 
 
-with open(DIGESTS) as _fh:
-    _PINNED = json.load(_fh)
+@functools.cache
+def _pinned():
+    with open(DIGESTS) as fh:
+        return json.load(fh)
 
 
 def test_every_case_is_pinned():
-    assert sorted(_PINNED) == sorted(_key(*case) for case in _cases())
+    assert sorted(_pinned()) == sorted(_key(*case) for case in _cases())
 
 
 @pytest.mark.parametrize("arch,seed,name", _cases())
 def test_samples_match_pinned_digest(arch, seed, name):
-    assert sample_digest(arch, seed, name) == _PINNED[_key(arch, seed, name)]
+    assert sample_digest(arch, seed, name) == \
+        _pinned()[_key(arch, seed, name)]
 
 
 if __name__ == "__main__":
