@@ -19,7 +19,7 @@ Walks the concurrency plane end to end:
 Run:  python examples/interleaving_campaign.py
 """
 
-from repro.concurrency import Schedule, replay
+from repro.concurrency import Schedule
 from repro.faults import (
     crash_in_critical_section_campaign,
     interleaving_campaign,
@@ -60,8 +60,7 @@ def main():
 
     # ...and the witness replays standalone from its schedule alone.
     buggy_world = make_interleaved_run(NoShootdownMonitor)
-    rerun = replay(lambda schedule: buggy_world(41, schedule)[1],
-                   witness.schedule)
+    _state, rerun = buggy_world(41, witness.schedule)
     assert rerun.stale_translations
     print("  replayed standalone from its (seed, schedule): "
           f"{len(rerun.stale_translations)} stale translations again\n")

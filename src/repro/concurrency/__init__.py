@@ -25,8 +25,6 @@ from repro.concurrency.explorer import (
     ExplorationResult,
     Violation,
     explore,
-    explore_batched,
-    replay,
     result_violations,
 )
 from repro.concurrency.locks import (
@@ -91,7 +89,6 @@ __all__ = [
     "detect_stale_translations",
     "enclave_lock",
     "explore",
-    "explore_batched",
     "guard_mutation",
     "installed",
     "lock_rank",
@@ -101,7 +98,6 @@ __all__ = [
     "record_phys_write",
     "reset_process_tree",
     "release_locks",
-    "replay",
     "result_violations",
     "suspended",
     "tlb_shootdown",

@@ -23,13 +23,14 @@ the preemption to the next branch kind explores an equivalent trace.
 Children are deduplicated by their predicted vid-trace prefix — two
 preemption vectors forcing the same prefix replay the same execution.
 
-Single-schedule :func:`replay` always re-executes from scratch
-(stateless model checking), so a reported violation's ``(seed,
-schedule)`` pair reproduces it standalone by construction.  Campaign
-sweeps instead restore a schedule's shared prefix from a snapshot tree
-(:mod:`repro.concurrency.snapshot`) and execute only the suffix — the
-equivalence suites pin that restored runs are byte-identical to
-from-scratch ones, so replayability is unchanged.
+A single schedule run on its own, with no campaign bound, always
+re-executes from scratch (stateless model checking), so a reported
+violation's ``(seed, schedule)`` pair reproduces it standalone by
+construction.  Campaign sweeps instead restore a schedule's shared
+prefix from a snapshot tree (:mod:`repro.concurrency.snapshot`) and
+execute only the suffix — the equivalence suites pin that restored
+runs are byte-identical to from-scratch ones, so replayability is
+unchanged.
 :func:`first_branch_index` is the one rule for where a schedule's
 children branch; the tree captures snapshots only there.
 """
@@ -182,9 +183,18 @@ class FrontierState:
     a durable orchestrator can checkpoint the exploration between waves
     and resume it in another process: :meth:`take_wave` pops the next
     wavefront, :meth:`absorb` does the append/dedup/branch bookkeeping.
-    :func:`explore`, :func:`explore_batched` and the durable and service
-    loops all drive this one class, so their equivalence (and
-    resumed-equals-uninterrupted) is structural, not re-implemented.
+    Two drivers walk it: :func:`explore`, one schedule at a time in
+    process, and the durable wave step
+    (:class:`~repro.service.orchestrator.CampaignStep`), a whole wave
+    or a fair-share chunk of one per pool map, which the durable and
+    service loops drive.  Their equivalence (and
+    resumed-equals-uninterrupted) is structural, not re-implemented: a
+    schedule's children always enqueue *behind* every schedule already
+    in the FIFO frontier, so the one-at-a-time loop pops the entire
+    current frontier before reaching any child generated along the
+    way, which is exactly a wavefront; and run results are pure
+    functions of their schedules, so running a wave out of order in
+    workers and absorbing it in frontier order changes nothing.
     """
 
     preemption_bound: int
@@ -301,46 +311,3 @@ class FrontierState:
                                  runs=self.runs,
                                  violations=self.violations,
                                  truncated=self.truncated)
-
-
-def explore_batched(run_batch, *,
-                    seed: int = 0,
-                    preemption_bound: int = 2,
-                    max_schedules: int = 512,
-                    crash: Optional[Tuple[int, int]] = None
-                    ) -> ExplorationResult:
-    """:func:`explore`, one BFS wavefront at a time — byte-identical.
-
-    ``run_batch(schedules, branch_bound)`` executes a list of schedules
-    (in any order, e.g. fanned out across worker processes) and
-    returns, *aligned with its input*, ``(result, findings)`` pairs
-    where ``findings`` are the extra ``(kind, detail)`` items a
-    ``check`` hook would have produced; ``branch_bound`` is the wave's
-    :meth:`FrontierState.branch_bound`.
-
-    Identity with :func:`explore` holds by construction: a schedule's
-    children always enqueue *behind* every schedule already in the FIFO
-    frontier, so the one-at-a-time loop pops the entire current
-    frontier before reaching any child generated along the way — which
-    is exactly a wavefront.  Runs execute out of order in workers, but
-    run results are pure functions of their schedules, and the
-    :class:`FrontierState` append/dedup/branch bookkeeping replays in
-    frontier order.
-    """
-    state = FrontierState.start(seed=seed,
-                                preemption_bound=preemption_bound,
-                                max_schedules=max_schedules, crash=crash)
-    while True:
-        wave = state.take_wave()
-        if not wave:
-            break
-        state.absorb(wave, run_batch(wave, state.branch_bound(wave)))
-    return state.result()
-
-
-def replay(run_schedule, schedule) -> RunResult:
-    """Re-execute one schedule (the standalone-reproduction entry).
-
-    ``run_schedule(schedule)`` takes no branch bound: a lone run has no
-    children to cache work for."""
-    return run_schedule(schedule)

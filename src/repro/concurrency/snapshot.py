@@ -75,7 +75,8 @@ it a bound of 0).  A capture anywhere else is either keyed by a prefix
 an ancestor's run already offered or never looked up, so
 :class:`SnapshotPlan` skips those decisions before doing any other
 work.  When every ancestor ran in the same tree (the sequential
-campaign, a one-worker pool), hits, misses and decisions saved are
+campaign, or the durable wave step's units in one process), hits,
+misses and decisions saved are
 exactly those of capturing at every safe decision, and at bound 2 the
 captures fall from 1,916 to 292 per campaign.  In a larger pool the
 root schedule runs on one worker only, so a few children of
@@ -87,13 +88,15 @@ later campaign would look up.
 Memory is bounded by an LRU byte budget (``REPRO_SNAPSHOT_BUDGET_MB``,
 default 256).  Every bounded campaign runs through a tree.  The
 sequential :func:`~repro.faults.campaign.interleaving_campaign` owns
-one that lives only as long as the campaign.  Pooled, durable and
-service campaigns use the **process tree** (:func:`process_tree`),
-which is process-local by design: pool workers fork with an empty tree
-and warm it across waves; a durable campaign resumed after ``kill -9``
-starts new workers whose trees are rebuilt from live execution, so
-pre-crash snapshots are structurally impossible to reuse.  Runs with no
-campaign bound — single-schedule ``replay``, provenance bundles, the
+one that lives only as long as the campaign.  Durable and service
+campaigns, the pooled path, run their units
+(:func:`~repro.engine.workers.run_interleaving_unit`) through the
+**process tree** (:func:`process_tree`), which is process-local by
+design: pool workers fork with an empty tree and warm it across waves;
+a durable campaign resumed after ``kill -9`` starts new workers whose
+trees are rebuilt from live execution, so pre-crash snapshots are
+structurally impossible to reuse.  Runs with no campaign bound — a
+single schedule re-run on its own, provenance bundles, the
 crash-in-critical-section sweep — capture nothing, and
 :func:`~repro.faults.campaign.execute_interleaved` runs each of them
 from a plain prototype clone.

@@ -18,13 +18,15 @@ merged deterministically.  This package provides:
   sweeps, the vCPU consistency check, and noninterference observation
   diffs, with per-structure dirty tracking: only families whose
   structures changed since an already-certified state are re-checked.
-* :mod:`repro.engine.campaigns` — the pooled interleaving campaign
-  (byte-identical to the sequential one) and the hardened pure-check
-  grid.  Every fault campaign and the grid take an ``executor``: one
-  driver runs its units in-process by default or on the caller's pool
-  (:mod:`repro.engine.workers` holds the unit runners).
+* :mod:`repro.engine.campaigns` — the hardened pure-check grid.
+  Every fault campaign and the grid take an ``executor``: one driver
+  runs its units in-process by default or on the caller's pool
+  (:mod:`repro.engine.workers` holds the unit runners).  The pooled
+  interleaving sweep is the durable wave step in
+  :mod:`repro.service.orchestrator`, which maps
+  :func:`~repro.engine.workers.run_interleaving_unit`.
 * :mod:`repro.engine.bug_matrix` — the 13-planted-bug conviction
-  matrix, runnable through the parallel fabric.
+  matrix, in process or one whole row per executor unit.
 
 Time to verdict is measured from outside the package, by the benchmark
 under ``perfbench/``.
@@ -38,10 +40,7 @@ from repro.engine.fingerprint import (
     structure_fingerprints,
 )
 from repro.engine.memo import FAMILY_DEPS, CheckMemo
-from repro.engine.campaigns import (
-    parallel_interleaving_campaign,
-    pure_check_grid,
-)
+from repro.engine.campaigns import pure_check_grid
 from repro.engine.bug_matrix import run_matrix, run_matrix_parallel
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "structure_fingerprints",
     "FAMILY_DEPS",
     "CheckMemo",
-    "parallel_interleaving_campaign",
     "pure_check_grid",
     "run_matrix",
     "run_matrix_parallel",

@@ -8,12 +8,15 @@ crash-consistency bug with the fault-injection campaign, and the two
 concurrency bugs with the bounded-preemption interleaving explorer.
 
 This lives in the library (rather than only in
-``benchmarks/test_bench_bug_matrix.py``, which now imports it) so the
-matrix can be re-run *through the parallel fabric*: the sensitivity
-guard for the fingerprint memoisation and the sharded merge.  A cache
-or merge bug that masked a real violation would flip a conviction here;
+``benchmarks/test_bench_bug_matrix.py``, which imports it) so the
+matrix also runs *through the parallel fabric*: :func:`run_matrix`
+runs the rows in order in process, and :func:`run_matrix_parallel`
+maps each row, whole, as one executor unit.  A unit-transport or merge
+bug that masked a real violation would flip a conviction here, so
 :func:`run_matrix_parallel` must convict all 13 with verdict strings
-identical to :func:`run_matrix`'s.
+identical to :func:`run_matrix`'s.  No check memo outlives a row:
+the single-state rows call the checkers directly, and each campaign
+row's campaign keeps its own.
 """
 
 from typing import List, Tuple
@@ -113,22 +116,17 @@ def setup_secure_mbuf(monitor_cls, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _invariant_report(monitor, memo):
-    from repro.security.invariants import check_all_invariants
-    if memo is not None:
-        return memo.check_invariants(monitor)
-    return check_all_invariants(monitor)
-
-
-def detect_invariant_bug(monitor_cls, setup, *, memo=None, config=None):
+def detect_invariant_bug(monitor_cls, setup, *, config=None):
     """Convict via the Sec. 5.2 invariant families on ``setup``\'s world."""
-    report = _invariant_report(setup(monitor_cls, config=config), memo)
+    from repro.security.invariants import check_all_invariants
+    report = check_all_invariants(setup(monitor_cls, config=config))
     return (not report.ok,
             "invariants: " + "/".join(report.violated_families()))
 
 
-def detect_shallow_copy(monitor_cls, _arg=None, *, memo=None, config=None):
+def detect_shallow_copy(monitor_cls, _arg=None, *, config=None):
     """Convict via refinement: abstraction refuses the aliased table."""
+    from repro.security.invariants import check_all_invariants
     from repro.spec import AbstractionFailure, abstract_table
     from repro.spec.relation import flat_state_of_page_table
 
@@ -150,11 +148,11 @@ def detect_shallow_copy(monitor_cls, _arg=None, *, memo=None, config=None):
         refused = False
     except AbstractionFailure:
         refused = True
-    residency = not _invariant_report(monitor, memo).ok
+    residency = not check_all_invariants(monitor).ok
     return refused and residency, "refinement: α refuses + pt-residency"
 
 
-def detect_ni_bug(monitor_cls, trace_builder, *, memo=None, config=None):
+def detect_ni_bug(monitor_cls, trace_builder, *, config=None):
     """Convict via the Sec. 5 two-world noninterference theorem."""
     from repro.security import DataOracle, SystemState
     from repro.security.noninterference import (
@@ -205,8 +203,7 @@ def scrub_trace(app, eid, config=None):
     ]
 
 
-def detect_no_rollback(monitor_cls, _arg=None, *, executor=None,
-                       config=None):
+def detect_no_rollback(monitor_cls, _arg=None, *, config=None):
     """A tiny crash-step sweep (create + add_page, hypercall crash
     points only): partial mutations survive the abort."""
     from repro.faults import (
@@ -217,27 +214,18 @@ def detect_no_rollback(monitor_cls, _arg=None, *, executor=None,
 
     report = crash_step_campaign(
         default_world_factory(config, monitor_cls), default_workload()[:2],
-        sites=(), seed=0, executor=executor)
+        sites=(), seed=0)
     return (not report.ok,
             f"fault campaign: {len(report.failures())} un-rolled-back "
             f"aborts")
 
 
-def detect_concurrency_bug(monitor_cls, _arg=None, *, executor=None,
-                           config=None):
-    """Bounded-preemption exploration flags the planted race: the
-    sequential campaign, or the pooled one on ``executor``."""
-    from repro.engine.campaigns import parallel_interleaving_campaign
+def detect_concurrency_bug(monitor_cls, _arg=None, *, config=None):
+    """Bounded-preemption exploration flags the planted race."""
     from repro.faults import interleaving_campaign
 
-    if executor is None:
-        result = interleaving_campaign(monitor_cls, check_ni=False,
-                                       config=config)
-    else:
-        result = parallel_interleaving_campaign(monitor_cls,
-                                                check_ni=False,
-                                                config=config,
-                                                executor=executor)
+    result = interleaving_campaign(monitor_cls, check_ni=False,
+                                   config=config)
     kinds = "/".join(sorted(result.by_kind()))
     return not result.ok, f"interleaving explorer: {kinds}"
 
@@ -259,58 +247,30 @@ MATRIX = [
     (buggy.NoShootdownMonitor, detect_concurrency_bug, None),
 ]
 
-# Matrix rows whose detector runs a whole campaign: in the parallel
-# matrix these stay in the parent and fan their *campaign* out.
-_CAMPAIGN_DETECTORS = (detect_no_rollback, detect_concurrency_bug)
 
-
-def run_case(index, *, executor=None, memo=None,
-             config=None) -> Tuple[str, bool, str]:
-    """Run one matrix row: ``(bug name, detected, how)``; a campaign
-    row runs its campaign on ``executor`` when handed one."""
+def run_case(index, config=None) -> Tuple[str, bool, str]:
+    """Run one matrix row: ``(bug name, detected, how)``."""
     monitor_cls, detector, arg = MATRIX[index]
-    if detector in _CAMPAIGN_DETECTORS:
-        detected, how = detector(monitor_cls, arg, executor=executor,
-                                 config=config)
-    elif detector is detect_ni_bug:
-        detected, how = detector(monitor_cls, arg, config=config)
-    else:
-        detected, how = detector(monitor_cls, arg, memo=memo,
-                                 config=config)
+    detected, how = detector(monitor_cls, arg, config=config)
     return (monitor_cls.BUG, detected, how)
 
 
-def run_matrix(memo=None, config=None) -> List[Tuple[str, bool, str]]:
+def run_matrix(config=None) -> List[Tuple[str, bool, str]]:
     """The whole matrix, sequentially, in matrix order."""
-    return [run_case(index, memo=memo, config=config)
-            for index in range(len(MATRIX))]
+    return [run_case(index, config=config) for index in range(len(MATRIX))]
 
 
-def run_matrix_parallel(workers=None, executor=None, stats_out=None,
+def run_matrix_parallel(workers=None, executor=None,
                         config=None) -> List[Tuple[str, bool, str]]:
-    """The whole matrix through the parallel fabric.
-
-    Single-state convictions fan out as units (their invariant sweeps
-    memoised in the workers); campaign-backed convictions run their
-    campaigns through the shared executor.  Results are in matrix order
-    with verdict strings identical to :func:`run_matrix`'s.
+    """The whole matrix through the parallel fabric: one
+    :func:`~repro.engine.workers.run_bug_matrix_unit` per row, on
+    ``executor`` or a new pool of ``workers``.  A campaign row runs its
+    whole campaign inside its worker.  Results are in matrix order with
+    verdict strings identical to :func:`run_matrix`'s.
     """
-    from repro.engine.campaigns import _publish_stats
     from repro.engine.executor import scoped_executor
 
-    results: List = [None] * len(MATRIX)
-    light = [index for index, (_cls, detector, _arg) in enumerate(MATRIX)
-             if detector not in _CAMPAIGN_DETECTORS]
     with scoped_executor(executor, workers) as pool:
-        units = [{"case": index, "memo": True, "config": config}
-                 for index in light]
-        for index, outcome in zip(light, pool.map(
-                "repro.engine.workers:run_bug_matrix_unit", units,
-                keys=[str(index) for index in light])):
-            results[index] = outcome
-        for index in range(len(MATRIX)):
-            if results[index] is None:
-                results[index] = run_case(index, executor=pool,
-                                          config=config)
-        _publish_stats(stats_out, pool)
-    return results
+        return pool.map("repro.engine.workers:run_bug_matrix_unit",
+                        [{"case": index, "config": config}
+                         for index in range(len(MATRIX))])

@@ -4,15 +4,20 @@ Each function here takes one picklable ``unit`` dict and returns a
 picklable result; the executor addresses them by dotted path
 (``repro.engine.workers:run_interleaving_unit``).  Every campaign runs
 its units through one of these, in-process on a one-worker executor or
-in a pool, so there is one unit path per campaign.  Fault units carry
-their worlds and workloads themselves (picklable
-:func:`functools.partial` objects and module-level functions, see
-:mod:`repro.faults.campaign`).  Heavyweight context lives in per-process
-module globals, built once per worker and reused across every unit the
-worker's shards carry:
+in a pool, so there is one unit path per campaign: interleaving units
+come from the durable wave step
+(:class:`~repro.service.orchestrator.CampaignStep`), fault and grid
+units from their campaigns, and matrix units from
+:func:`~repro.engine.bug_matrix.run_matrix_parallel`, one whole row
+each.  Fault units carry their worlds and workloads themselves
+(picklable :func:`functools.partial` objects and module-level
+functions, see :mod:`repro.faults.campaign`).  Heavyweight context
+lives in per-process module globals, built once per worker and reused
+across every unit the worker's shards carry:
 
-* :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`;
-  the executor returns its counter deltas with every shard.
+* :data:`MEMO` — the process's :class:`~repro.engine.memo.CheckMemo`,
+  which interleaving units check through; the executor returns its
+  counter deltas with every shard.
 * interleaving worlds — one cached :func:`run_world` per (monitor,
   config): each secret's
   :func:`~repro.faults.campaign.build_interleaved_world` prototype is
@@ -107,9 +112,10 @@ def run_interleaving_unit(unit):
     battery (:func:`~repro.faults.campaign.schedule_findings`) through
     this worker's :data:`MEMO`.
 
-    Returns ``(RunResult, findings)`` for
-    :func:`~repro.concurrency.explorer.explore_batched`; the findings
-    are byte-identical to the sequential campaign's ``check`` hook.
+    Returns ``(RunResult, findings)``, the pair
+    :meth:`~repro.concurrency.explorer.FrontierState.absorb` takes per
+    schedule; the findings are byte-identical to the sequential
+    campaign's ``check`` hook.
     """
     from repro.faults.campaign import schedule_findings
 
@@ -183,8 +189,7 @@ def run_pure_check_unit(unit):
 
 
 def run_bug_matrix_unit(unit):
-    """One planted-bug conviction: ``(bug name, detected, how)``."""
+    """One planted-bug conviction, its campaign included when the row
+    runs one: ``(bug name, detected, how)``."""
     from repro.engine.bug_matrix import run_case
-    return run_case(unit["case"],
-                    memo=MEMO if unit.get("memo") else None,
-                    config=unit.get("config"))
+    return run_case(unit["case"], config=unit.get("config"))

@@ -919,8 +919,8 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
 
     Worlds clone from one prototype per secret, and the checks go
     through a campaign-local :class:`~repro.engine.memo.CheckMemo` —
-    the same battery, memo included, that the parallel fabric's
-    workers run per unit.  Both worlds of every schedule run through a
+    the same battery that the durable wave step's workers run per unit
+    through their process memo.  Both worlds of every schedule run through a
     campaign-local snapshot tree (:func:`make_interleaved_run` with the
     bound), so a child schedule restores its parent's prefix instead of
     re-executing it; both capture under the explorer's branch bound for
@@ -946,7 +946,7 @@ def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
                                  observers=observers)
 
     with _trace.span("campaign.interleaving", seed=seed,
-                     preemption_bound=preemption_bound, parallel=False):
+                     preemption_bound=preemption_bound):
         return explore(run_schedule, seed=seed,
                        preemption_bound=preemption_bound,
                        max_schedules=max_schedules, crash=crash,

@@ -89,9 +89,6 @@ class FaultPlane:
             _Arm(index=index, kind=kind, flip_bit=flip_bit))
         return self
 
-    def disarm_all(self):
-        self._arms.clear()
-
     def reset_counts(self):
         """Forget hit counters (arms stay) — one sweep run per reset."""
         self.counts.clear()

@@ -321,10 +321,6 @@ class Tlb:
         hit = self._entries.get((asid, va_page))
         return None if hit is None else hit[0]
 
-    def lookup_entry(self, asid, va_page) -> Optional[Tuple[int, Optional[int]]]:
-        """``(pa_page, span)`` for a cached translation, or None."""
-        return self._entries.get((asid, va_page))
-
     def flush_asid(self, asid):
         """Drop every entry tagged with ``asid``."""
         self._entries = {k: v for k, v in self._entries.items()

@@ -47,9 +47,6 @@ class MarshallingBuffer:
     def contains_pa(self, pa):
         return self.pa_base <= pa < self.pa_end
 
-    def va_range(self):
-        return range(self.va_base, self.va_end)
-
     def pages(self, config):
         """(va, pa) page pairs covering the buffer."""
         if self.va_base % config.page_size or self.pa_base % config.page_size:

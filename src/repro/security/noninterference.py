@@ -25,7 +25,6 @@ exact step and observation component as a witness.
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.errors import NoninterferenceViolation
 from repro.security.observation import observe
 from repro.security.transitions import apply_step
 
@@ -161,8 +160,8 @@ def check_lemma_activation(worlds, steps, observer) -> List[NIViolation]:
 # ---------------------------------------------------------------------------
 
 
-def check_theorem_noninterference(worlds, trace, observers,
-                                  stop_at_first=False) -> List[NIViolation]:
+def check_theorem_noninterference(worlds, trace,
+                                  observers) -> List[NIViolation]:
     """The composed theorem over a whole trace.
 
     ``trace`` items are either a shared :class:`Step` or an
@@ -189,8 +188,6 @@ def check_theorem_noninterference(worlds, trace, observers,
                     observer=observer,
                     components=worlds.diff_for(observer),
                     detail=f"after {item!r}"))
-                if stop_at_first:
-                    return violations
     return violations
 
 
@@ -235,13 +232,3 @@ def check_schedule_noninterference_prepared(state_a, result_a, run_world,
                     observer=observer, components=found,
                     detail=f"final state as seen from vcpu{vid}"))
     return violations
-
-
-def assert_noninterference(worlds, trace, observers):
-    """Raise :class:`NoninterferenceViolation` on the first witness."""
-    violations = check_theorem_noninterference(worlds, trace, observers,
-                                               stop_at_first=True)
-    if violations:
-        witness = violations[0]
-        raise NoninterferenceViolation(witness.lemma, str(witness),
-                                       witness=witness)

@@ -87,9 +87,6 @@ class Term:
 
     ty: Optional[IntTy]
 
-    def is_bool(self):
-        return self.ty is None
-
 
 @dataclass(frozen=True, eq=False, repr=True)
 class SymVar(Term):

@@ -20,10 +20,6 @@ from repro.symbolic.solver import Domains
 U64_MAX = (1 << 64) - 1
 
 
-def _ints(args):
-    return [a.value if hasattr(a, "value") else a for a in args]
-
-
 def pure_reference(name, config, layout=None):
     """The Python reference callable for pure corpus function ``name``."""
     layout = layout or MemoryLayout.default_for(config)

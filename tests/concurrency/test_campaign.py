@@ -8,7 +8,7 @@ carrying a standalone-replayable ``(seed, schedule)``.
 
 import pytest
 
-from repro.concurrency import Schedule, replay, scheduler as conc
+from repro.concurrency import Schedule, scheduler as conc
 from repro.concurrency.arena import Fiber
 from repro.faults import interleaving_campaign, make_interleaved_run
 from repro.hyperenclave import buggy
@@ -71,8 +71,7 @@ class TestBuggyVariantsCaught:
     def test_stale_violation_replays_standalone(self, no_shootdown_result):
         violation = no_shootdown_result.by_kind()["stale-translation"][0]
         run_world = make_interleaved_run(buggy.NoShootdownMonitor)
-        rerun = replay(lambda schedule: run_world(41, schedule)[1],
-                       violation.schedule)
+        _state, rerun = run_world(41, violation.schedule)
         assert rerun.stale_translations
 
 

@@ -6,7 +6,6 @@ from repro.concurrency import (
     DeterministicScheduler,
     Schedule,
     explore,
-    replay,
     scheduler as conc,
 )
 from repro.concurrency.explorer import FrontierState
@@ -134,7 +133,7 @@ class TestFindings:
     def test_violation_replays_standalone(self):
         result = explore(racy_run, preemption_bound=1)
         violation = result.violations[0]
-        rerun = replay(racy_run, violation.schedule)
+        rerun = racy_run(violation.schedule)
         assert not rerun.ok
         assert isinstance(rerun.task_errors[1], RuntimeError)
 

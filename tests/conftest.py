@@ -91,3 +91,34 @@ def from_scratch_campaign(monitor_cls=None, *, preemption_bound=2,
     return explore(run_schedule, seed=seed,
                    preemption_bound=preemption_bound,
                    max_schedules=max_schedules, crash=crash, check=check)
+
+
+def unit_path_campaign(monitor_cls=None, *, preemption_bound=2,
+                       max_schedules=600, seed=0, check_ni=True,
+                       crash=None, config=None):
+    """The pooled campaign's unit path, in process: ``FrontierState``
+    driven a whole wave at a time, every schedule one
+    ``run_interleaving_unit`` carrying the wave's branch bound.
+
+    These are the units ``CampaignStep`` maps, on any arch and crash
+    plan (``CampaignSpec`` has neither yet).  They run through this
+    process's snapshot tree and worker memo; install a fresh tree with
+    ``reset_process_tree`` to control the cache."""
+    from repro.concurrency.explorer import FrontierState
+    from repro.engine.executor import callable_path
+    from repro.engine.workers import run_interleaving_unit
+    from repro.hyperenclave.monitor import HOST_ID
+
+    state = FrontierState.start(seed=seed,
+                                preemption_bound=preemption_bound,
+                                max_schedules=max_schedules, crash=crash)
+    while True:
+        wave = state.take_wave()
+        if not wave:
+            return state.result()
+        unit = {"monitor": callable_path(monitor_cls), "config": config,
+                "check_ni": check_ni, "observers": [HOST_ID],
+                "preemption_bound": state.branch_bound(wave)}
+        state.absorb(wave, [run_interleaving_unit(dict(unit,
+                                                       schedule=schedule))
+                            for schedule in wave])

@@ -7,19 +7,17 @@ count, shard assignment, and completion order must not be observable.
 Each fault campaign and the pure-check grid has one driver that takes
 an ``executor``; the tests here call that same function without one
 (one in-process worker) and with a two-worker pool, on both arches
-where the sweep differs by arch.  The interleaving campaign keeps a
-sequential and a pooled driver, compared here too, including the
-campaigns where the planted concurrency bugs actually fire (violations
-must merge identically, not just clean runs).
+where the sweep differs by arch.  The interleaving campaign's pooled
+path is the durable wave step; a durable campaign on the shared pool is
+compared here with the sequential campaign, including the campaigns
+where the planted concurrency bugs actually fire (violations must
+merge identically, not just clean runs).
 """
 
 import pytest
 
-from repro.engine import (
-    ShardedExecutor,
-    parallel_interleaving_campaign,
-    pure_check_grid,
-)
+from repro.engine import ShardedExecutor, pure_check_grid
+from repro.engine.executor import callable_path
 from repro.faults.campaign import (
     crash_in_critical_section_campaign,
     crash_ni_campaign,
@@ -33,6 +31,7 @@ from repro.faults.campaign import (
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 from repro.hyperenclave.constants import ARCH_CONFIGS
 from repro.obs.metrics import REGISTRY
+from repro.service import CampaignSpec, CampaignStore, run_durable_campaign
 
 ARCHES = sorted(ARCH_CONFIGS)
 
@@ -44,38 +43,33 @@ def pair():
         yield executor
 
 
-def test_interleaving_equivalence(pool):
+def _durable(pool, store, monitor_cls=None, **grid):
+    """A durable campaign on the shared pool, in a fresh store."""
+    spec = CampaignSpec(monitor=callable_path(monitor_cls), **grid)
+    return run_durable_campaign(spec, str(store), executor=pool)
+
+
+def test_interleaving_equivalence(pool, tmp_path):
     seq = interleaving_campaign(max_schedules=40)
-    par = parallel_interleaving_campaign(max_schedules=40, executor=pool)
+    par = _durable(pool, tmp_path, max_schedules=40)
     assert repr(par) == repr(seq)
 
 
-def test_interleaving_equivalence_with_crash(pool):
-    seq = interleaving_campaign(max_schedules=24, check_ni=False,
-                                crash=(1, 3))
-    par = parallel_interleaving_campaign(max_schedules=24,
-                                         check_ni=False, crash=(1, 3),
-                                         executor=pool)
-    assert repr(par) == repr(seq)
-
-
-def test_interleaving_equivalence_missing_lock(pool):
+def test_interleaving_equivalence_missing_lock(pool, tmp_path):
     """Violating runs (lock-protocol findings) must merge identically."""
     seq = interleaving_campaign(MissingLockMonitor, max_schedules=30,
                                 check_ni=False)
-    par = parallel_interleaving_campaign(MissingLockMonitor,
-                                         max_schedules=30,
-                                         check_ni=False, executor=pool)
+    par = _durable(pool, tmp_path, MissingLockMonitor, max_schedules=30,
+                   check_ni=False)
     assert not seq.ok
     assert repr(par) == repr(seq)
 
 
-def test_interleaving_equivalence_no_shootdown(pool):
+def test_interleaving_equivalence_no_shootdown(pool, tmp_path):
     seq = interleaving_campaign(NoShootdownMonitor, max_schedules=150,
                                 check_ni=False)
-    par = parallel_interleaving_campaign(NoShootdownMonitor,
-                                         max_schedules=150,
-                                         check_ni=False, executor=pool)
+    par = _durable(pool, tmp_path, NoShootdownMonitor, max_schedules=150,
+                   check_ni=False)
     assert not seq.ok
     assert repr(par) == repr(seq)
 
@@ -132,8 +126,9 @@ def test_pure_check_grid_equivalence(pair):
     assert repr(par) == repr(seq)
 
 
-def test_stats_out_reports_worker_memoisation(pool):
-    stats = {}
-    parallel_interleaving_campaign(max_schedules=40, executor=pool,
-                                   stats_out=stats)
+def test_checkpoint_stats_report_worker_memoisation(pool, tmp_path):
+    """The checkpoint's ``stats`` sum the workers' memo counters."""
+    _durable(pool, tmp_path, max_schedules=40)
+    with CampaignStore(str(tmp_path)) as store:
+        stats = store.load_checkpoint().stats
     assert stats["invariants"]["hits"] + stats["invariants"]["misses"] > 0

@@ -6,17 +6,18 @@ campaign run through restored snapshots and spliced completions is
 **byte-identical** (``repr``-equal) to the from-scratch reference that
 runs every schedule from a prototype clone — at any cache capacity,
 including a budget of zero and a single-node LRU that evicts on every
-insert, and through both campaign drivers (the sequential campaign's
-own tree and the one-worker pool's process tree).  Hypothesis drives
-random (seed, preemption bound, fault plan) configurations through
-both; the directed tests pin the cache actually *working* (hits,
-suffix steps saved, leaf runs ending on an earlier run's completion),
-the capture rule (snapshots only where a child schedule can branch),
-the sequential tree's lifetime, and the counters surfacing through
-the metrics registry.
+insert, and through both campaign paths (the sequential campaign's own
+tree, and the process tree the durable wave step's units run
+through).  Hypothesis drives random (seed, preemption bound, fault
+plan) configurations through both; the directed tests pin the cache
+actually *working* (hits, suffix steps saved, leaf runs ending on an
+earlier run's completion), the capture rule (snapshots only where a
+child schedule can branch), the sequential tree's lifetime, and the
+counters surfacing through the metrics registry.
 
-Everything here runs in-process (``workers=1``) so the tests control
-the process-local tree directly via
+Everything here runs in-process (``unit_path_campaign`` drives the
+units wave by wave, and the durable test runs on one worker) so the
+tests control the process-local tree directly via
 :func:`~repro.concurrency.snapshot.reset_process_tree`.
 """
 
@@ -35,7 +36,6 @@ from repro.concurrency.snapshot import (
     process_tree,
     reset_process_tree,
 )
-from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.faults import (
     build_interleaved_world,
     execute_interleaved,
@@ -48,7 +48,7 @@ from repro.hyperenclave.txn import transactional
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
 from repro.service import CampaignSpec, run_durable_campaign
-from tests.conftest import from_scratch_campaign
+from tests.conftest import from_scratch_campaign, unit_path_campaign
 
 GRID = dict(max_schedules=12, check_ni=False)
 
@@ -65,19 +65,19 @@ def tree():
 
 
 def _pooled(tree_kwargs=None, **grid):
-    """One one-worker campaign through a fresh process tree; returns
-    (result, tree, counter_delta)."""
+    """The pooled campaign's unit path through a fresh process tree;
+    returns (result, tree, counter_delta)."""
     reset_process_tree(SnapshotTree(**(tree_kwargs or {})))
     try:
         before = REGISTRY.snapshot()
-        result = parallel_interleaving_campaign(workers=1, **grid)
+        result = unit_path_campaign(**grid)
         return result, process_tree(), REGISTRY.delta(before)["counters"]
     finally:
         reset_process_tree(None)
 
 
 def _both(tree_kwargs=None, **grid):
-    """One pooled campaign through a fresh tree and the from-scratch
+    """The pooled unit path through a fresh tree and the from-scratch
     reference; returns (cached_repr, reference_repr, tree,
     counter_delta)."""
     cached, installed, delta = _pooled(tree_kwargs, **grid)
@@ -97,8 +97,8 @@ def _cache_counts(run):
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_random_configs_restore_byte_identically(data):
-    """Random (seed, bound, fault plan): snapshot-restored pooled
-    campaigns repr-match the from-scratch reference."""
+    """Random (seed, bound, fault plan): snapshot-restored pooled unit
+    paths repr-match the from-scratch reference."""
     seed = data.draw(st.integers(0, 4), label="seed")
     bound = data.draw(st.integers(1, 2), label="preemption_bound")
     crash = data.draw(
@@ -247,7 +247,7 @@ def test_ni_worlds_restore_byte_identically(tree):
     subtree via the world key; full NI campaigns restore identically."""
     grid = dict(seed=1, preemption_bound=1, max_schedules=10,
                 check_ni=True)
-    cached = parallel_interleaving_campaign(workers=1, **grid)
+    cached = unit_path_campaign(**grid)
     assert repr(cached) == repr(from_scratch_campaign(**grid))
 
 
@@ -262,7 +262,7 @@ def test_ni_worlds_restore_byte_identically(tree):
 #: children ``max_schedules`` will never run (1,400, 1,916 and 1,916
 #: captures at bound 3 before that second rule).  The sequential
 #: campaign pops one schedule at a time, so the cap stops its captures
-#: schedule by schedule; the pool pops whole waves, and a wave's
+#: schedule by schedule; the pooled path pops whole waves, and a wave's
 #: children are cut off only when the cap falls inside that wave or
 #: right behind it — at cap 100 inside the two-preemption wave.
 CAPTURE_PINS = {
@@ -277,9 +277,9 @@ CAPTURE_PINS = {
 @pytest.mark.parametrize("bound,cap", sorted(CAPTURE_PINS))
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
 def test_capture_rule_keeps_every_lookup(arch, bound, cap):
-    """The sequential campaign's tree and the one-worker pool's process
-    tree serve the same lookups as capturing everywhere did, from the
-    pinned (smaller) numbers of captures."""
+    """The sequential campaign's tree and the process tree of the
+    pooled path's units serve the same lookups as capturing everywhere
+    did, from the pinned (smaller) numbers of captures."""
     hits, misses, saved, sequential_captures, pooled_captures = \
         CAPTURE_PINS[bound, cap]
     grid = dict(seed=0, preemption_bound=bound, max_schedules=cap,
@@ -287,8 +287,7 @@ def test_capture_rule_keeps_every_lookup(arch, bound, cap):
     sequential = _cache_counts(lambda: interleaving_campaign(**grid))
     reset_process_tree(SnapshotTree())
     try:
-        pooled = _cache_counts(
-            lambda: parallel_interleaving_campaign(workers=1, **grid))
+        pooled = _cache_counts(lambda: unit_path_campaign(**grid))
     finally:
         reset_process_tree(None)
     served = {"hits": hits, "misses": misses, "steps_saved": saved}
@@ -299,7 +298,7 @@ def test_capture_rule_keeps_every_lookup(arch, bound, cap):
 def test_durable_units_capture_under_the_branch_bound(tmp_path):
     """The durable wave step (which the service scheduler drives too)
     hands its units the wave's branch bound: with the two-preemption
-    wave cut by the cap it captures what the pool captures."""
+    wave cut by the cap it captures what the unit path captures."""
     hits, misses, saved, _sequential, pooled = CAPTURE_PINS[3, 100]
     reset_process_tree(SnapshotTree())
     try:
@@ -370,8 +369,7 @@ def test_sequential_campaign_tree_lives_only_as_long_as_the_campaign(
 def test_counters_surface_in_render_metrics(tree):
     """The snapshot-cache counter group flows through the registry into
     the rendered metrics table (and hence the daemon's ``/metrics``)."""
-    parallel_interleaving_campaign(seed=0, preemption_bound=1,
-                                   workers=1, **GRID)
+    unit_path_campaign(seed=0, preemption_bound=1, **GRID)
     table = render_metrics(REGISTRY.snapshot())
     for name in ("snapshot_cache.hits", "snapshot_cache.misses",
                  "snapshot_cache.steps_saved",

@@ -15,10 +15,11 @@ verdicts, snapshot-tree campaigns under forced eviction, and the
 symbolic/co-simulation corpus verdicts, which must come out the same
 with the fast path forced on and with it disabled.  Other drivers of
 the same campaigns must reproduce the sequential digests exactly: the
-one-worker parallel campaign, the from-scratch reference that runs
-every schedule from a prototype clone (no snapshot tree), and on
-x86_64 the service layer's wave step, driven solo, interrupted and
-resumed, and by the fair-share scheduler next to a second campaign.
+pooled campaign's unit path run in process (``unit_path_campaign``),
+the from-scratch reference that runs every schedule from a prototype
+clone (no snapshot tree), and on x86_64 the service layer's wave step,
+driven solo, interrupted and resumed, and by the fair-share scheduler
+next to a second campaign.
 
 ``digests.json`` beside this file holds the reference values.  A change
 that is meant to keep behaviour byte-identical (a faster frame store, a
@@ -39,7 +40,6 @@ from repro import fastpath
 from repro.concurrency import Schedule
 from repro.concurrency.snapshot import SnapshotTree, reset_process_tree
 from repro.engine.bug_matrix import run_matrix
-from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.engine.fingerprint import phys_fingerprint, state_fingerprint
 from repro.faults import (
     bitflip_campaign,
@@ -70,7 +70,7 @@ from repro.service import (
     run_durable_campaign,
 )
 from repro.verification.code_proofs import verify_corpus
-from tests.conftest import from_scratch_campaign
+from tests.conftest import from_scratch_campaign, unit_path_campaign
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "digests.json")
@@ -172,13 +172,12 @@ def _corpus(config):
     return tuple(encoded)
 
 
-def _parallel_campaign(tree, config, **grid):
-    """A one-worker (in-process) parallel campaign on a fresh process
+def _unit_path(tree, config, **grid):
+    """The pooled campaign's unit path, in process, on a fresh process
     snapshot tree ``tree``."""
     reset_process_tree(tree)
     try:
-        return parallel_interleaving_campaign(
-            seed=0, config=config, workers=1, **grid)
+        return unit_path_campaign(seed=0, config=config, **grid)
     finally:
         reset_process_tree(None)
 
@@ -193,7 +192,7 @@ def _corpus_verdicts(config):
 
 
 def _forced_eviction(**tree_kwargs):
-    return lambda config: _exploration(_parallel_campaign(
+    return lambda config: _exploration(_unit_path(
         SnapshotTree(**tree_kwargs), config, preemption_bound=1,
         max_schedules=10, check_ni=False))
 
@@ -257,9 +256,9 @@ def test_golden_digests_unchanged(arch):
 
 
 @pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
-def test_parallel_campaign_matches_sequential_digest(arch):
-    result = _parallel_campaign(SnapshotTree(), ARCH_CONFIGS[arch],
-                                preemption_bound=2)
+def test_unit_path_matches_sequential_digest(arch):
+    result = _unit_path(SnapshotTree(), ARCH_CONFIGS[arch],
+                        preemption_bound=2)
     assert digest(_exploration(result)) == \
         load()[arch]["interleaving_bound2"]
 

@@ -15,9 +15,10 @@ from repro.hyperenclave import buggy
 from repro.hyperenclave.constants import ARCH_CONFIGS
 from repro.hyperenclave.monitor import HOST_ID, RustMonitor
 from repro.engine.bug_matrix import (
-    _CAMPAIGN_DETECTORS,
     MATRIX,
     build_world,
+    detect_concurrency_bug,
+    detect_no_rollback,
     leak_trace,
     run_case,
 )
@@ -34,7 +35,8 @@ from tests.conftest import build_enclave_world
 ARCHES = sorted(ARCH_CONFIGS)
 
 LIGHT_ROWS = [index for index, (_cls, detector, _arg) in enumerate(MATRIX)
-              if detector not in _CAMPAIGN_DETECTORS]
+              if detector not in (detect_no_rollback,
+                                  detect_concurrency_bug)]
 CAMPAIGN_ROWS = [index for index in range(len(MATRIX))
                  if index not in LIGHT_ROWS]
 

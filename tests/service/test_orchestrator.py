@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
-from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.errors import CheckpointMismatch, ShardQuarantined
+from repro.faults import interleaving_campaign
 from repro.service import (
     CampaignSpec,
     CampaignStore,
@@ -46,11 +46,11 @@ def clean_repr(tmp_path_factory, max_schedules=SCHEDULES):
 
 
 class TestDurableEqualsPlain:
-    def test_matches_parallel_campaign(self, tmp_path):
+    def test_matches_sequential_campaign(self, tmp_path):
         result = run_durable_campaign(spec_for(), str(tmp_path),
                                       workers=2)
-        plain = parallel_interleaving_campaign(
-            max_schedules=SCHEDULES, preemption_bound=2, workers=2)
+        plain = interleaving_campaign(max_schedules=SCHEDULES,
+                                      preemption_bound=2)
         assert repr(result) == repr(plain)
 
     def test_finished_store_is_idempotent(self, tmp_path):
