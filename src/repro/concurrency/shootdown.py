@@ -69,8 +69,8 @@ def detect_stale_translations(monitor) -> List[StaleTranslation]:
         eid = cpu.active
         if eid == _HOST_ID:
             continue  # host loads bypass the TLB (direct physical map)
-        entries, _flush_count = cpu.tlb.snapshot()
-        for (_asid, (va_page, write)), (pa_page, span) in entries:
+        for (_asid, (va_page, write)), (pa_page, span) in \
+                cpu.tlb_entries():
             # A block (huge-page) TLB entry caches the translation of
             # its whole span; comparing only the base page would miss an
             # interior page whose mapping changed underneath the entry.

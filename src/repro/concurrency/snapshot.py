@@ -37,19 +37,20 @@ Correctness rests on four properties:
   its parent's trace up to the forced decision plus the forced vid, so
   a side index of recorded traces keyed by ``(world key, preemptions)``
   predicts the child's prefix without running anything.
-* **Copy-on-write structure sharing.**  The version-counted structures
-  (``phys``, ``frames``, ``epcm``) carry monotone mutation counters;
-  consecutive captures in one run share the previous node's cloned
-  structure by reference when the counter did not move.  Safe because
-  node states are frozen — only ever used as clone sources.
+* **Shared values.**  Every structure but physical memory holds an
+  immutable value that a mutation replaces, so a node's clone shares
+  with the live run, and with every earlier node of the run, each
+  value that has not changed since — and the fingerprint kept on it —
+  and physical memory shares its word tuples.  Safe because node
+  states are frozen — only ever used as clone sources.
 * **Determinism past the last forced preemption.**  Once
   ``len(decisions)`` passes a schedule's last forced preemption, every
   pick continues the running vCPU or the lowest enabled one.  The rest
   of the run is then a function of the state, of every vCPU's script
   position and scheduling state, and of the last pick, which
   :func:`resume_key` covers at each driver park with no lock held:
-  every field the two ``clone`` methods copy but the fingerprint cache,
-  with ``config``, ``layout`` and the oracle's values fixed per world
+  every field of the monitor and of the state, with ``config``,
+  ``layout`` and the oracle's values fixed per world
   (:func:`static_key`).  Two parks with equal keys append equal
   records and end in equal states, up to each decision's index, which
   a splice shifts.  A run whose monitor or state carries a field no
@@ -185,13 +186,12 @@ class SnapshotNode:
     byte-identical to a from-scratch run.
     """
 
-    __slots__ = ("state", "versions", "metas", "decisions", "yields",
-                 "stale", "lock_violations", "last", "depth", "nbytes")
+    __slots__ = ("state", "metas", "decisions", "yields", "stale",
+                 "lock_violations", "last", "depth", "nbytes")
 
-    def __init__(self, state, versions, metas, decisions, yields, stale,
+    def __init__(self, state, metas, decisions, yields, stale,
                  lock_violations, last, nbytes):
         self.state = state
-        self.versions = versions
         self.metas = metas
         self.decisions = decisions
         self.yields = yields
@@ -319,8 +319,7 @@ class SnapshotTree:
         self.stats = REGISTRY.counter_group(
             "snapshot_cache",
             ("hits", "misses", "evictions", "captures", "steps_saved",
-             "cow_shared", "completion_hits", "completion_misses",
-             "decisions_spliced"))
+             "completion_hits", "completion_misses", "decisions_spliced"))
 
     @property
     def capacity_disabled(self) -> bool:
@@ -413,10 +412,6 @@ class SnapshotTree:
         frozen = self.finals.get(key)
         if frozen is not None:
             return frozen, False
-        from repro.engine.fingerprint import warm_fingerprints
-
-        # warm first: every spliced run's clone inherits the digests
-        warm_fingerprints(state.monitor)
         frozen = self.finals[key] = state.clone()
         return frozen, True
 
@@ -446,17 +441,15 @@ class SnapshotPlan:
     """
 
     __slots__ = ("tree", "world_key", "state", "workloads", "first",
-                 "_prev", "completes", "_static", "_noted", "_hit")
+                 "completes", "_static", "_noted", "_hit")
 
     def __init__(self, tree, world_key, state, workloads, schedule,
-                 preemption_bound: int,
-                 resumed_from: Optional[SnapshotNode] = None):
+                 preemption_bound: int):
         self.tree = tree
         self.world_key = world_key
         self.state = state
         self.workloads = workloads
         self.first = first_branch_index(schedule, preemption_bound)
-        self._prev = resumed_from
         self._static = None
         if self.first is None and not tree.capacity_disabled:
             static = static_key(state, schedule)
@@ -489,13 +482,10 @@ class SnapshotPlan:
             return
         prefix = tuple(d.chosen for d in sched.decisions)
         key = (self.world_key, prefix)
-        existing = tree.nodes.get(key)
-        if existing is not None:
+        if key in tree.nodes:
             # an earlier run of this prefix captured the identical
-            # state (deterministic execution); adopt it as the COW
-            # donor so this run's later captures share with it
+            # state (deterministic execution)
             tree.nodes.move_to_end(key)
-            self._prev = existing
             return
         tree.insert(key, self._capture(sched))
 
@@ -555,47 +545,25 @@ class SnapshotPlan:
                 if fresh:
                     # the final state is charged to the first completion
                     # that holds it
-                    nbytes += _state_bytes(final, {})
+                    nbytes += _state_bytes(final)
                     fresh = False
                 tree.publish(key, Completion(tail, d, d - d0, y - y0,
                                              s - s0, v - v0, nbytes))
         return self.state if hit is None else final.clone()
 
     def _capture(self, sched) -> SnapshotNode:
-        from repro.engine.fingerprint import (
-            structure_versions,
-            warm_fingerprints,
-        )
-
-        monitor = self.state.monitor
-        versions = structure_versions(monitor)
-        reuse = {}
-        prev = self._prev
-        if prev is not None:
-            donor = prev.state.monitor
-            for name, attr in (("phys", "phys"),
-                               ("frames", "pt_allocator"),
-                               ("epcm", "epcm")):
-                if prev.versions.get(name) == versions[name]:
-                    reuse[attr] = getattr(donor, attr)
         with conc.suspended():
-            # the node and the live run both inherit the warm digests,
-            # so neither re-hashes what was written before this point
-            warm_fingerprints(monitor)
-            frozen = self.state.clone(reuse=reuse or None)
-        if reuse:
-            self.tree.stats["cow_shared"] += len(reuse)
-        metas = tuple(self._task_meta(task) for task in sched.tasks)
-        node = SnapshotNode(
-            state=frozen, versions=versions, metas=metas,
+            frozen = self.state.clone()
+        return SnapshotNode(
+            state=frozen,
+            metas=tuple(self._task_meta(task) for task in sched.tasks),
             decisions=tuple(sched.decisions),
             yields=tuple(sched.yields),
             stale=tuple(sched.stale),
             lock_violations=tuple(sched.locks.violations),
             last=sched._last,
-            nbytes=_estimate_bytes(frozen, sched, reuse))
-        self._prev = node
-        return node
+            nbytes=_state_bytes(frozen) + 48 * (len(sched.decisions)
+                                                + len(sched.yields)))
 
     def _task_meta(self, task) -> TaskMeta:
         return TaskMeta(
@@ -622,27 +590,12 @@ def _parked_in_drivers(sched) -> bool:
     return True
 
 
-def _estimate_bytes(state, sched, reuse) -> int:
-    """Deterministic byte estimate of one node (shared structures are
-    charged to the node that owns them)."""
-    return _state_bytes(state, reuse) + 48 * (len(sched.decisions)
-                                              + len(sched.yields))
-
-
-def _state_bytes(state, reuse) -> int:
-    """Deterministic byte estimate of one frozen state, less the
-    structures it shares by reference."""
+def _state_bytes(state) -> int:
+    """Deterministic byte estimate of one frozen state."""
     monitor = state.monitor
-    total = 8192
-    if "phys" not in reuse:
-        total += 96 * monitor.phys.nonzero_words()
-    if "pt_allocator" not in reuse:
-        total += monitor.pt_allocator.size
-    if "epcm" not in reuse:
-        total += 120 * len(monitor.epcm._entries)
-    total += 256 * len(monitor.enclaves)
-    total += 512 * len(monitor.cpus)
-    return total
+    return (8192 + 96 * monitor.phys.nonzero_words()
+            + monitor.pt_allocator.size + 120 * len(monitor.epcm.value)
+            + 256 * len(monitor.enclaves) + 512 * len(monitor.cpus))
 
 
 #: Byte estimate of one completion's resume key and entry, records
@@ -650,22 +603,29 @@ def _state_bytes(state, reuse) -> int:
 COMPLETION_BYTES = 2048
 
 
+#: The instance fields :func:`state_key` covers on a monitor and on a
+#: state (``config`` and ``layout`` through the world key).  A run whose
+#: monitor or state carries any other field keys nothing.
+KEYED_MONITOR_FIELDS = frozenset((
+    "config", "layout", "phys", "pt_allocator", "epcm", "enclaves",
+    "_next_eid", "cpus", "_vid", "os_ept", "primary_os"))
+KEYED_STATE_FIELDS = frozenset(
+    ("monitor", "oracle", "step_count", "use_spec_walk"))
+
+
 def static_key(state, schedule):
     """The part of a run's resume keys fixed for the whole run, or None
     when the run must not splice: a fault plane is installed (its hit
     counters are state no key covers), or the monitor or the state
-    carries an instance field their ``clone`` does not copy
-    structurally, or an oracle other than a
-    :class:`~repro.security.oracle.DataOracle`."""
+    carries an instance field :func:`state_key` does not cover, or an
+    oracle other than a :class:`~repro.security.oracle.DataOracle`."""
     from repro.faults.plane import active_plane
-    from repro.hyperenclave.monitor import RustMonitor
     from repro.security.oracle import DataOracle
-    from repro.security.state import SystemState
 
     monitor = state.monitor
     if (active_plane() is not None
-            or not RustMonitor._CLONE_FIELDS.issuperset(monitor.__dict__)
-            or not SystemState._CLONE_FIELDS.issuperset(state.__dict__)):
+            or not KEYED_MONITOR_FIELDS.issuperset(monitor.__dict__)
+            or not KEYED_STATE_FIELDS.issuperset(state.__dict__)):
         return None
     oracle = state.oracle
     if oracle is None:
@@ -684,31 +644,30 @@ def _table_key(table):
 
 
 def state_key(state) -> tuple:
-    """Every field :meth:`SystemState.clone` and
-    :meth:`RustMonitor.clone` copy, bar the per-world constants
-    (``config``, ``layout``, the oracle's values; see
-    :func:`static_key`) and the fingerprint caches: ``phys``,
-    ``frames`` and ``epcm`` through their version-cached fingerprints,
-    the rest as exact tuples (TLB entries in insertion order, flush
-    counts included)."""
-    from repro.engine.fingerprint import versioned_fingerprints
+    """Every field of the state and of its monitor, bar the per-world
+    constants (``config``, ``layout``, the oracle's values; see
+    :func:`static_key`): physical memory, the allocator bitmap and the
+    EPCM through their fingerprints, which are kept on their values;
+    every enclave's descriptor and value; every vCPU's value exactly (TLB
+    entries in insertion order, flush count included); the page-table
+    descriptors and the primary OS's bookkeeping."""
+    from repro.engine.fingerprint import (
+        epcm_fingerprint,
+        frames_fingerprint,
+        phys_fingerprint,
+    )
 
     monitor = state.monitor
     primary_os = monitor.primary_os
     oracle = state.oracle
     return (
-        versioned_fingerprints(monitor),
+        phys_fingerprint(monitor), frames_fingerprint(monitor),
+        epcm_fingerprint(monitor),
         tuple((eid, e.eid, e.elrange_base, e.elrange_size, e.mbuf,
-               _table_key(e.gpt), _table_key(e.ept), e.gpa_base, e.state,
-               e.saved_context, e.measurement)
+               _table_key(e.gpt), _table_key(e.ept), e.gpa_base, e.value)
               for eid, e in monitor.enclaves.items()),
         monitor._next_eid, monitor._vid,
-        tuple((cpu.active, cpu.saved_host_context,
-               tuple(cpu.vcpu.regs), tuple(cpu.vcpu.regs.values()),
-               cpu.vcpu.gpt_root,
-               cpu.vcpu.ept_root, tuple(cpu.tlb._entries.items()),
-               cpu.tlb.flush_count)
-              for cpu in monitor.cpus),
+        tuple(cpu.value for cpu in monitor.cpus),
         _table_key(monitor.os_ept),
         tuple((app_id, app.app_id, app.gpt_root_gpa, app.mbuf_va,
                app.mbuf_size) for app_id, app in primary_os.apps.items()),

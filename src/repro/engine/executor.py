@@ -24,10 +24,11 @@ to the sequential run.  :class:`ShardedExecutor` does exactly that:
   are returned per shard and aggregated on ``executor.stats``.
 
 The pool uses the ``fork`` start method where available: workers
-inherit the parent's imports (cheap spawn) *and* its siphash seed,
-which keeps the toy ``measurement`` accumulator — the one piece of
-state built on Python's salted ``hash`` — consistent between the
-sequential baseline and every worker.
+inherit the parent's imports, which makes them cheap to start.  Their
+results do not depend on it: nothing a worker hashes into a verdict or
+a fingerprint goes through a salted ``hash`` (the toy enclave
+``measurement`` hashes a tuple of ints, which CPython does not salt),
+so a worker started any other way would compute the same values.
 
 Every pool worker exits once the process that forked it is gone: a
 ``kill -9`` of the parent (say the ``serve`` daemon) cannot reap its

@@ -4,12 +4,14 @@ A fingerprint is a :func:`hashlib.blake2b` digest (8 bytes) over a
 canonical byte encoding of one lock-guarded structure's value.  Two
 properties matter:
 
-* **Cross-process stability.**  Python's builtin ``hash`` is salted per
-  process and useless as a cache key that workers and the parent both
-  compute; blake2b over ``repr`` of primitive tuples is identical
-  everywhere.  (The one exception is the enclave ``measurement``, a toy
-  accumulator built on salted ``hash`` — stable across *forked* workers,
-  which is why the sharded executor pins the ``fork`` start method.)
+* **Cross-process stability.**  Python's builtin ``hash`` of a str or
+  bytes is salted per process, useless as a cache key that workers and
+  the parent both compute; blake2b over ``repr`` of primitive tuples is
+  identical everywhere.  Nothing a fingerprint covers depends on that
+  salt: the toy enclave ``measurement`` mixes in ``hash((va, words))``,
+  a tuple of ints, whose hash CPython does not randomise.  So a memo
+  log written by one process and a campaign resumed after ``kill -9``
+  in another read the same fingerprints.
 * **Soundness for memoisation.**  Every input the memoised checkers
   read is covered by some structure fingerprint: the invariant families
   read ``phys``/``enclaves``/``epcm``/``frames`` (page tables live in
@@ -26,28 +28,23 @@ makes dirty tracking possible: a terminal state whose ``epcm``
 fingerprint matches an already-certified state's need not re-run the
 EPCM family even if its ``cpus`` changed.
 
-**The warm-source rule.**  ``phys``, ``frames`` and ``epcm`` carry
-version counters, and ``clone()`` copies both the monitor's
-fingerprint cache and the per-frame digest table of physical memory.
-A clone therefore re-hashes only what it wrote since it was taken —
-but only if its source was fingerprinted at its current version
-first; a clone of a cold source inherits the source's dirty frames
-and re-hashes them again, once per clone.  Campaigns never
-fingerprint their clone sources on their own (a world prototype never
-executes, a snapshot node is only ever cloned), so
-:func:`warm_fingerprints` brings a source up to date right before it
-is cloned: :func:`~repro.faults.campaign.execute_interleaved` warms
-the prototype or the restored snapshot node, and
-:class:`~repro.concurrency.snapshot.SnapshotPlan` warms the live
-state it captures.  A run's final fingerprint then re-hashes only the
-frames written since its last clone or capture.
+**Values.**  Every structure but physical memory holds an immutable
+value that each mutation replaces (:mod:`repro.hyperenclave.hardware`),
+so what is worked out from a value holds as long as the value lives.
+The allocator bitmap, the EPCM array and each vCPU's value keep their
+fingerprint (a vCPU its rendered part of the ``cpus`` one) on the value
+itself, so every clone, snapshot node and rolled-back monitor sharing a
+value shares its fingerprint too, and nothing is hashed twice.
+Physical memory re-hashes only the frames written since its digest
+table was last brought up to date, and keeps its combined digest until
+the next write; a clone brings the table up to date before copying it
+(:meth:`~repro.hyperenclave.hardware.PhysMemory.clone`).  The enclave
+directory is fingerprinted on every call: the enclaves' own values
+change while the directory stays the same, and it is cheap.
 """
 
 import hashlib
 from typing import Dict
-
-# One fingerprint per lock-guarded mutable structure of the monitor.
-STRUCTURES = ("phys", "frames", "epcm", "enclaves", "cpus")
 
 
 def content_fingerprint(*parts) -> int:
@@ -68,39 +65,57 @@ def content_fingerprint(*parts) -> int:
 _fp = content_fingerprint
 
 
+def _kept(value, compute, *args):
+    """``compute(value, *args)``, worked out once per value and kept on
+    it, so every holder of the value shares the result."""
+    kept = value.__dict__
+    try:
+        return kept["fingerprint"]
+    except KeyError:
+        result = kept["fingerprint"] = compute(value, *args)
+        return result
+
+
+class _Rendered(str):
+    """A part already rendered: it is its own ``repr``, so a tuple of
+    rendered parts encodes exactly like the tuple of the parts."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return self
+
+
 def phys_fingerprint(monitor) -> int:
     """Physical memory — transitively every page table's entries.
 
-    Dirty-only and batched: :meth:`PhysMemory.frame_digests` re-hashes
-    just the frames marked dirty since the store's digest table was
-    last brought up to date — in this monitor or, for a clone, in its
-    source before the clone was taken (every mutator marks its frames,
-    transactional undo included; see the warm-source rule above) — and
-    this function folds the table into one blake2b in frame order.
-    Equal contents give equal frame tables give equal digests, so the
-    value is as canonical as the old whole-snapshot ``repr`` encoding —
-    only the encoding changed, which is why this fingerprint (and
-    everything keyed on it) is not comparable across engine versions,
-    exactly like any other memo-key schema change.
+    :meth:`~repro.hyperenclave.hardware.PhysMemory.fingerprint` folds
+    per-frame blake2b digests into one in frame order, re-hashing only
+    the frames written since the digest table was last brought up to
+    date, and keeps the result until the next write.  Equal contents
+    give equal frame tables give equal digests, so the value is as
+    canonical as a ``repr`` of the whole snapshot.
     """
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(b"phys")
-    frame_fps = monitor.phys.frame_digests()
-    for frame in sorted(frame_fps):
-        digest.update(frame.to_bytes(8, "big"))
-        digest.update(frame_fps[frame])
-    return int.from_bytes(digest.digest(), "big")
+    return monitor.phys.fingerprint()
 
 
 def frames_fingerprint(monitor) -> int:
     """The page-table frame allocator bitmap."""
-    return _fp("frames", monitor.pt_allocator.base,
-               monitor.pt_allocator.snapshot())
+    allocator = monitor.pt_allocator
+    return _kept(allocator.value, _frames_fp, allocator.base)
+
+
+def _frames_fp(bitmap, base):
+    return _fp("frames", base, bitmap)
 
 
 def epcm_fingerprint(monitor) -> int:
     """The EPCM entry array."""
-    return _fp("epcm", monitor.epcm.snapshot())
+    return _kept(monitor.epcm.value, _epcm_fp)
+
+
+def _epcm_fp(entries):
+    return _fp("epcm", tuple(entry.snapshot() for entry in entries))
 
 
 def enclaves_fingerprint(monitor) -> int:
@@ -125,9 +140,13 @@ def cpus_fingerprint(monitor) -> int:
     never moves, but covering it keeps the memo key honest.
     """
     return _fp("cpus", monitor.os_ept.root_frame, tuple(
-        (cpu.active, cpu.saved_host_context, cpu.vcpu.context(),
-         cpu.vcpu.gpt_root, cpu.vcpu.ept_root, cpu.tlb.snapshot()[0])
-        for cpu in monitor.cpus))
+        _kept(cpu.value, _render_cpu) for cpu in monitor.cpus))
+
+
+def _render_cpu(value):
+    return _Rendered(repr((
+        value.active, value.saved_host_context, value.regs,
+        value.gpt_root, value.ept_root, tuple(sorted(value.tlb)))))
 
 
 _FINGERPRINTS = {
@@ -138,79 +157,22 @@ _FINGERPRINTS = {
     "cpus": cpus_fingerprint,
 }
 
-# Structures carrying a monotone ``_version`` mutation counter (bumped
-# by every mutating method and preserved by ``clone``).  For these, an
-# unchanged (object-lineage, version) pair implies unchanged contents,
-# so their fingerprints can be cached on the monitor and survive clones
-# instead of re-hashing a clean structure from scratch.  ``enclaves``
-# and ``cpus`` have mutable fields poked from several modules and stay
-# uncached — they are also the two cheapest to hash.
-_VERSIONED = {
-    "phys": lambda monitor: monitor.phys._version,
-    "frames": lambda monitor: monitor.pt_allocator._version,
-    "epcm": lambda monitor: monitor.epcm._version,
-}
-
-
-def structure_versions(monitor) -> Dict[str, int]:
-    """Current mutation-counter values of the version-counted
-    structures (used by the snapshot tree's copy-on-write sharing)."""
-    return {name: read for name, read in
-            ((name, fn(monitor)) for name, fn in _VERSIONED.items())}
+# One fingerprint per lock-guarded mutable structure of the monitor.
+STRUCTURES = tuple(_FINGERPRINTS)
 
 
 def structure_fingerprints(monitor) -> Dict[str, int]:
-    """All per-structure fingerprints, keyed by :data:`STRUCTURES`.
-
-    Version-counted structures consult the monitor's ``_fp_cache``
-    (``name -> (version, fingerprint)``): a hit at the current version
-    returns the cached digest, a miss recomputes and refreshes the
-    entry.  The cache is copied by ``RustMonitor.clone``, so a clone
-    re-hashes nothing it did not mutate — provided its source was
-    warm when it was cloned (:func:`warm_fingerprints`).
-    """
-    cache = getattr(monitor, "_fp_cache", None)
-    fps = {}
-    for name in STRUCTURES:
-        if cache is None or name not in _VERSIONED:
-            fps[name] = _FINGERPRINTS[name](monitor)
-        else:
-            fps[name] = _cached_fingerprint(monitor, cache, name)
-    return fps
+    """All per-structure fingerprints, keyed by :data:`STRUCTURES`."""
+    return {name: fn(monitor) for name, fn in _FINGERPRINTS.items()}
 
 
-def _cached_fingerprint(monitor, cache, name) -> int:
-    """A version-counted structure's fingerprint through ``cache``."""
-    version = _VERSIONED[name](monitor)
-    entry = cache.get(name)
-    if entry is None or entry[0] != version:
-        entry = cache[name] = (version, _FINGERPRINTS[name](monitor))
-    return entry[1]
-
-
-def warm_fingerprints(monitor) -> None:
-    """Bring the version-counted fingerprints of ``monitor`` up to date
-    before it is cloned: the ``phys`` frame-digest table and the
-    ``phys``, ``frames`` and ``epcm`` cache entries.
-
-    Clones copy all of them, so each clone of a warm source re-hashes
-    only what it writes itself.  A no-op once they are warm; only
-    digests change, never contents, so no version counter moves and
-    the snapshot tree's copy-on-write sharing is unaffected.
-    """
-    cache = monitor._fp_cache
-    for name in _VERSIONED:
-        _cached_fingerprint(monitor, cache, name)
-
-
-def versioned_fingerprints(monitor) -> tuple:
-    """``(phys, frames, epcm)`` fingerprints through the monitor's
-    version cache: a dict probe per structure that did not move since
-    it was last fingerprinted (the snapshot tree's resume keys)."""
-    cache = monitor._fp_cache
-    return (_cached_fingerprint(monitor, cache, "phys"),
-            _cached_fingerprint(monitor, cache, "frames"),
-            _cached_fingerprint(monitor, cache, "epcm"))
+def value_fingerprints(monitor) -> tuple:
+    """The fingerprints of every structure but ``phys``, in
+    :data:`STRUCTURES` order (what
+    :func:`~repro.hyperenclave.txn.monitor_digest` pairs with the exact
+    physical memory snapshot)."""
+    return tuple(fn(monitor) for name, fn in _FINGERPRINTS.items()
+                 if name != "phys")
 
 
 def fingerprint(monitor, fps: Dict[str, int] = None) -> int:

@@ -775,20 +775,13 @@ def execute_interleaved(prototype, ctx, schedule, *, tree=None,
     (:class:`~repro.concurrency.snapshot.Completion`).  Results are
     byte-identical with or without the tree — the golden digests pin
     this, including under forced eviction.
-
-    The clone source (prototype or node) is warmed first
-    (:func:`~repro.engine.fingerprint.warm_fingerprints`), so the final
-    state's fingerprint re-hashes only what this run wrote.
     """
     from repro.concurrency import DeterministicScheduler
     from repro.concurrency.shootdown import detect_stale_translations
     from repro.concurrency.snapshot import SnapshotPlan
-    from repro.engine.fingerprint import warm_fingerprints
 
     node = None if tree is None else tree.lookup(world_key, schedule)
-    source = prototype if node is None else node.state
-    warm_fingerprints(source.monitor)
-    state = source.clone()
+    state = (prototype if node is None else node.state).clone()
     built = ScriptWorkloads(state, default_concurrent_scripts(ctx),
                             None if node is None else node.positions())
     scheduler = DeterministicScheduler(
@@ -797,8 +790,7 @@ def execute_interleaved(prototype, ctx, schedule, *, tree=None,
         if node is not None:
             node.apply_to(scheduler)
         plan = scheduler.snapshots = SnapshotPlan(
-            tree, world_key, state, built, schedule, preemption_bound,
-            resumed_from=node)
+            tree, world_key, state, built, schedule, preemption_bound)
     result = scheduler.run()
     if tree is not None:
         tree.record_trace(world_key, schedule, result.trace)

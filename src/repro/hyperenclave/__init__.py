@@ -22,7 +22,7 @@ from repro.hyperenclave.constants import (
     TINY,
     PteFlagBits,
 )
-from repro.hyperenclave.hardware import PhysMemory, Tlb, VCpu
+from repro.hyperenclave.hardware import CpuLocal, PhysMemory
 from repro.hyperenclave.frames import BitmapFrameAllocator
 from repro.hyperenclave import pte
 from repro.hyperenclave.paging import PageTable, two_stage_translate
@@ -34,7 +34,7 @@ from repro.hyperenclave.monitor import RustMonitor, HOST_ID
 
 __all__ = [
     "MachineConfig", "MemoryLayout", "X86_64", "TINY", "PteFlagBits",
-    "PhysMemory", "Tlb", "VCpu",
+    "PhysMemory", "CpuLocal",
     "BitmapFrameAllocator",
     "pte",
     "PageTable", "two_stage_translate",

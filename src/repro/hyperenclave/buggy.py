@@ -267,15 +267,13 @@ class MbufOverlapMonitor(RustMonitor):
         enclave.gpt = gpt
         enclave.ept = ept
         enclave.gpa_base = elrange_base
-        enclave.state = EnclaveState.CREATED
-        enclave.saved_context = None
-        enclave.measurement = 0
+        enclave.value = Enclave.FRESH
         self.epcm.allocate(eid, PageState.SECS)
         for va_page, pa_page in mbuf.pages(config):
             gpt.map_page(va_page, pa_page, self.config.arch.leaf_flags())
             if ept.query(pa_page) is None:
                 ept.map_page(pa_page, pa_page, self.config.arch.leaf_flags())
-        self.enclaves[eid] = enclave
+        self._set_enclave(eid, enclave)
         return eid
 
     def hc_add_page(self, eid, va, src_gpa) -> int:
@@ -325,7 +323,7 @@ class SecureMbufMonitor(RustMonitor):
             gpt.map_page(va_page, pa_page, self.config.arch.leaf_flags())
             if ept.query(pa_page) is None:
                 ept.map_page(pa_page, pa_page, self.config.arch.leaf_flags())
-        self.enclaves[eid] = enclave
+        self._set_enclave(eid, enclave)
         return eid
 
 
@@ -412,7 +410,7 @@ class NoScrubMonitor(RustMonitor):
             self.phys.zero_frame(frame)
             self.pt_allocator.dealloc(frame)
         enclave.state = EnclaveState.DESTROYED
-        del self.enclaves[eid]
+        self._set_enclave(eid, None)
 
 
 @_register

@@ -8,8 +8,10 @@ across entries/exits.
 """
 
 import enum
+from collections import namedtuple
 
 from repro.errors import HypercallError
+from repro.hyperenclave.hardware import value_field
 from repro.hyperenclave.mbuf import MarshallingBuffer
 
 
@@ -22,8 +24,29 @@ class EnclaveState(enum.Enum):
     DESTROYED = "destroyed"
 
 
+#: What an enclave's lifecycle changes, as one immutable value: its
+#: state, the vCPU context saved at its last exit, and its measurement.
+EnclaveValue = namedtuple("EnclaveValue",
+                          ("state", "saved_context", "measurement"))
+
+
 class Enclave:
-    """Monitor-side state of one enclave."""
+    """Monitor-side state of one enclave.
+
+    The descriptor fields (ELRANGE, marshalling buffer, page tables,
+    GPA base) are fixed at creation; ``state``, ``saved_context`` and
+    ``measurement`` are fields of ``value``, an :data:`EnclaveValue`
+    that each change replaces.
+    """
+
+    #: The value of an enclave ECREATE just made (the measurement is a
+    #: toy EADD accumulator).
+    FRESH = EnclaveValue(state=EnclaveState.CREATED, saved_context=None,
+                         measurement=0)
+
+    state = value_field("state")
+    saved_context = value_field("saved_context")
+    measurement = value_field("measurement")
 
     def __init__(self, eid, elrange_base, elrange_size, mbuf, gpt, ept,
                  gpa_base):
@@ -34,9 +57,7 @@ class Enclave:
         self.gpt = gpt            # GVA -> GPA, monitor-managed
         self.ept = ept            # GPA -> HPA, monitor-managed
         self.gpa_base = gpa_base  # where ELRANGE lands in guest-physical
-        self.state = EnclaveState.CREATED
-        self.saved_context = None
-        self.measurement = 0      # toy EADD measurement accumulator
+        self.value = self.FRESH
         if mbuf is not None and self.overlaps_elrange(
                 mbuf.va_base, mbuf.size):
             raise HypercallError(
@@ -58,9 +79,7 @@ class Enclave:
         new.gpt = gpt
         new.ept = ept
         new.gpa_base = self.gpa_base
-        new.state = self.state
-        new.saved_context = self.saved_context   # immutable tuple
-        new.measurement = self.measurement
+        new.value = self.value
         return new
 
     # -- address classification -----------------------------------------------------

@@ -13,11 +13,12 @@ that skips the bookkeeping and watch the invariant catch it.
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.concurrency import scheduler as conc
 from repro.errors import EpcExhausted, EpcmError
 from repro.faults import plane as faults
+from repro.hyperenclave.hardware import Value
 
 
 class PageState(enum.Enum):
@@ -29,7 +30,7 @@ class PageState(enum.Enum):
     PT = "pt"          # enclave page-table frame
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpcmEntry:
     """One EPCM slot: state, owning enclave, backed VA."""
     state: PageState = PageState.FREE
@@ -43,34 +44,37 @@ class EpcmEntry:
         return (self.state.value, self.owner, self.va)
 
 
+_FREE = EpcmEntry()
+
+
 class Epcm:
-    """The EPC map: an array of entries indexed by EPC frame index."""
+    """The EPC map: an array of entries indexed by EPC frame index.
+
+    ``value`` is the whole array as an immutable
+    :class:`~repro.hyperenclave.hardware.Value` of frozen entries;
+    every state transition stores a new one.
+    """
 
     def __init__(self, layout):
         self.layout = layout
-        self._entries: List[EpcmEntry] = [
-            EpcmEntry() for _ in range(layout.epc_size)]
-        # Monotone mutation counter (see PhysMemory._version).  Entries
-        # are only ever mutated through the methods below, so bumping
-        # here covers every path that can change the map.
-        self._version = 0
+        self.value = Value((_FREE,) * layout.epc_size)
 
     # -- lookups -----------------------------------------------------------------
 
     def entry_for_frame(self, frame) -> EpcmEntry:
-        return self._entries[self.layout.epc_index(frame)]
+        return self.value[self.layout.epc_index(frame)]
 
     def entries(self):
         """(frame, entry) pairs for the whole EPC."""
         return [(self.layout.epc_base + i, e)
-                for i, e in enumerate(self._entries)]
+                for i, e in enumerate(self.value)]
 
     def owned_by(self, eid):
         return [(frame, entry) for frame, entry in self.entries()
                 if entry.owner == eid and not entry.is_free()]
 
     def free_count(self):
-        return sum(1 for e in self._entries if e.is_free())
+        return sum(1 for e in self.value if e.is_free())
 
     def lookup_mapping(self, eid, va) -> Optional[int]:
         """The EPC frame recorded for ``(enclave, va)``, if any."""
@@ -92,12 +96,9 @@ class Epcm:
         faults.allocation_gate(
             faults.SITE_EPCM_ALLOC,
             exhaust=lambda: EpcExhausted("EPC exhausted (injected)"))
-        for index, entry in enumerate(self._entries):
+        for index, entry in enumerate(self.value):
             if entry.is_free():
-                self._version += 1
-                entry.state = state
-                entry.owner = eid
-                entry.va = va
+                self._set(index, EpcmEntry(state, eid, va))
                 return self.layout.epc_base + index
         raise EpcExhausted("EPC exhausted")
 
@@ -110,10 +111,7 @@ class Epcm:
             raise EpcmError(
                 f"EPC frame {frame} is busy "
                 f"(state={entry.state.value}, owner={entry.owner})")
-        self._version += 1
-        entry.state = state
-        entry.owner = eid
-        entry.va = va
+        self._set(self.layout.epc_index(frame), EpcmEntry(state, eid, va))
 
     def release(self, frame, eid):
         """Free one frame after checking ownership."""
@@ -124,36 +122,24 @@ class Epcm:
         if entry.owner != eid:
             raise EpcmError(
                 f"EPC frame {frame} owned by {entry.owner}, not {eid}")
-        self._version += 1
-        entry.state = PageState.FREE
-        entry.owner = None
-        entry.va = None
+        self._set(self.layout.epc_index(frame), _FREE)
 
     def release_all(self, eid):
         """Free every frame owned by enclave ``eid`` (destroy path)."""
         conc.guard_mutation("epcm")
-        self._version += 1
-        for _, entry in self.entries():
-            if entry.owner == eid:
-                entry.state = PageState.FREE
-                entry.owner = None
-                entry.va = None
+        self.value = Value(_FREE if entry.owner == eid else entry
+                           for entry in self.value)
+
+    def _set(self, index, entry):
+        value = self.value
+        self.value = Value(value[:index] + (entry,) + value[index + 1:])
 
     def snapshot(self):
-        return tuple(e.snapshot() for e in self._entries)
-
-    def load_snapshot(self, snapshot):
-        """Restore the entry array captured by :meth:`snapshot`."""
-        self._version += 1
-        self._entries = [
-            EpcmEntry(state=PageState(state), owner=owner, va=va)
-            for state, owner, va in snapshot]
+        return tuple(e.snapshot() for e in self.value)
 
     def clone(self):
-        """An independent copy of the whole entry array."""
+        """An independent map over the same layout, sharing the entry
+        array value."""
         new = object.__new__(type(self))
-        new.layout = self.layout
-        new._entries = [EpcmEntry(state=e.state, owner=e.owner, va=e.va)
-                        for e in self._entries]
-        new._version = self._version
+        new.__dict__.update(self.__dict__)
         return new

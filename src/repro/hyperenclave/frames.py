@@ -7,15 +7,21 @@ lowest non-trusted layer: its MIR transcription is verified against the
 :mod:`repro.hyperenclave.mir_model`.
 """
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.concurrency import scheduler as conc
 from repro.errors import OutOfMemoryError, HypervisorError
 from repro.faults import plane as faults
+from repro.hyperenclave.hardware import Value
 
 
 class BitmapFrameAllocator:
-    """First-fit bitmap allocator over a contiguous frame range."""
+    """First-fit bitmap allocator over a contiguous frame range.
+
+    ``value`` is the allocation bitmap, one bool per frame of the pool,
+    as an immutable :class:`~repro.hyperenclave.hardware.Value`; every
+    allocation and free stores a new one.
+    """
 
     def __init__(self, frame_range: Iterable[int]):
         frames = sorted(frame_range)
@@ -25,11 +31,7 @@ class BitmapFrameAllocator:
             raise HypervisorError("frame pool must be contiguous")
         self.base = frames[0]
         self.size = len(frames)
-        self._used = [False] * self.size
-        # Monotone mutation counter (see PhysMemory._version): bumped by
-        # every bitmap mutation so fingerprints and snapshot sharing can
-        # treat equal versions on one lineage as equal contents.
-        self._version = 0
+        self.value = Value((False,) * self.size)
 
     # -- queries ------------------------------------------------------------------
 
@@ -40,18 +42,18 @@ class BitmapFrameAllocator:
         """Is ``frame`` currently handed out?"""
         if not self.contains(frame):
             return False
-        return self._used[frame - self.base]
+        return self.value[frame - self.base]
 
     @property
     def used_count(self):
-        return sum(self._used)
+        return sum(self.value)
 
     @property
     def free_count(self):
         return self.size - self.used_count
 
     def allocated_frames(self):
-        return [self.base + i for i, used in enumerate(self._used) if used]
+        return [self.base + i for i, used in enumerate(self.value) if used]
 
     # -- operations ------------------------------------------------------------------
 
@@ -69,12 +71,13 @@ class BitmapFrameAllocator:
             faults.SITE_FRAME_ALLOC,
             exhaust=lambda: OutOfMemoryError(
                 "page-table frame pool exhausted (injected)"))
-        for index, used in enumerate(self._used):
-            if not used:
-                self._version += 1
-                self._used[index] = True
-                return self.base + index
-        raise OutOfMemoryError("page-table frame pool exhausted")
+        try:
+            index = self.value.index(False)
+        except ValueError:
+            raise OutOfMemoryError(
+                "page-table frame pool exhausted") from None
+        self._mark(index, True)
+        return self.base + index
 
     def alloc_specific(self, frame) -> int:
         """Claim a specific free frame."""
@@ -82,10 +85,9 @@ class BitmapFrameAllocator:
         if not self.contains(frame):
             raise HypervisorError(f"frame {frame} outside the pool")
         index = frame - self.base
-        if self._used[index]:
+        if self.value[index]:
             raise HypervisorError(f"frame {frame} already allocated")
-        self._version += 1
-        self._used[index] = True
+        self._mark(index, True)
         return frame
 
     def dealloc(self, frame):
@@ -94,29 +96,21 @@ class BitmapFrameAllocator:
         if not self.contains(frame):
             raise HypervisorError(f"frame {frame} outside the pool")
         index = frame - self.base
-        if not self._used[index]:
+        if not self.value[index]:
             raise HypervisorError(f"double free of frame {frame}")
-        self._version += 1
-        self._used[index] = False
+        self._mark(index, False)
+
+    def _mark(self, index, used):
+        value = self.value
+        self.value = Value(value[:index] + (used,) + value[index + 1:])
 
     def snapshot(self):
         """Immutable allocation bitmap (for abstract states)."""
-        return tuple(self._used)
-
-    def load_snapshot(self, bitmap):
-        """Restore a bitmap captured by :meth:`snapshot`."""
-        if len(bitmap) != self.size:
-            raise HypervisorError(
-                f"snapshot covers {len(bitmap)} frames, pool has "
-                f"{self.size}")
-        self._version += 1
-        self._used = list(bitmap)
+        return self.value
 
     def clone(self):
-        """An independent copy over the same pool geometry."""
+        """An independent allocator over the same pool, sharing the
+        bitmap value."""
         new = object.__new__(type(self))
-        new.base = self.base
-        new.size = self.size
-        new._used = list(self._used)
-        new._version = self._version
+        new.__dict__.update(self.__dict__)
         return new

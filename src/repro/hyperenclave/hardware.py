@@ -14,13 +14,20 @@ with all-zero frames absent.  The operations that cost time act on
 whole frames — zeroing, copying, the undo journal of either, clones,
 observation and hashing — and each is then one map operation on one
 tuple instead of a visit to every word.  Clones share tuples.
+
+Every other structure the monitor mutates — the allocator bitmap, the
+EPCM, each enclave's lifecycle triple, each vCPU — holds one immutable
+value, and a mutation stores a new value instead of changing the old
+one (:class:`Value`, :class:`CpuValue`).  A clone shares the values, a
+rollback puts kept values back, and a fingerprint is worked out once
+per value and kept on it, so every holder of the value shares it.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from operator import attrgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.concurrency import scheduler as conc
 from repro.errors import HypervisorError
@@ -29,8 +36,7 @@ from repro.hyperenclave.constants import WORD_BYTES
 from repro.obs.metrics import REGISTRY
 
 #: ``fingerprint.frames_hashed``: frames :meth:`PhysMemory.frame_digests`
-#: re-hashed, the count the warm-source rule of
-#: :mod:`repro.engine.fingerprint` keeps small.
+#: re-hashed.
 FRAME_STATS = REGISTRY.counter_group("fingerprint", ("frames_hashed",))
 
 _MASK64 = (1 << 64) - 1
@@ -53,23 +59,14 @@ class PhysMemory:
         self._zero = (0,) * self._wpp
         # frame -> its words; a frame is present iff a word is nonzero
         self._frames: Dict[int, Tuple[int, ...]] = {}
-        # Monotone mutation counter.  Every path that can change the
-        # dense contents bumps it (word writes, frame ops, snapshot
-        # loads, transactional undo), which is what lets the engine
-        # cache content fingerprints across ``clone()`` and lets the
-        # snapshot tree share clean structures between sibling forks:
-        # equal versions on one object lineage imply equal contents.
-        self._version = 0
-        # Dirty-frame tracking for incremental fingerprinting: every
-        # mutator records the frames it touched; ``frame_digests``
-        # re-hashes only those and keeps a per-frame digest table that
-        # ``clone()`` copies.  A clone re-hashes only what it wrote
-        # since it was taken *if its source's table was up to date* —
-        # which is why campaigns warm every clone source first
-        # (:func:`repro.engine.fingerprint.warm_fingerprints`); a clone
-        # of a cold source inherits the source's dirty set too.
+        # Incremental fingerprinting: every mutator records the frames
+        # it touched and clears the combined digest; ``frame_digests``
+        # re-hashes only the touched frames into a per-frame digest
+        # table, which ``clone()`` brings up to date and then copies,
+        # so neither copy re-hashes what was written before the clone.
         self._dirty_frames: set = set()
         self._frame_fps: Dict[int, bytes] = {}
+        self._fingerprint: Optional[int] = None
 
     # -- word access -------------------------------------------------------------
 
@@ -92,7 +89,7 @@ class PhysMemory:
         frame, offset = divmod(index, self._wpp)
         words = list(self._frames.get(frame, self._zero))
         conc.record_phys_write(index, words[offset])
-        self._version += 1
+        self._fingerprint = None
         self._dirty_frames.add(frame)
         words[offset] = value & _MASK64
         self._put(frame, words)
@@ -135,7 +132,7 @@ class PhysMemory:
         """
         self._check_frame(frame)
         conc.yield_point("phys.write", f"zero frame {frame}")
-        self._version += 1
+        self._fingerprint = None
         self._dirty_frames.add(frame)
         old = self._frames.pop(frame, self._zero)
         scope = conc.txn_scope()
@@ -154,7 +151,7 @@ class PhysMemory:
         self._check_frame(src_frame)
         conc.yield_point("phys.write",
                          f"copy frame {src_frame}->{dst_frame}")
-        self._version += 1
+        self._fingerprint = None
         self._dirty_frames.add(dst_frame)
         frames = self._frames
         src = frames.get(src_frame, self._zero)
@@ -200,29 +197,23 @@ class PhysMemory:
         wpp = self._wpp
         return sum([wpp - words.count(0) for words in self._frames.values()])
 
-    def load_snapshot(self, items: Iterable[Tuple[int, Tuple[int, ...]]]):
-        """Replace the contents with a :meth:`snapshot`'s items."""
-        self._replace(dict(items))
-
     def checkpoint(self) -> Dict[int, Tuple[int, ...]]:
         """Cheap checkpoint for transactional rollback (the frame map;
         the tuples are shared, never copied)."""
         return dict(self._frames)
 
     def restore_checkpoint(self, checkpoint: Dict[int, Tuple[int, ...]]):
-        """Roll back to a :meth:`checkpoint` (transactional abort)."""
-        self._replace(dict(checkpoint))
-
-    def _replace(self, frames: Dict[int, Tuple[int, ...]]):
-        """Wholesale content replacement.  A frame whose tuple is not
-        the very one it held before is queued for re-hashing; the rest
-        keep their cached digests."""
-        self._version += 1
+        """Roll back to a :meth:`checkpoint` (transactional abort).  A
+        frame whose tuple is not the very one it held before is queued
+        for re-hashing; the rest keep their cached digests."""
+        frames = dict(checkpoint)
         current = self._frames
         self._frames = frames
-        self._dirty_frames.update(
-            frame for frame in current.keys() | frames.keys()
-            if current.get(frame) is not frames.get(frame))
+        changed = [frame for frame in current.keys() | frames.keys()
+                   if current.get(frame) is not frames.get(frame)]
+        if changed:
+            self._fingerprint = None
+            self._dirty_frames.update(changed)
 
     def apply_undo(self, frames: Mapping[int, Tuple[int, ...]],
                    words: Mapping[int, int]):
@@ -232,11 +223,9 @@ class PhysMemory:
         ``frames`` maps a frame to its pre-transaction words and
         ``words`` a word index to its pre-transaction value; a word
         recorded on its own was recorded before any record of its
-        whole frame, so it is restored last and wins.  Going through a
-        method keeps the version counter honest: every cached
-        fingerprint and shared snapshot is built on version equality.
+        whole frame, so it is restored last and wins.
         """
-        self._version += 1
+        self._fingerprint = None
         dirty = self._dirty_frames
         for frame, old in frames.items():
             dirty.add(frame)
@@ -254,16 +243,19 @@ class PhysMemory:
 
     def clone(self):
         """An independent copy (no yield points, no fault sites); the
-        word tuples are shared."""
+        word tuples are shared.  The digest table is brought up to date
+        first, so neither copy re-hashes a frame written before the
+        clone."""
+        self.frame_digests()
         new = object.__new__(type(self))
         new.config = self.config
         new._capacity = self._capacity
         new._wpp = self._wpp
         new._zero = self._zero
         new._frames = dict(self._frames)
-        new._version = self._version
-        new._dirty_frames = set(self._dirty_frames)
+        new._dirty_frames = set()
         new._frame_fps = dict(self._frame_fps)
+        new._fingerprint = self._fingerprint
         return new
 
     # -- incremental fingerprint support ------------------------------------------
@@ -275,8 +267,8 @@ class PhysMemory:
         updates the cached table in place (frames that went all-zero
         drop out, matching the sparse semantics).  A frame's digest is
         over the ``repr`` of its ``(offset, word)`` pairs with a
-        nonzero word, in offset order.  The engine's fingerprint layer
-        folds the table into one combined digest.
+        nonzero word, in offset order.  :meth:`fingerprint` folds the
+        table into one combined digest.
         """
         dirty = self._dirty_frames
         if dirty:
@@ -293,64 +285,40 @@ class PhysMemory:
             dirty.clear()
         return self._frame_fps
 
+    def fingerprint(self) -> int:
+        """One blake2b-64 over the whole contents: ``b"phys"``, then
+        each nonzero frame's number (8 bytes, big-endian) and digest,
+        in frame order.  Kept until the next mutation."""
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=8)
+            digest.update(b"phys")
+            frame_fps = self.frame_digests()
+            for frame in sorted(frame_fps):
+                digest.update(frame.to_bytes(8, "big"))
+                digest.update(frame_fps[frame])
+            self._fingerprint = int.from_bytes(digest.digest(), "big")
+        return self._fingerprint
+
     def __len__(self):
         return self._capacity
 
 
-class Tlb:
-    """A simple tagged TLB.
+class Value(tuple):
+    """An immutable structure value: a tuple that can also carry what
+    is worked out from it (its fingerprint), once for every holder
+    that shares it.  A mutation never changes a value; it stores a new
+    one."""
 
-    HyperEnclave flushes the TLB on every enclave transition (Sec. 2.1);
-    the model records flushes so tests can assert that stale translations
-    never survive a world switch.
-    """
 
-    def __init__(self):
-        # key -> (pa_page, span): ``span`` is the bytes the cached
-        # translation covers (None = one page).  Hardware TLBs cache
-        # block translations at block granularity; the stale-translation
-        # detector must sweep the whole span, not just the base page.
-        self._entries: Dict[Tuple[int, int], Tuple[int, Optional[int]]] = {}
-        self.flush_count = 0
+def value_field(name):
+    """A property over field ``name`` of the holder's ``value`` (a
+    named tuple): reading gives the field, writing stores a new value
+    with that field replaced."""
+    def put(holder, new):
+        holder.value = holder.value._replace(**{name: new})
 
-    def insert(self, asid, va_page, pa_page, span=None):
-        self._entries[(asid, va_page)] = (pa_page, span)
-
-    def lookup(self, asid, va_page) -> Optional[int]:
-        """The cached physical page for ``(asid, va_page)``, or None."""
-        hit = self._entries.get((asid, va_page))
-        return None if hit is None else hit[0]
-
-    def flush_asid(self, asid):
-        """Drop every entry tagged with ``asid``."""
-        self._entries = {k: v for k, v in self._entries.items()
-                         if k[0] != asid}
-        self.flush_count += 1
-
-    def flush_all(self):
-        """Drop every entry (the world-switch flush)."""
-        self._entries.clear()
-        self.flush_count += 1
-
-    def snapshot(self):
-        """(entries, flush_count) as an immutable value."""
-        return (tuple(sorted(self._entries.items())), self.flush_count)
-
-    def load_snapshot(self, snapshot):
-        """Restore a :meth:`snapshot` (transactional rollback)."""
-        entries, flush_count = snapshot
-        self._entries = dict(entries)
-        self.flush_count = flush_count
-
-    def clone(self):
-        """An independent copy, flush telemetry included."""
-        new = type(self)()
-        new._entries = dict(self._entries)
-        new.flush_count = self.flush_count
-        return new
-
-    def __len__(self):
-        return len(self._entries)
+    return property(attrgetter(f"value.{name}"), put,
+                    doc=f"The ``{name}`` field of the value.")
 
 
 # General-purpose register names of the vCPU model (a representative
@@ -359,78 +327,137 @@ class Tlb:
 GPR_NAMES = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rsp", "rbp", "rip")
 
 
-@dataclass
-class VCpu:
-    """Virtual CPU state: general registers plus the two paging roots.
+class CpuValue(namedtuple("CpuValue", (
+        "regs", "gpt_root", "ept_root", "active", "saved_host_context",
+        "tlb", "flush_count"))):
+    """One vCPU's whole state as an immutable value.
 
-    ``gpt_root`` is the guest page table root (CR3); ``ept_root`` is the
-    extended page table root (EPTP).  RustMonitor switches both on every
-    enclave entry/exit (Sec. 2.1).
+    ``regs`` is the register file as ``(name, value)`` pairs in name
+    order, which is also the saved context (:meth:`CpuLocal.context`).
+    ``gpt_root`` is the guest page table root (CR3) and ``ept_root``
+    the extended page table root (EPTP); RustMonitor switches both on
+    every enclave entry/exit (Sec. 2.1).  ``active`` is the principal
+    the core runs (0: the host) and ``saved_host_context`` the host
+    registers parked across an enclave entry.  ``tlb`` holds the cached
+    translations as ``((asid, va_page), (pa_page, span))`` pairs in
+    insertion order, ``span`` being the bytes a translation covers
+    (None: one page): hardware TLBs cache block translations at block
+    granularity, and the stale-translation detector must sweep the
+    whole span.  ``flush_count`` counts TLB flushes; it is telemetry,
+    which digests and fingerprints leave out.
     """
 
-    regs: Dict[str, int] = field(
-        default_factory=lambda: {name: 0 for name in GPR_NAMES})
-    gpt_root: Optional[int] = None
-    ept_root: Optional[int] = None
+
+#: A core as it boots: every register zero, no roots, the host active.
+BOOT_CPU = CpuValue(regs=tuple(sorted((name, 0) for name in GPR_NAMES)),
+                    gpt_root=None, ept_root=None, active=0,
+                    saved_host_context=None, tlb=(), flush_count=0)
+
+
+class CpuLocal:
+    """Everything that is per-core on the real machine, held as one
+    :class:`CpuValue`: the register file, the paging roots, the active
+    principal, the parked host context and the TLB.
+
+    HyperEnclave flushes the TLB on every enclave transition (Sec. 2.1);
+    the model counts flushes so tests can assert that stale
+    translations never survive a world switch.  ``vcpu`` and ``tlb``
+    name this same object, so call sites read as the core's register
+    file or its TLB.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[CpuValue] = None):
+        self.value = BOOT_CPU if value is None else value
+
+    gpt_root = value_field("gpt_root")
+    ept_root = value_field("ept_root")
+    active = value_field("active")
+    saved_host_context = value_field("saved_host_context")
+    flush_count = value_field("flush_count")
+
+    @property
+    def vcpu(self) -> "CpuLocal":
+        """The core as a register file (this object)."""
+        return self
+
+    @property
+    def tlb(self) -> "CpuLocal":
+        """The core as a TLB (this object)."""
+        return self
+
+    def clone(self):
+        """An independent core sharing this one's value."""
+        return CpuLocal(self.value)
+
+    # -- registers ------------------------------------------------------------
 
     def write_reg(self, name, value):
         """Write a general register (wraps to 64 bits)."""
-        if name not in self.regs:
-            raise HypervisorError(f"unknown register {name!r}")
-        self.regs[name] = value & ((1 << 64) - 1)
+        regs = self.value.regs
+        for index, (held, _old) in enumerate(regs):
+            if held == name:
+                self.value = self.value._replace(
+                    regs=regs[:index] + ((name, value & _MASK64),)
+                    + regs[index + 1:])
+                return
+        raise HypervisorError(f"unknown register {name!r}")
 
     def read_reg(self, name):
         """Read a general register."""
-        if name not in self.regs:
-            raise HypervisorError(f"unknown register {name!r}")
-        return self.regs[name]
+        for held, value in self.value.regs:
+            if held == name:
+                return value
+        raise HypervisorError(f"unknown register {name!r}")
 
     def context(self) -> Tuple[Tuple[str, int], ...]:
         """Immutable register snapshot (saved on enclave exit)."""
-        return tuple(sorted(self.regs.items()))
+        return self.value.regs
 
     def restore(self, context):
-        self.regs = dict(context)
+        """Load a saved register context."""
+        self.value = self.value._replace(
+            regs=tuple(sorted(dict(context).items())))
 
-    def clone(self):
-        return VCpu(regs=dict(self.regs), gpt_root=self.gpt_root,
-                    ept_root=self.ept_root)
+    # -- TLB ----------------------------------------------------------------------
 
+    def insert(self, asid, va_page, pa_page, span=None):
+        """Cache a translation (replacing one cached for the same key)."""
+        key = (asid, va_page)
+        entries = self.value.tlb
+        for index, (held, _hit) in enumerate(entries):
+            if held == key:
+                entries = (entries[:index] + ((key, (pa_page, span)),)
+                           + entries[index + 1:])
+                break
+        else:
+            entries += ((key, (pa_page, span)),)
+        self.value = self.value._replace(tlb=entries)
 
-@dataclass
-class CpuLocal:
-    """Everything that is per-core on the real machine.
+    def lookup(self, asid, va_page) -> Optional[int]:
+        """The cached physical page for ``(asid, va_page)``, or None."""
+        key = (asid, va_page)
+        for held, (pa_page, _span) in self.value.tlb:
+            if held == key:
+                return pa_page
+        return None
 
-    Each vCPU has its own register file, its own TLB, its own notion of
-    which principal it is running (``active``), and its own parked host
-    context across an enclave entry.  The monitor's scalar views of
-    these (``monitor.active`` etc.) dispatch on the executing vCPU.
-    """
+    def flush_asid(self, asid):
+        """Drop every entry tagged with ``asid``."""
+        value = self.value
+        self.value = value._replace(
+            tlb=tuple(entry for entry in value.tlb if entry[0][0] != asid),
+            flush_count=value.flush_count + 1)
 
-    vcpu: VCpu
-    tlb: Tlb
-    active: int = 0                       # HOST_ID
-    saved_host_context: Optional[Tuple] = None
+    def flush_all(self):
+        """Drop every entry (the world-switch flush)."""
+        self.value = self.value._replace(
+            tlb=(), flush_count=self.value.flush_count + 1)
 
-    def snapshot(self):
-        """Immutable capture for transactional rollback."""
-        return (dict(self.vcpu.regs), self.vcpu.gpt_root,
-                self.vcpu.ept_root, self.active,
-                self.saved_host_context, self.tlb.snapshot())
+    def tlb_entries(self):
+        """The cached translations in key order."""
+        return tuple(sorted(self.value.tlb))
 
-    def load_snapshot(self, snapshot):
-        """Restore a :meth:`snapshot` (transactional rollback)."""
-        regs, gpt_root, ept_root, active, shc, tlb = snapshot
-        self.vcpu.regs = dict(regs)
-        self.vcpu.gpt_root = gpt_root
-        self.vcpu.ept_root = ept_root
-        self.active = active
-        self.saved_host_context = shc
-        self.tlb.load_snapshot(tlb)
-
-    def clone(self):
-        """An independent per-core copy (``saved_host_context`` is an
-        immutable register tuple, shared by reference)."""
-        return CpuLocal(vcpu=self.vcpu.clone(), tlb=self.tlb.clone(),
-                        active=self.active,
-                        saved_host_context=self.saved_host_context)
+    def __len__(self):
+        return len(self.value.tlb)

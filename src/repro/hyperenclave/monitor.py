@@ -23,10 +23,19 @@ decorator also declares the locks each hypercall takes
 scheduler holds before the body runs.  The ``faults.crash_point`` calls
 between mutations are the named abort-at-step-k injection sites the
 crash-step campaign sweeps.
+
+Every structure a hypercall mutates — the allocator bitmap, the EPCM,
+the enclave directory, each enclave's lifecycle triple, each vCPU —
+holds one immutable value, and a mutation stores a new one; the
+structure table of :mod:`repro.hyperenclave.txn` names them.  Physical
+memory is the exception: a frame map of immutable word tuples.  So a
+clone shares every value, a rollback puts kept values back, and a
+fingerprint kept on a value serves every monitor that shares it.
 """
 
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from repro.concurrency import scheduler as conc
 from repro.concurrency.locks import (
@@ -45,7 +54,7 @@ from repro.hyperenclave.enclave import Enclave, EnclaveState
 from repro.hyperenclave.epcm import Epcm, PageState
 from repro.hyperenclave.frames import BitmapFrameAllocator
 from repro.hyperenclave.guest import PrimaryOS
-from repro.hyperenclave.hardware import CpuLocal, PhysMemory, Tlb, VCpu
+from repro.hyperenclave.hardware import CpuLocal, PhysMemory
 from repro.hyperenclave.mbuf import MarshallingBuffer
 from repro.hyperenclave.paging import PageTable, two_stage_translate
 
@@ -63,6 +72,9 @@ class RustMonitor:
     the scheduled task's vid under the concurrency plane, else the
     monitor's own ``_vid`` cursor (settable via :meth:`on_cpu`).  With
     the default single vCPU everything behaves exactly as before.
+
+    ``enclaves`` is a read-only mapping, replaced on every create and
+    destroy, and ``cpus`` a tuple of per-core holders.
     """
 
     def __init__(self, config, layout: Optional[MemoryLayout] = None,
@@ -72,19 +84,14 @@ class RustMonitor:
         self.phys = PhysMemory(config)
         self.pt_allocator = BitmapFrameAllocator(self.layout.pt_pool_frames)
         self.epcm = Epcm(self.layout)
-        self.enclaves: Dict[int, Enclave] = {}
+        # the enclave directory, a read-only mapping each create and
+        # destroy replaces (:meth:`_set_enclave`)
+        self.enclaves: Mapping[int, Enclave] = MappingProxyType({})
         self._next_eid = 1
         if num_vcpus < 1:
             raise HypercallError("a monitor needs at least one vCPU")
-        self.cpus = [CpuLocal(vcpu=VCpu(), tlb=Tlb())
-                     for _ in range(num_vcpus)]
+        self.cpus = tuple(CpuLocal() for _ in range(num_vcpus))
         self._vid = 0
-        # Structure-fingerprint cache: name -> (version, fingerprint)
-        # for the version-counted structures (phys, frames, epcm).
-        # Maintained by repro.engine.fingerprint and carried across
-        # clones, so a clone of a warmed source (warm_fingerprints)
-        # re-hashes only the structures it mutates.
-        self._fp_cache: Dict[str, Tuple[int, int]] = {}
         # Boot: build the normal VM's EPT — identity over untrusted
         # memory only.  Nothing in the secure range is ever entered here;
         # that absence *is* spatial isolation (Sec. 2.1).
@@ -113,12 +120,12 @@ class RustMonitor:
         return self.cpus[self.current_vid]
 
     @property
-    def vcpu(self) -> VCpu:
-        return self._cpu.vcpu
+    def vcpu(self) -> CpuLocal:
+        return self._cpu
 
     @property
-    def tlb(self) -> Tlb:
-        return self._cpu.tlb
+    def tlb(self) -> CpuLocal:
+        return self._cpu
 
     @property
     def active(self) -> int:
@@ -148,56 +155,43 @@ class RustMonitor:
         finally:
             self._vid = old
 
-    # Instance fields :meth:`clone` copies structurally; anything a
-    # subclass adds on top falls back to ``copy.deepcopy``.
-    _CLONE_FIELDS = frozenset((
-        "config", "layout", "phys", "pt_allocator", "epcm", "enclaves",
-        "_next_eid", "cpus", "_vid", "os_ept", "primary_os", "_fp_cache"))
+    def clone(self):
+        """An independent copy of the whole monitor.
 
-    def clone(self, *, reuse=None):
-        """An independent structural copy of the whole monitor.
-
-        Field-wise instead of ``copy.deepcopy``: the immutable geometry
-        (``config``, ``layout``) is shared, every mutable structure —
-        physical memory, allocator bitmap, EPCM, per-core state, enclave
-        metadata — is copied, and the page tables / primary OS are
-        rebound onto the cloned backing stores.  This sits on the
-        two-world noninterference hot path and under every parallel
-        campaign's prototype-clone world builder.
-
-        ``reuse`` (copy-on-write support for the snapshot tree) maps a
-        structure attribute name — ``phys``, ``pt_allocator``, ``epcm``
-        — to an already-cloned object with contents identical to this
-        monitor's; the clone adopts it by reference instead of copying.
-        Only safe when both the donor and the resulting clone are
-        frozen (used purely as future clone sources), which is exactly
-        how snapshot-tree nodes behave.
+        Every structure a hypercall mutates holds an immutable value
+        (see :data:`~repro.hyperenclave.txn.STRUCTURE_TABLE`), and so
+        does every other field, so the copy shares all of them by
+        reference and makes new holders only: physical memory (a frame
+        map sharing its word tuples), the allocator, the EPCM, one
+        :class:`~repro.hyperenclave.hardware.CpuLocal` per core, and
+        the page tables, primary OS and enclaves rebound onto the
+        copied memory and allocator.  This sits on the two-world
+        noninterference hot path and under every campaign's
+        prototype-clone world builder.
         """
-        import copy
-
-        reuse = reuse or {}
         new = object.__new__(type(self))
-        new.config = self.config
-        new.layout = self.layout
-        new.phys = reuse.get("phys") or self.phys.clone()
-        new.pt_allocator = (reuse.get("pt_allocator")
-                            or self.pt_allocator.clone())
-        new.epcm = reuse.get("epcm") or self.epcm.clone()
-        new._next_eid = self._next_eid
-        new._vid = self._vid
-        new.cpus = [cpu.clone() for cpu in self.cpus]
-        new.os_ept = self.os_ept.clone(new.phys, new.pt_allocator)
-        new.primary_os = self.primary_os.clone(new.phys, new.os_ept)
-        new.enclaves = {
-            eid: enclave.clone(
-                enclave.gpt.clone(new.phys, new.pt_allocator),
-                enclave.ept.clone(new.phys, new.pt_allocator))
-            for eid, enclave in self.enclaves.items()}
-        new._fp_cache = dict(getattr(self, "_fp_cache", ()) or {})
-        for key, value in self.__dict__.items():
-            if key not in self._CLONE_FIELDS:
-                new.__dict__[key] = copy.deepcopy(value)
+        new.__dict__.update(self.__dict__)
+        new.phys = phys = self.phys.clone()
+        new.pt_allocator = allocator = self.pt_allocator.clone()
+        new.epcm = self.epcm.clone()
+        new.cpus = tuple(cpu.clone() for cpu in self.cpus)
+        new.os_ept = self.os_ept.clone(phys, allocator)
+        new.primary_os = self.primary_os.clone(phys, new.os_ept)
+        new.enclaves = MappingProxyType({
+            eid: enclave.clone(enclave.gpt.clone(phys, allocator),
+                               enclave.ept.clone(phys, allocator))
+            for eid, enclave in self.enclaves.items()})
         return new
+
+    def _set_enclave(self, eid, enclave):
+        """Store a new directory with ``eid`` mapped to ``enclave``, or
+        without ``eid`` when ``enclave`` is None."""
+        directory = dict(self.enclaves)
+        if enclave is None:
+            del directory[eid]
+        else:
+            directory[eid] = enclave
+        self.enclaves = MappingProxyType(directory)
 
     def lock_plan(self, hypercall, args) -> Tuple[str, ...]:
         """The locks ``hypercall`` declares for ``args``, in global
@@ -301,7 +295,7 @@ class RustMonitor:
         # were private — nobody else could name them yet).
         gpt.owner_lock = ept.owner_lock = enclave_lock(eid)
         conc.guard_mutation(LOCK_ENCLAVES)
-        self.enclaves[eid] = enclave
+        self._set_enclave(eid, enclave)
         return eid
 
     @transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM, LOCK_FRAMES)
@@ -503,7 +497,7 @@ class RustMonitor:
         self._tlb_shootdown()  # its translations die with it, on every core
         enclave.state = EnclaveState.DESTROYED
         conc.guard_mutation(LOCK_ENCLAVES)
-        del self.enclaves[eid]
+        self._set_enclave(eid, None)
 
     # -- memory access on behalf of principals (used by the security model) ----------
 

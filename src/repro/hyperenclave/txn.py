@@ -11,25 +11,26 @@ validation, resource exhaustion, or an injected fault — restore the
 checkpoint before re-raising, so the observable state machine only ever
 moves in whole hypercalls.
 
-Two rollback strategies, same contract:
+Every structure a hypercall mutates but physical memory holds one
+immutable value, and a mutation stores a new one (see
+:mod:`repro.hyperenclave.hardware`); :data:`STRUCTURE_TABLE` names them
+and says how to read and write each value.  Rolling back is putting
+kept values back.  Two rollback strategies, same contract:
 
-* **Sequential** (no scheduler installed): a full value snapshot of
-  everything a hypercall can touch — physical memory (which
-  transitively holds every page table), the allocator bitmap, the EPCM
-  array, the per-enclave metadata, every vCPU, and the monitor's
-  scalars.  Cheap on the simulated machine.
-* **Concurrent** (running as a scheduled vCPU task): a whole-monitor
-  snapshot would capture — and on rollback clobber — *other vCPUs'*
-  in-flight writes.  Instead each task keeps a :class:`TxnScope`: a
-  first-write-wins undo journal of physical memory (fed by the
-  ``phys.write`` hooks, one record per word or per whole frame),
-  snapshots of each structure of the hypercall's declared lock set,
-  and a capture of the task's own CPU-local state.  The scope opens
-  only once the whole lock set is held — the scheduler's script driver
-  takes it before the body runs, and a hypercall entered any other way
-  takes it on entry — so 2PL guarantees nobody else touches a
-  snapshotted structure until release, and nothing another vCPU did
-  while this one waited for a lock is ever undone.  Rolling back undoes
+* **Sequential** (no scheduler installed): :func:`capture` keeps the
+  value of every structure plus the physical frame map (which
+  transitively holds every page table); :func:`restore` puts them back.
+* **Concurrent** (running as a scheduled vCPU task): putting back every
+  value would clobber *other vCPUs'* in-flight work.  Instead each task
+  keeps a :class:`TxnScope`: a first-write-wins undo journal of
+  physical memory (fed by the ``phys.write`` hooks, one record per word
+  or per whole frame), and the values of the structures of the
+  hypercall's declared lock set and of the task's own vCPU.  The scope
+  opens only once the whole lock set is held — the scheduler's script
+  driver takes it before the body runs, and a hypercall entered any
+  other way takes it on entry — so 2PL guarantees nobody else touches
+  a kept structure until release, and nothing another vCPU did while
+  this one waited for a lock is ever undone.  Rolling back undoes
   exactly the aborted vCPU's footprint.  Remote TLB flushes already
   sent by a shootdown are deliberately not undone — flushing a cache is
   always safe, and real IPIs cannot be recalled.
@@ -41,7 +42,7 @@ or hand the CPU away mid-undo.
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.concurrency import scheduler as conc
 from repro.concurrency.locks import lock_rank
@@ -54,85 +55,106 @@ from repro.errors import (
 from repro.faults import plane as faults
 
 
-@dataclass
-class MonitorCheckpoint:
-    """A full value snapshot of the mutable monitor state."""
+def _held_by(holder):
+    """``(read, write)`` of a structure whose value is the ``value``
+    attribute of ``holder(monitor, key)``."""
+    def read(monitor, key):
+        return holder(monitor, key).value
 
-    phys: Dict[int, Tuple[int, ...]]            # frame -> words
-    allocator: Tuple[bool, ...]
-    epcm: Tuple
-    enclaves: Dict[int, object]                  # eid -> Enclave (by ref)
-    enclave_meta: Dict[int, Tuple]               # eid -> mutable fields
-    next_eid: int
-    cpus: Tuple                                  # CpuLocal.snapshot() each
+    def write(monitor, key, value):
+        holder(monitor, key).value = value
 
-
-def capture(monitor) -> MonitorCheckpoint:
-    """Checkpoint everything a hypercall may mutate."""
-    return MonitorCheckpoint(
-        phys=monitor.phys.checkpoint(),
-        allocator=monitor.pt_allocator.snapshot(),
-        epcm=monitor.epcm.snapshot(),
-        enclaves=dict(monitor.enclaves),
-        enclave_meta={
-            eid: (enclave.state, enclave.saved_context,
-                  enclave.measurement)
-            for eid, enclave in monitor.enclaves.items()},
-        next_eid=monitor._next_eid,
-        cpus=tuple(cpu.snapshot() for cpu in monitor.cpus),
-    )
+    return read, write
 
 
-def restore(monitor, checkpoint: MonitorCheckpoint):
+def _write_directory(monitor, _key, value):
+    monitor.enclaves, monitor._next_eid = value
+
+
+#: The structures a hypercall mutates: kind -> ``(keys, read, write)``.
+#: A kind whose ``keys`` is None is one structure named by the kind;
+#: otherwise there is one structure per key of ``keys(monitor)``, named
+#: ``kind:key`` (``enclave:3``, ``cpu:0``).  ``read(monitor, key)``
+#: gives its immutable value and ``write(monitor, key, value)`` stores
+#: one.  The names are the lock names (a vCPU is touched only by its
+#: own task and has none), in global lock order, so the enclave
+#: directory is put back before the enclaves in it.  Physical memory is
+#: too big for a value and has no entry: it rolls back through its
+#: frame map checkpoint and the undo journal.
+STRUCTURE_TABLE = {
+    "enclaves": (None,
+                 lambda monitor, _key: (monitor.enclaves, monitor._next_eid),
+                 _write_directory),
+    "enclave": (lambda monitor: monitor.enclaves,
+                *_held_by(lambda monitor, eid: monitor.enclaves[eid])),
+    "epcm": (None, *_held_by(lambda monitor, _key: monitor.epcm)),
+    "frames": (None, *_held_by(lambda monitor, _key: monitor.pt_allocator)),
+    "cpu": (lambda monitor: range(len(monitor.cpus)),
+            *_held_by(lambda monitor, vid: monitor.cpus[vid])),
+}
+
+
+def structure_values(monitor) -> List[Tuple[str, object]]:
+    """``(name, value)`` of every structure of :data:`STRUCTURE_TABLE`
+    ``monitor`` has now, in table order."""
+    values = []
+    for kind, (keys, read, _write) in STRUCTURE_TABLE.items():
+        if keys is None:
+            values.append((kind, read(monitor, None)))
+        else:
+            values.extend((f"{kind}:{key}", read(monitor, key))
+                          for key in keys(monitor))
+    return values
+
+
+def _entry(name):
+    """``(key, read, write)`` of the structure called ``name``."""
+    kind, _, key = name.partition(":")
+    try:
+        _keys, read, write = STRUCTURE_TABLE[kind]
+    except KeyError:
+        raise HypervisorError(f"no structure called {name!r}") from None
+    return (int(key) if key else None), read, write
+
+
+def _put_back(monitor, values):
+    """Write each ``(name, value)`` of ``values`` back, in order."""
+    for name, value in values:
+        key, _read, write = _entry(name)
+        write(monitor, key, value)
+
+
+def capture(monitor):
+    """Checkpoint everything a hypercall may mutate: the physical frame
+    map and the value of every structure."""
+    return monitor.phys.checkpoint(), structure_values(monitor)
+
+
+def restore(monitor, checkpoint):
     """Rewind the monitor to ``checkpoint`` (undoes partial hypercalls)."""
-    monitor.phys.restore_checkpoint(checkpoint.phys)
-    monitor.pt_allocator.load_snapshot(checkpoint.allocator)
-    monitor.epcm.load_snapshot(checkpoint.epcm)
-    monitor.enclaves.clear()
-    monitor.enclaves.update(checkpoint.enclaves)
-    for eid, (state, saved_context, measurement) in \
-            checkpoint.enclave_meta.items():
-        enclave = monitor.enclaves[eid]
-        enclave.state = state
-        enclave.saved_context = saved_context
-        enclave.measurement = measurement
-    monitor._next_eid = checkpoint.next_eid
-    for cpu, snapshot in zip(monitor.cpus, checkpoint.cpus):
-        cpu.load_snapshot(snapshot)
+    frames, values = checkpoint
+    monitor.phys.restore_checkpoint(frames)
+    _put_back(monitor, values)
 
 
 def monitor_digest(monitor) -> Tuple:
     """A comparable value of the security-relevant monitor state.
 
     Two monitors with equal digests are indistinguishable to every
-    invariant checker and to every observation function: physical
-    memory (hence all page tables), allocator bitmap, EPCM, enclave
-    metadata, scheduling scalars, and every vCPU with its live TLB
-    entries.  The TLB *flush counts* are deliberately excluded — they
-    are telemetry, not state.
+    invariant checker and to every observation function: the physical
+    memory snapshot (hence all page tables) and the fingerprint of
+    every other structure — allocator bitmap, EPCM, enclave metadata
+    and every vCPU with its live TLB entries.  The TLB *flush counts*
+    are deliberately excluded — they are telemetry, not state.
     """
-    return (
-        monitor.phys.snapshot(),
-        monitor.pt_allocator.snapshot(),
-        monitor.epcm.snapshot(),
-        tuple(sorted(
-            (eid, enclave.state.value, enclave.measurement,
-             enclave.saved_context, enclave.gpt.root_frame,
-             enclave.ept.root_frame)
-            for eid, enclave in monitor.enclaves.items())),
-        monitor._next_eid,
-        tuple((cpu.active, cpu.saved_host_context, cpu.vcpu.context(),
-               cpu.vcpu.gpt_root, cpu.vcpu.ept_root,
-               cpu.tlb.snapshot()[0])
-              for cpu in monitor.cpus),
-    )
+    from repro.engine.fingerprint import value_fingerprints
+
+    return (monitor.phys.snapshot(),) + value_fingerprints(monitor)
 
 
 # ---------------------------------------------------------------------------
 # Concurrent rollback: the per-task undo scope
 # ---------------------------------------------------------------------------
-
-_MISSING = object()  # enclave lock taken for an eid that did not exist
 
 
 @dataclass
@@ -148,24 +170,32 @@ class TxnScope:
       journalled whole is already covered.  Covers every page-table
       entry, frame copy, and scrub, because all tables live in physical
       memory.  :meth:`word_journal` reads both back one word at a time.
-    * ``structures`` — value snapshots of each structure of the
-      hypercall's lock set, taken when the scope opens with the set
-      held.  Under strict 2PL no other task can have mutated a
-      structure between then and abort, so restoring it is exact.
-    * ``cpu`` — the task's own CPU-local capture from the same moment.
+    * ``values`` — ``(name, value)`` for each structure of the
+      hypercall's lock set and for the task's own vCPU, read when the
+      scope opens with the set held.  Under strict 2PL no other task
+      can have mutated one of them between then and abort, so putting
+      the values back is exact.  The lock of an enclave that does not
+      exist keeps nothing.
     """
 
     vid: int
-    cpu: Tuple
     words_per_page: int
+    values: List[Tuple] = field(default_factory=list)
     journal: Dict[int, int] = field(default_factory=dict)
     frame_journal: Dict[int, Tuple[int, Tuple[int, ...]]] = field(
         default_factory=dict)
-    structures: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
-    def begin(cls, monitor, vid) -> "TxnScope":
-        return cls(vid=vid, cpu=monitor.cpus[vid].snapshot(),
+    def begin(cls, monitor, vid, plan) -> "TxnScope":
+        """Open vCPU ``vid``'s scope with the locks of ``plan`` held."""
+        values = []
+        for name in (*plan, f"cpu:{vid}"):
+            key, read, _write = _entry(name)
+            try:
+                values.append((name, read(monitor, key)))
+            except KeyError:
+                pass        # the lock of an enclave that is not live
+        return cls(vid=vid, values=values,
                    words_per_page=monitor.phys.config.words_per_page)
 
     def record_word(self, index, old_value):
@@ -198,26 +228,6 @@ class TxnScope:
         view.update(words[taken:])
         return view
 
-    def snapshot_structure(self, monitor, lock_name):
-        """Capture the current value of one lock-guarded structure."""
-        if lock_name == "frames":
-            value = monitor.pt_allocator.snapshot()
-        elif lock_name == "epcm":
-            value = monitor.epcm.snapshot()
-        elif lock_name == "enclaves":
-            value = (dict(monitor.enclaves), monitor._next_eid)
-        elif lock_name.startswith("enclave:"):
-            eid = int(lock_name.split(":", 1)[1])
-            enclave = monitor.enclaves.get(eid)
-            if enclave is None:
-                value = _MISSING
-            else:
-                value = (enclave, enclave.state, enclave.saved_context,
-                         enclave.measurement)
-        else:
-            raise HypervisorError(f"no snapshot rule for lock {lock_name!r}")
-        self.structures[lock_name] = value
-
     def rollback(self, monitor):
         """Undo this task's footprint; leaves other vCPUs' work alone."""
         with conc.suspended(), faults.suspended():
@@ -225,24 +235,7 @@ class TxnScope:
                 {frame: old_words for frame, (_position, old_words)
                  in self.frame_journal.items()},
                 self.journal)
-            for lock_name, value in self.structures.items():
-                if value is _MISSING:
-                    continue
-                if lock_name == "frames":
-                    monitor.pt_allocator.load_snapshot(value)
-                elif lock_name == "epcm":
-                    monitor.epcm.load_snapshot(value)
-                elif lock_name == "enclaves":
-                    enclaves, next_eid = value
-                    monitor.enclaves.clear()
-                    monitor.enclaves.update(enclaves)
-                    monitor._next_eid = next_eid
-                else:
-                    enclave, state, saved_context, measurement = value
-                    enclave.state = state
-                    enclave.saved_context = saved_context
-                    enclave.measurement = measurement
-            monitor.cpus[self.vid].load_snapshot(self.cpu)
+            _put_back(monitor, self.values)
 
 
 def _run_concurrent(fn, monitor, args, kwargs, task):
@@ -250,9 +243,7 @@ def _run_concurrent(fn, monitor, args, kwargs, task):
     plan = monitor.lock_plan(fn, args)
     try:
         conc.take_locks(plan)
-        scope = TxnScope.begin(monitor, task.vid)
-        for name in plan:
-            scope.snapshot_structure(monitor, name)
+        scope = TxnScope.begin(monitor, task.vid, plan)
         task.txn_scope = scope
         try:
             return fn(monitor, *args, **kwargs)

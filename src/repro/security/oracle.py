@@ -76,3 +76,7 @@ class MemoryEchoOracle:
 
     def next(self) -> int:  # stream-protocol fallback (no location)
         return 0
+
+    def fork(self):
+        """The oracle for a cloned world: itself (it keeps no state)."""
+        return self

@@ -5,12 +5,11 @@ carries physical memory, the vCPU, the TLB, the EPCM, and every page
 table) plus the bookkeeping the security arguments need: the step
 counter and the data oracle cursor.
 
-States support :meth:`clone` (a structured field-wise snapshot) so the
-noninterference drivers can branch executions, and :meth:`principal_is_active` /
+States support :meth:`clone` (sharing every immutable value of the
+monitor, see :meth:`RustMonitor.clone`) so the noninterference drivers
+can branch executions, and :meth:`principal_is_active` /
 :meth:`live_principals` queries used by the lemma checkers.
 """
-
-import copy
 
 from repro.hyperenclave.monitor import HOST_ID
 
@@ -43,35 +42,20 @@ class SystemState:
 
     # -- branching --------------------------------------------------------------
 
-    # Fields :meth:`clone` copies structurally; subclass extras fall
-    # back to ``copy.deepcopy``.
-    _CLONE_FIELDS = frozenset(
-        ("monitor", "oracle", "step_count", "use_spec_walk"))
+    def clone(self):
+        """An independent copy at the same oracle position.
 
-    def clone(self, *, reuse=None):
-        """An independent structural copy (same oracle position).
-
-        Uses :meth:`RustMonitor.clone` and :meth:`DataOracle.fork`
-        instead of ``copy.deepcopy`` — this is the two-world
-        noninterference hot path (every crash-NI campaign unit clones
-        both worlds) and the parallel fabric's world builder.
-
-        ``reuse`` passes through to :meth:`RustMonitor.clone` for the
-        snapshot tree's copy-on-write structure sharing.
+        Uses :meth:`RustMonitor.clone` and the oracle's ``fork`` — this
+        is the two-world noninterference hot path (every crash-NI
+        campaign unit clones both worlds) and the parallel fabric's
+        world builder.  Every other field is an immutable value and is
+        shared.
         """
         new = object.__new__(type(self))
-        new.monitor = self.monitor.clone(reuse=reuse)
-        if self.oracle is None:
-            new.oracle = None
-        elif hasattr(self.oracle, "fork"):
+        new.__dict__.update(self.__dict__)
+        new.monitor = self.monitor.clone()
+        if self.oracle is not None:
             new.oracle = self.oracle.fork()
-        else:
-            new.oracle = copy.deepcopy(self.oracle)
-        new.step_count = self.step_count
-        new.use_spec_walk = self.use_spec_walk
-        for key, value in self.__dict__.items():
-            if key not in self._CLONE_FIELDS:
-                new.__dict__[key] = copy.deepcopy(value)
         return new
 
     def __repr__(self):

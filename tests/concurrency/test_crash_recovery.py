@@ -111,5 +111,4 @@ class TestCrashWhileTakingLocks:
             last = [y for y in result.yields if y.vid == vid][-1]
             assert last.locks_held == ()
         assert not result.lock_violations
-        entries, _flushes = state.monitor.cpus[1].tlb.snapshot()
-        assert entries == ()
+        assert state.monitor.cpus[1].tlb_entries() == ()

@@ -3,17 +3,19 @@
 A leaf run that meets a resume key an earlier run of its world
 published takes that run's records and final state instead of running
 on (:class:`~repro.concurrency.snapshot.Completion`).  That is sound
-only if two parks with equal keys go on identically, so every field
-:meth:`SystemState.clone` and :meth:`RustMonitor.clone` copy, every
+only if two parks with equal keys go on identically, so every field of
+the state and of its monitor, every
 :class:`~repro.concurrency.scheduler.Task` field, the script positions
 and the scheduler's last pick must move the key when they move.  The
-named exceptions are the fingerprint cache (a cache, not content) and
-``config``/``layout`` (fixed per world, which the tree's world key
-names).  A run whose monitor or state carries a field no key covers,
-or that runs under a fault plane, never splices.
+named exceptions are ``config``/``layout`` (fixed per world, which the
+tree's world key names).  A run whose monitor or state carries a field
+no key covers, or that runs under a fault plane, never splices.  A
+clone shares every field it does not rebuild, so each such field of
+every monitor and state class must be an immutable value.
 """
 
 import dataclasses
+import enum
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -24,6 +26,8 @@ from repro.concurrency import scheduler as conc
 from repro.concurrency.scheduler import Task
 from repro.concurrency.shootdown import detect_stale_translations
 from repro.concurrency.snapshot import (
+    KEYED_MONITOR_FIELDS,
+    KEYED_STATE_FIELDS,
     SAFE_PARK_KINDS,
     SnapshotTree,
     resume_key,
@@ -37,12 +41,14 @@ from repro.faults.campaign import (
     execute_interleaved,
     interleaving_campaign,
 )
-from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.hyperenclave import buggy
+from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
 from repro.hyperenclave.enclave import EnclaveState
 from repro.hyperenclave.epcm import PageState
 from repro.hyperenclave.mbuf import MarshallingBuffer
 from repro.hyperenclave.monitor import RustMonitor
 from repro.obs.metrics import REGISTRY
+from repro.security.oracle import DataOracle
 from repro.security.state import SystemState
 from tests.conftest import from_scratch_campaign
 
@@ -52,8 +58,8 @@ from tests.conftest import from_scratch_campaign
 PARK_SCHEDULE = Schedule(seed=0, preemptions=((42, 1),))
 PARK_DECISION = 48
 
-#: Clone-copied fields the key leaves out on purpose.
-UNKEYED = {"_fp_cache", "config", "layout"}
+#: Fields the key leaves out on purpose (fixed per world).
+UNKEYED = {"config", "layout"}
 
 
 class _Grab:
@@ -170,7 +176,7 @@ MONITOR_MUTATIONS = {
     "epcm": [("epcm entry",
               lambda s: s.monitor.epcm.allocate(2, PageState.REG, 0))],
     "enclaves": [
-        ("enclave added", lambda s: s.monitor.enclaves.__setitem__(
+        ("enclave added", lambda s: s.monitor._set_enclave(
             7, _enclave(s).clone(_enclave(s).gpt, _enclave(s).ept))),
         ("enclave.eid", lambda s: setattr(_enclave(s), "eid", 9)),
         ("enclave.elrange_base", lambda s: setattr(
@@ -247,12 +253,57 @@ TASK_MUTATIONS = {
 }
 
 
-def test_mutation_tables_cover_every_copied_field():
-    """Every field the two ``clone``s copy and every Task field has a
-    mutation below, bar the named exceptions."""
-    assert set(MONITOR_MUTATIONS) == set(RustMonitor._CLONE_FIELDS) - UNKEYED
-    assert set(STATE_MUTATIONS) == set(SystemState._CLONE_FIELDS)
+def test_mutation_tables_cover_every_keyed_field():
+    """Every field the key covers and every Task field has a mutation
+    below, bar the named exceptions, and the keyed fields are the
+    fields a monitor and a state have."""
+    state = SystemState(RustMonitor(TINY), DataOracle.seeded(1))
+    assert set(vars(state.monitor)) == KEYED_MONITOR_FIELDS
+    assert set(vars(state)) == KEYED_STATE_FIELDS
+    assert set(MONITOR_MUTATIONS) == KEYED_MONITOR_FIELDS - UNKEYED
+    assert set(STATE_MUTATIONS) == KEYED_STATE_FIELDS
     assert set(TASK_MUTATIONS) == {f.name for f in dataclasses.fields(Task)}
+
+
+def _subclasses(cls):
+    found = [cls]
+    for sub in cls.__subclasses__():
+        found.extend(_subclasses(sub))
+    return found
+
+
+def _immutable(value):
+    """Is ``value`` an immutable value all the way down?"""
+    if value is None or isinstance(value, (bool, int, float, str, bytes,
+                                           enum.Enum, type)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(_immutable, value))
+    if dataclasses.is_dataclass(value):
+        return (value.__dataclass_params__.frozen
+                and all(_immutable(getattr(value, f.name))
+                        for f in dataclasses.fields(value)))
+    return False
+
+
+@pytest.mark.parametrize("cls", _subclasses(RustMonitor) + _subclasses(
+    SystemState), ids=lambda cls: cls.__name__)
+def test_every_field_a_clone_shares_is_an_immutable_value(cls):
+    """A clone makes new structure holders and shares every other field
+    by reference (there is no deep-copy fallback), so each field of
+    every monitor and state class a clone does not rebuild must be an
+    immutable value — or a monitor and its clones would alias it."""
+    assert buggy.ALL_BUGGY_MONITORS
+    if issubclass(cls, RustMonitor):
+        obj = cls(TINY, num_vcpus=2)
+    else:
+        obj = cls(RustMonitor(TINY), DataOracle.seeded(1))
+    copy = obj.clone()
+    shared = [name for name, value in vars(obj).items()
+              if vars(copy)[name] is value]
+    assert shared
+    for name in shared:
+        assert _immutable(getattr(obj, name)), name
 
 
 @pytest.mark.parametrize("label,mutate", [
@@ -270,12 +321,17 @@ def test_state_field_moves_the_key(park, label, mutate):
     assert _key(changed, tasks, positions, last) != base, label
 
 
-def test_unkeyed_fields_leave_the_key(park):
-    """A cleared fingerprint cache is recomputed to the same key."""
+def test_fingerprints_kept_on_values_leave_the_key(park):
+    """Fingerprints dropped from the values and from physical memory
+    are recomputed to the same key."""
     state, tasks, positions, last = park
     base = _key(state, tasks, positions, last)
     cold = state.clone()
-    cold.monitor._fp_cache.clear()
+    monitor = cold.monitor
+    for value in (monitor.pt_allocator.value, monitor.epcm.value,
+                  *(cpu.value for cpu in monitor.cpus)):
+        vars(value).pop("fingerprint", None)
+    monitor.phys._fingerprint = None
     assert _key(cold, tasks, positions, last) == base
 
 

@@ -5,9 +5,9 @@ can touch must be (a) visible to ``monitor_digest`` and (b) reverted by
 The property is checked mutator-by-mutator: each mutation must *change*
 the digest — proving the digest actually watches that field, so the
 revert assertion is not vacuous — and a restore must bring the digest
-back exactly.  The enclaves directory is deliberately mutated through
-the same dict object the checkpoint holds by reference, the historical
-shallow-copy trap.
+back exactly.  The enclaves directory, once a dict the checkpoint held
+by reference and a mutation changed in place (the historical
+shallow-copy trap), is a read-only mapping each change replaces.
 """
 
 from functools import partial
@@ -45,8 +45,8 @@ def mutate_epcm(monitor, eid):
                         va=40 * PAGE)
 
 
-def mutate_enclaves_dict_by_reference(monitor, eid):
-    monitor.enclaves[999] = monitor.enclaves[eid]
+def mutate_enclave_directory(monitor, eid):
+    monitor._set_enclave(999, monitor.enclaves[eid])
 
 
 def mutate_enclave_state(monitor, eid):
@@ -91,7 +91,7 @@ MUTATORS = [
     mutate_phys_word,
     mutate_allocator,
     mutate_epcm,
-    mutate_enclaves_dict_by_reference,
+    mutate_enclave_directory,
     mutate_enclave_state,
     mutate_enclave_saved_context,
     mutate_enclave_measurement,
@@ -128,6 +128,12 @@ def test_all_mutations_at_once_revert():
         mutate(monitor, eid)
     restore(monitor, checkpoint)
     assert monitor_digest(monitor) == before
+
+
+def test_the_directory_refuses_an_in_place_write():
+    monitor, _app, eid = build_enclave_world()
+    with pytest.raises(TypeError):
+        monitor.enclaves[999] = monitor.enclaves[eid]
 
 
 def test_restore_survives_an_enclave_created_after_capture():

@@ -12,6 +12,9 @@ would silently poison every cache hit.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +26,6 @@ from repro.engine.fingerprint import (
     fingerprint,
     state_fingerprint,
     structure_fingerprints,
-    structure_versions,
-    warm_fingerprints,
 )
 from repro.faults.campaign import (
     build_interleaved_world,
@@ -33,7 +34,9 @@ from repro.faults.campaign import (
     interleaving_campaign,
 )
 from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
+from repro.hyperenclave.enclave import EnclaveState
 from repro.hyperenclave.hardware import FRAME_STATS
+from repro.hyperenclave.txn import structure_values
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
 
@@ -52,8 +55,12 @@ def _frames_hashed(compute):
 
 
 def _cold(monitor):
-    """``monitor``'s fingerprints recomputed from content alone."""
-    monitor._fp_cache.clear()
+    """``monitor``'s fingerprints recomputed from content alone: the
+    fingerprints kept on its values and by physical memory dropped."""
+    for value in (monitor.pt_allocator.value, monitor.epcm.value,
+                  *(cpu.value for cpu in monitor.cpus)):
+        vars(value).pop("fingerprint", None)
+    monitor.phys._fingerprint = None
     monitor.phys._frame_fps.clear()
     monitor.phys._dirty_frames = set(range(monitor.config.phys_frames))
     return structure_fingerprints(monitor)
@@ -141,18 +148,17 @@ def test_structure_list_matches_fingerprint_dict():
 @given(prefix=st.integers(0, len(WORKLOAD)))
 @settings(max_examples=6, deadline=None)
 def test_cloned_clean_fingerprints_match_recomputation(prefix):
-    """The version-keyed fingerprint cache carried across ``clone()``
-    is sound: for structures the clone has not touched, the cached
-    fingerprint equals a cold recomputation — and a mutation after the
-    clone (version bump) invalidates it."""
+    """Fingerprints kept on the values a clone shares are sound: for
+    structures the clone has not touched, the kept fingerprint equals
+    a cold recomputation — and a mutation after the clone (a new value)
+    does not reuse it."""
     monitor, ctx = default_world_factory()()
     for _name, invoke in WORKLOAD[:prefix]:
         invoke(monitor, ctx)
-    warm = structure_fingerprints(monitor)   # populates the cache
+    warm = structure_fingerprints(monitor)   # kept on the values
     clone = monitor.clone()
-    cached = structure_fingerprints(clone)   # served from the carried cache
-    clone._fp_cache = {}
-    cold = structure_fingerprints(clone)     # recomputed from content
+    cached = structure_fingerprints(clone)   # read off the shared values
+    cold = _cold(clone)                      # recomputed from content
     assert cached == cold == warm
     paddr = TINY.frame_base(0)
     clone.phys.write_word(paddr,
@@ -163,30 +169,40 @@ def test_cloned_clean_fingerprints_match_recomputation(prefix):
     assert structure_fingerprints(monitor) == warm
 
 
-def test_structure_versions_advance_on_mutation():
-    """Version counters are monotone per mutation plane and survive
-    ``clone()`` unchanged (the COW-sharing precondition)."""
-    monitor, _ctx = default_world_factory()()
-    before = structure_versions(monitor)
-    assert structure_versions(monitor.clone()) == before
-    monitor.phys.write_word(TINY.frame_base(1), 0x1234)
-    monitor.pt_allocator.alloc()
-    after = structure_versions(monitor)
-    assert after["phys"] > before["phys"]
-    assert after["frames"] > before["frames"]
-    assert after["epcm"] == before["epcm"]
+def test_a_mutation_replaces_the_value_and_a_clone_shares_it():
+    """A clone holds the very value objects of its source (the
+    directory apart: it maps the rebound enclaves), and a mutation of
+    either stores a new value, leaving the other's alone."""
+    monitor, ctx = default_world_factory()()
+    for _name, invoke in WORKLOAD[:2]:
+        invoke(monitor, ctx)
+    before = dict(structure_values(monitor))
+    clone = monitor.clone()
+    for name, value in structure_values(clone):
+        if name != "enclaves":
+            assert value is before[name], name
+    clone.pt_allocator.alloc()
+    clone.cpus[0].write_reg("rax", 7)
+    clone.enclaves[ctx["eid"]].state = EnclaveState.DESTROYED
+    after = dict(structure_values(clone))
+    assert after["frames"] is not before["frames"]
+    assert after["cpu:0"] is not before["cpu:0"]
+    assert after[f"enclave:{ctx['eid']}"] is not before[
+        f"enclave:{ctx['eid']}"]
+    assert after["epcm"] is before["epcm"]
+    assert dict(structure_values(monitor)) == before
 
 
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
-def test_clone_of_a_warm_source_rehashes_only_its_own_writes(data):
-    """A clone of a warmed source re-hashes exactly the frames written
-    after the clone, and its fingerprints equal a cold recomputation."""
+def test_a_clone_rehashes_only_its_own_writes(data):
+    """A clone re-hashes exactly the frames written after the clone
+    (the clone brought the digest table up to date), and its
+    fingerprints equal a cold recomputation."""
     monitor, ctx = default_world_factory()()
     prefix = data.draw(st.integers(0, len(WORKLOAD)), label="prefix")
     for _name, invoke in WORKLOAD[:prefix]:
         invoke(monitor, ctx)
-    warm_fingerprints(monitor)
     clone = monitor.clone()
     written = data.draw(st.sets(st.integers(0, TINY.phys_frames - 1),
                                 max_size=6), label="frames")
@@ -201,21 +217,27 @@ def test_clone_of_a_warm_source_rehashes_only_its_own_writes(data):
     assert fps == _cold(clone)
 
 
-def test_warming_is_idempotent_and_moves_no_version():
-    """The snapshot tree's copy-on-write sharing keys on the version
-    counters, so warming must leave them alone; a second warm hashes
-    nothing and changes nothing."""
+def test_fingerprinting_twice_hashes_nothing_the_second_time(
+        monkeypatch):
+    """Physical memory keeps its digest, and the bitmap, the EPCM and
+    every vCPU keep theirs on their values: a second pass over an
+    unchanged monitor re-hashes no frame and renders no value."""
     monitor, ctx = default_world_factory()()
     for _name, invoke in WORKLOAD:
         invoke(monitor, ctx)
-    versions = structure_versions(monitor)
-    assert _frames_hashed(lambda: warm_fingerprints(monitor)) > 0
-    cache, table = dict(monitor._fp_cache), dict(monitor.phys._frame_fps)
-    assert _frames_hashed(lambda: warm_fingerprints(monitor)) == 0
-    assert monitor._fp_cache == cache
-    assert monitor.phys._frame_fps == table
-    assert structure_versions(monitor) == versions
-    assert set(cache) == {"phys", "frames", "epcm"}
+    first = {}
+    assert _frames_hashed(
+        lambda: first.update(structure_fingerprints(monitor))) > 0
+    rendered = []
+    for name in ("_frames_fp", "_epcm_fp", "_render_cpu"):
+        original = getattr(FINGERPRINT, name)
+        monkeypatch.setattr(FINGERPRINT, name, lambda *args, fn=original: (
+            rendered.append(fn), fn(*args))[1])
+    second = {}
+    assert _frames_hashed(
+        lambda: second.update(structure_fingerprints(monitor))) == 0
+    assert rendered == []
+    assert second == first
 
 
 #: arch -> frames re-hashed by a seed-0 bound-2 campaign (178
@@ -259,3 +281,35 @@ def test_frames_hashed_surfaces_in_render_metrics():
     assert delta["fingerprint.frames_hashed"] >= len(
         monitor.phys.frame_digests()) > 0
     assert "fingerprint.frames_hashed" in render_metrics(REGISTRY.snapshot())
+
+
+_COMBINED = """
+import sys
+from repro.engine.fingerprint import fingerprint
+from repro.hyperenclave.constants import ARCH_CONFIGS
+from tests.conftest import build_enclave_world
+
+for arch, config in sorted(ARCH_CONFIGS.items()):
+    monitor, _app, eid = build_enclave_world(config=config)
+    print(arch, monitor.enclaves[eid].measurement, fingerprint(monitor))
+"""
+
+
+def test_fingerprints_are_stable_across_hash_seeds():
+    """Two fresh interpreters with different ``PYTHONHASHSEED`` give
+    every arch's enclave world the same measurement and combined
+    fingerprint: nothing a fingerprint covers rides on salted
+    ``hash``, which memo logs and a campaign resumed after ``kill -9``
+    in a new process rely on."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       (os.path.join(root, "src"), root)))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _COMBINED], cwd=root, env=env,
+            check=True, capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(ARCH_CONFIGS)

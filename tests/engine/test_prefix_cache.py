@@ -166,7 +166,6 @@ def test_cache_hits_and_saves_suffix_steps():
     misses = delta["snapshot_cache.misses"]
     assert hits > 0 and hits / (hits + misses) > 0.5
     assert delta["snapshot_cache.steps_saved"] > 0
-    assert delta["snapshot_cache.cow_shared"] > 0
     assert tree.bytes_resident > 0
 
 

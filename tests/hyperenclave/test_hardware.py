@@ -10,13 +10,7 @@ from repro.concurrency import scheduler as conc
 from repro.errors import FaultInjected, HypervisorError
 from repro.faults import plane as faults
 from repro.hyperenclave.constants import TINY, TINY_ARM
-from repro.hyperenclave.hardware import (
-    GPR_NAMES,
-    CpuLocal,
-    PhysMemory,
-    Tlb,
-    VCpu,
-)
+from repro.hyperenclave.hardware import GPR_NAMES, CpuLocal, PhysMemory
 from repro.hyperenclave.txn import TxnScope
 
 
@@ -74,13 +68,6 @@ class TestPhysMemory:
         assert a.snapshot() != b.snapshot()
         b.write_word(0x18, 0)  # writing zero restores sparseness
         assert a.snapshot() == b.snapshot()
-
-    def test_load_snapshot(self):
-        a = PhysMemory(TINY)
-        a.write_word(0x20, 11)
-        b = PhysMemory(TINY)
-        b.load_snapshot(a.snapshot())
-        assert b.read_word(0x20) == 11
 
     @given(st.lists(st.tuples(st.integers(0, TINY.phys_bytes // 8 - 1),
                               st.integers(0, 2 ** 64 - 1)), max_size=20))
@@ -213,7 +200,6 @@ def _ops(wpp, mutators_only=False):
             st.tuples(st.just("clone")),
             st.tuples(st.just("digests")),
             st.tuples(st.just("save")),
-            st.tuples(st.just("load_snapshot"), st.integers(0, 3)),
             st.tuples(st.just("restore_checkpoint"), st.integers(0, 3)),
         ]
     return st.lists(st.one_of(*branches), max_size=25)
@@ -222,7 +208,7 @@ def _ops(wpp, mutators_only=False):
 def _machine(config):
     """A phys store plus the one CPU a TxnScope rollback restores."""
     return SimpleNamespace(phys=PhysMemory(config),
-                           cpus=[CpuLocal(vcpu=VCpu(), tlb=Tlb())])
+                           cpus=[CpuLocal()])
 
 
 def _in_txn(machine, scope, body):
@@ -269,10 +255,7 @@ def _apply(machine, ref, ops, eager):
             saved.append((phys.snapshot(), phys.checkpoint()))
         elif op[0] != "digests" and saved:
             snapshot, checkpoint = saved[op[1] % len(saved)]
-            if op[0] == "load_snapshot":
-                phys.load_snapshot(snapshot)
-            else:
-                phys.restore_checkpoint(checkpoint)
+            phys.restore_checkpoint(checkpoint)
             ref.load(snapshot)
         if eager or op[0] == "digests":
             assert machine.phys.frame_digests() == ref.frame_digests()
@@ -328,7 +311,7 @@ class TestFrameOpsDifferential:
         _apply(machine, ref, setup, eager=False)
         ref.journal.clear()
         eager = data.draw(st.booleans())
-        scope = TxnScope.begin(machine, 0)
+        scope = TxnScope.begin(machine, 0, ())
         left = []
         _in_txn(machine, scope,
                 lambda: left.extend(_apply(machine, ref, ops, eager)))
@@ -374,7 +357,7 @@ class TestFrameOpsDifferential:
                     machine.phys.write_word(8 * stray, 13)
                 ref.words[stray] = 13
 
-        scope = TxnScope.begin(machine, 0)
+        scope = TxnScope.begin(machine, 0, ())
         _in_txn(machine, scope, body)
         _check_txn(machine, ref, scope)
         base = config.frame_base(2)
@@ -407,7 +390,7 @@ class TestFrameOpsDifferential:
                 machine.phys.write_word(
                     config.frame_base(dst) + 8 * offset, words[wpp + offset])
             plane = faults.FaultPlane(seed=3).arm(site, hit, kind)
-            scope = TxnScope.begin(machine, 0)
+            scope = TxnScope.begin(machine, 0, ())
 
             def body():
                 try:
@@ -433,20 +416,20 @@ class TestFrameOpsDifferential:
 
 class TestTlb:
     def test_insert_lookup(self):
-        tlb = Tlb()
+        tlb = CpuLocal()
         tlb.insert(asid=1, va_page=0x10, pa_page=0x99)
         assert tlb.lookup(1, 0x10) == 0x99
         assert tlb.lookup(2, 0x10) is None
 
     def test_flush_all(self):
-        tlb = Tlb()
+        tlb = CpuLocal()
         tlb.insert(1, 1, 1)
         tlb.flush_all()
         assert len(tlb) == 0
         assert tlb.flush_count == 1
 
     def test_flush_asid_selective(self):
-        tlb = Tlb()
+        tlb = CpuLocal()
         tlb.insert(1, 1, 1)
         tlb.insert(2, 1, 2)
         tlb.flush_asid(1)
@@ -456,21 +439,21 @@ class TestTlb:
 
 class TestVCpu:
     def test_register_roundtrip(self):
-        vcpu = VCpu()
+        vcpu = CpuLocal()
         vcpu.write_reg("rax", 5)
         assert vcpu.read_reg("rax") == 5
 
     def test_unknown_register_rejected(self):
         with pytest.raises(HypervisorError):
-            VCpu().write_reg("r99", 1)
+            CpuLocal().write_reg("r99", 1)
 
     def test_values_wrap_to_64_bits(self):
-        vcpu = VCpu()
+        vcpu = CpuLocal()
         vcpu.write_reg("rbx", 2 ** 64 + 3)
         assert vcpu.read_reg("rbx") == 3
 
     def test_context_save_restore(self):
-        vcpu = VCpu()
+        vcpu = CpuLocal()
         vcpu.write_reg("rax", 1)
         saved = vcpu.context()
         vcpu.write_reg("rax", 2)
@@ -478,10 +461,10 @@ class TestVCpu:
         assert vcpu.read_reg("rax") == 1
 
     def test_context_covers_all_gprs(self):
-        assert {name for name, _ in VCpu().context()} == set(GPR_NAMES)
+        assert {name for name, _ in CpuLocal().context()} == set(GPR_NAMES)
 
     def test_clone_is_independent(self):
-        vcpu = VCpu()
+        vcpu = CpuLocal()
         clone = vcpu.clone()
         clone.write_reg("rax", 9)
         assert vcpu.read_reg("rax") == 0

@@ -6,7 +6,11 @@ pre-hypercall state — explicitly (EPCM array, allocator bitmap, GPT/EPT
 queries, physical memory), not just via the aggregate digest.
 """
 
+import copy
+from contextlib import nullcontext
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     EpcExhausted,
@@ -14,6 +18,7 @@ from repro.errors import (
     HypercallAborted,
     HypercallError,
     OutOfMemoryError,
+    ReproError,
     ResourceExhausted,
 )
 from repro.faults import (
@@ -25,10 +30,20 @@ from repro.faults import (
     hypercall_site,
     installed,
 )
-from repro.faults.campaign import DEFAULT_SITES, _KIND_FOR_SITE, RAISE
-from repro.hyperenclave.constants import TINY
+from repro.faults.campaign import (
+    DEFAULT_SITES,
+    _KIND_FOR_SITE,
+    RAISE,
+    scheduled_runner,
+)
+from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
 from repro.hyperenclave.monitor import RustMonitor
-from repro.hyperenclave.txn import capture, monitor_digest, restore
+from repro.hyperenclave.txn import (
+    capture,
+    monitor_digest,
+    restore,
+    structure_values,
+)
 
 FACTORY = default_world_factory()
 CALLS = default_workload()
@@ -177,3 +192,57 @@ class TestCheckpointRestore:
                                         write=False)
         monitor.phys.write_word(hpa, 0x1234)
         assert monitor_digest(monitor) != digest
+
+
+def _read(monitor):
+    """Every value ``monitor``'s structures hold — the bitmap, the EPCM
+    array, each enclave's triple and each vCPU's — with a deep copy
+    taken now (the directory holds enclave objects, not a value of its
+    own, and is left out)."""
+    return [(value, copy.deepcopy(value))
+            for name, value in structure_values(monitor)
+            if name != "enclaves"]
+
+
+def _direct(invoke, monitor, ctx):
+    invoke(monitor, ctx)
+
+
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_value_once_read_never_changes(arch, data):
+    """What sharing values rests on: no value is ever changed in place.
+
+    Random workload steps run on a monitor and on its clones, some
+    aborted under a fault plane, sequentially or as a scheduled vCPU
+    task whose transaction scope rolls back; after every step each
+    value read before it still equals the deep copy taken when it was
+    read."""
+    monitor, ctx = default_world_factory(ARCH_CONFIGS[arch])()
+    ctx["eid"] = 1
+    worlds = [(monitor, ctx)]
+    read = []
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        for monitor, _ctx in worlds:
+            read.extend(_read(monitor))
+        monitor, ctx = worlds[data.draw(
+            st.integers(0, len(worlds) - 1), label="world")]
+        action = data.draw(st.sampled_from(
+            ("step", "clone", "abort", "scoped abort")), label="action")
+        if action == "clone":
+            worlds.append((monitor.clone(), dict(ctx)))
+        else:
+            _name, invoke = data.draw(st.sampled_from(CALLS), label="call")
+            plane = None if action == "step" else FaultPlane().arm(
+                data.draw(st.sampled_from(DEFAULT_SITES), label="site"),
+                index=data.draw(st.integers(0, 3), label="hit"))
+            runner = scheduled_runner if action == "scoped abort" \
+                else _direct
+            try:
+                with installed(plane) if plane else nullcontext():
+                    runner(invoke, monitor, ctx)
+            except (FaultInjected, ReproError):
+                pass
+        for value, kept in read:
+            assert value == kept
