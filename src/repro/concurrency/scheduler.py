@@ -27,7 +27,9 @@ The module doubles as the instrumentation plane (mirroring
 ``repro.faults.plane``): all hooks are module-level functions that
 no-op unless a scheduler is installed *and* the caller is executing one
 of its vCPU tasks.  Monitor code can therefore call them
-unconditionally; sequential callers pay nothing.
+unconditionally; sequential callers pay nothing.  The one exception is
+the undo journal (:func:`txn_scope`), which every hypercall keeps,
+inside a task or not.
 """
 
 import threading
@@ -143,7 +145,6 @@ class Task:
     parked: bool = False
     done: bool = False
     exc: Optional[BaseException] = None
-    txn_scope: Optional[object] = None
 
 
 @dataclass
@@ -178,10 +179,12 @@ class DeterministicScheduler:
     ``steps_remaining``/``plan_step``/``count_step``/``run_step``/
     ``advance`` (see :class:`~repro.faults.campaign.ScriptWorkloads`) —
     the latter lets the loop drive scripts step by step and the
-    snapshot tree park/restore tasks between driver yields.  ``probe``,
-    if given, is called with the monitor after every decision — outside
-    any task, so it must not hit any yield points — and returns an
-    iterable of findings (the stale-translation detector).
+    snapshot tree park/restore tasks between driver yields.
+    ``plan_step(vid)`` resolves a step once (a ``StepPlan``) and
+    ``run_step(vid, plan)`` runs it as planned.  ``probe``, if given,
+    is called with the monitor after every decision — outside any task,
+    so it must not hit any yield points — and returns an iterable of
+    findings (the stale-translation detector).
 
     Every not-done task gets a *driver generator* (:meth:`_drive`) and
     the loop simply ``next()``s the chosen task's driver at each
@@ -190,14 +193,16 @@ class DeterministicScheduler:
     *not* the yielding task itself.
 
     For a script the driver does, per step and in this order
-    (:meth:`_script_body`): park at ``step``; count the step; park at
-    one ``lock.acquire`` per lock of the step's declared plan, in
-    global order, and take it; run the body; park at ``hc.return``
-    once a transactional hypercall released its locks
+    (:meth:`_script_body`): plan the step; park at ``step``; count the
+    step; park at one ``lock.acquire`` per lock of the plan, in global
+    order, and take it; run the body; park at ``hc.return`` once a
+    transactional hypercall released its locks
     (:meth:`_release_locks` defers that yield to the driver).  The
     transaction scope opens inside the body, after the whole plan is
-    held.  Every driver park has an empty stack under it, which is what
-    makes those parks capture-eligible for the snapshot tree.
+    held, and takes the plan from the driver (:func:`take_step_plan`)
+    instead of resolving it again.  Every driver park has an empty
+    stack under it, which is what makes those parks capture-eligible
+    for the snapshot tree.
 
     The body's own yields (``phys.write``, ``shootdown.ipi``) are the
     only ones with a stack under them.  Once every forced preemption
@@ -241,6 +246,8 @@ class DeterministicScheduler:
         self._gens: Dict[int, object] = {}
         self._fiber_of: Dict[int, object] = {}
         self._deferred: Dict[int, str] = {}
+        # vid -> the held plan of its step, until take_step_plan
+        self._handed: Dict[int, object] = {}
         # vids whose step is unwinding an exception through its
         # deferred hc.return park
         self._unwinding = set()
@@ -477,22 +484,25 @@ class DeterministicScheduler:
         if resume == "hc.return":
             workloads.advance(vid)
         while workloads.steps_remaining(vid):
-            detail, hypercall, locks = workloads.plan_step(vid)
+            plan = workloads.plan_step(vid)
             if resume not in ("step", "lock.acquire"):
-                yield from self._emit(task, "step", detail)
+                yield from self._emit(task, "step",
+                                      type(plan.step).__name__)
             if resume != "lock.acquire":
                 workloads.count_step()
             ran = False
             try:
-                yield from self._acquire(task, hypercall, locks,
+                yield from self._acquire(task, plan,
                                          resume == "lock.acquire")
+                self._handed[vid] = plan
                 if self._can_inline():
-                    workloads.run_step(vid)
+                    workloads.run_step(vid, plan)
                 else:
                     yield from self._fiber_step(
-                        task, lambda: workloads.run_step(vid))
+                        task, lambda: workloads.run_step(vid, plan))
                 ran = True
             finally:
+                self._handed.pop(vid, None)    # no transactional body ran
                 # Emit a deferred hc.return even while an exception
                 # unwinds the step (a crashed vCPU's _VCpuParked): the
                 # yield belongs to the hypercall's return, so a crashed
@@ -512,20 +522,20 @@ class DeterministicScheduler:
             workloads.advance(vid)
             resume = None
 
-    def _acquire(self, task, hypercall, locks, parked):
+    def _acquire(self, task, plan, parked):
         """Take a step's lock plan in global order, parking at one
         ``lock.acquire`` yield before each lock; the loop only picks a
         task whose awaited lock is free.  ``parked``: a restored task
         was captured at the first of these parks (captures hold no
         lock), so it takes that lock without parking again.
 
-        A crash delivered at one of these parks stops ``hypercall``
+        A crash delivered at one of these parks stops the hypercall
         before its body and its transaction begin, so there is nothing
         to roll back: the vCPU drops what it holds and still returns.
         """
         vid = task.vid
         try:
-            for name in locks:
+            for name in plan.locks:
                 task.waiting_lock = name
                 if not parked:
                     yield from self._emit(task, "lock.acquire", name)
@@ -534,7 +544,7 @@ class DeterministicScheduler:
                 self.locks.acquire(vid, name)
         except FaultInjected:
             self.locks.release_all(vid)
-            self._deferred[vid] = hypercall
+            self._deferred[vid] = plan.handler.__name__
             raise
 
     def _callable_body(self, task):
@@ -648,11 +658,19 @@ def yield_point(kind, detail=None):
     sched._task_yield(task, kind, detail)
 
 
+def take_step_plan():
+    """The plan of the script step whose locks the driver holds for the
+    running vCPU, handed over once (to the body's transactional
+    wrapper); None outside a script step or once taken."""
+    task = current_task()
+    return None if task is None else _ACTIVE._handed.pop(task.vid, None)
+
+
 def take_locks(names):
     """Hold ``names`` for the running vCPU without a yield: the entry of
-    a transactional hypercall.  Under the script driver the step's plan
-    is already held and this takes nothing; an opaque task takes the
-    plan here, and another vCPU holding one of the locks is a
+    a transactional hypercall whose plan the script driver did not take
+    (an opaque task's, or one a planted override enters).  A lock the
+    vCPU holds already is skipped, and another vCPU holding one is a
     :class:`~repro.errors.LockProtocolViolation`."""
     sched = _ACTIVE
     if sched is None or _suspended():
@@ -693,17 +711,28 @@ def guard_mutation(name):
     sched.locks.check_mutation(task.vid, name)
 
 
+@contextmanager
+def journalling(scope):
+    """Make ``scope`` (a :class:`~repro.hyperenclave.txn.TxnScope`) the
+    one :func:`txn_scope` finds on this thread while the block runs."""
+    previous = getattr(_TLS, "txn_scope", None)
+    _TLS.txn_scope = scope
+    try:
+        yield scope
+    finally:
+        _TLS.txn_scope = previous
+
+
 def txn_scope():
-    """The running task's open transaction scope, or None if writes go
-    unjournalled (see :class:`~repro.hyperenclave.txn.TxnScope`).
+    """The transaction scope open on this thread, or None if writes go
+    unjournalled.  A hypercall body runs on one thread from start to
+    end — inline, or on its fiber — so this is the running hypercall's
+    scope, inside a vCPU task or not.
 
     Frame operations look it up once per frame and record the whole
     frame; single words go through :func:`record_phys_write`.
     """
-    if _suspended():
-        return None
-    task = current_task()
-    return None if task is None else task.txn_scope
+    return None if _suspended() else getattr(_TLS, "txn_scope", None)
 
 
 def record_phys_write(index, old_value):

@@ -681,11 +681,10 @@ def resume_key(sched, state, positions) -> Optional[tuple]:
     """What the rest of a scheduled run reads, at a driver park past
     its last forced preemption with no lock held: :func:`state_key`,
     every vCPU's script position and scheduling state, and the
-    scheduler's last pick.  None if a task is an opaque callable or
-    has a transaction open."""
+    scheduler's last pick.  None if a task is an opaque callable."""
     tasks = []
     for task, position in zip(sched.tasks, positions):
-        if task.fn is not None or task.txn_scope is not None:
+        if task.fn is not None:
             return None
         exc = task.exc
         tasks.append((task.vid, position, task.pending_kind,

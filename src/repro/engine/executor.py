@@ -163,9 +163,8 @@ def _run_shard(fn_path: str, pairs):
       and per-unit recording is what makes the assembled trace a pure
       function of the unit list rather than of shard layout);
     * ``memo_journal`` — the ``(table, key, value)`` entries this
-      shard's misses added to the worker memo, when journalling was
-      enabled at fork time (the durable orchestrator persists them;
-      empty otherwise).
+      shard's misses added to the worker memo, however long ago the
+      worker forked (the durable orchestrator persists them).
     """
     from repro.engine import workers as worker_module
     from repro.obs import trace as trace_mod
@@ -177,22 +176,22 @@ def _run_shard(fn_path: str, pairs):
     inherited = trace_mod.install(None)
     results, traces = [], []
     try:
-        for index, unit in pairs:
-            if tracing:
-                tracer = trace_mod.Tracer()
-                with trace_mod.installed(tracer):
-                    with trace_mod.span("executor.unit", index=index,
-                                        fn=fn_path):
-                        value = fn(unit)
-                traces.append((index, tracer.export()))
-            else:
-                value = fn(unit)
-            results.append((index, value))
+        with worker_module.MEMO.journalling() as journal:
+            for index, unit in pairs:
+                if tracing:
+                    tracer = trace_mod.Tracer()
+                    with trace_mod.installed(tracer):
+                        with trace_mod.span("executor.unit", index=index,
+                                            fn=fn_path):
+                            value = fn(unit)
+                    traces.append((index, tracer.export()))
+                else:
+                    value = fn(unit)
+                results.append((index, value))
     finally:
         trace_mod.install(inherited)
     return (results, worker_module.MEMO.stats_since(baseline),
-            REGISTRY.delta(metrics_before), traces,
-            worker_module.MEMO.drain_journal())
+            REGISTRY.delta(metrics_before), traces, journal)
 
 
 def _adopt_unit_traces(traces):

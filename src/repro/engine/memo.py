@@ -34,6 +34,7 @@ the planted-bug matrix and the committed golden digests guard the
 other failure mode: a memo bug masking a real violation.
 """
 
+from contextlib import contextmanager
 from hashlib import blake2b
 from typing import Dict, List, Tuple
 
@@ -67,15 +68,16 @@ VCPU_DEPS: Tuple[str, ...] = ("cpus", "enclaves", "phys")
 class CheckMemo:
     """Per-process cache for the three per-state checkers.
 
-    With :meth:`enable_journal` every *miss* also appends a
+    Inside :meth:`journalling` every *miss* also appends a
     ``(table, key, value)`` entry to an in-memory journal (tables:
     ``invariants:<family>``, ``vcpu``, ``observation``).  The sharded
-    executor drains the journal with each shard's results, and the
-    durable orchestrator persists the drained entries to its
+    executor journals each shard it runs and returns the entries with
+    the shard's results, whenever its worker forked, and the durable
+    orchestrator persists them to its
     :class:`~repro.service.store.MemoStore` — which :meth:`preload`s
     them back into a fresh memo on the next run, turning repeat
-    campaigns into mostly cache hits.  Journaling is off by default
-    (one ``is None`` test per miss when off).
+    campaigns into mostly cache hits.  Outside such a block a miss
+    journals nothing, for one ``is None`` test.
     """
 
     def __init__(self):
@@ -91,17 +93,15 @@ class CheckMemo:
 
     # -- persistence bridging -----------------------------------------------
 
-    def enable_journal(self):
-        """Start journalling new entries (idempotent)."""
-        if self.journal is None:
-            self.journal = []
-
-    def drain_journal(self) -> List[Tuple[str, Tuple, object]]:
-        """Take and clear the journalled entries (empty when disabled)."""
-        if not self.journal:
-            return []
-        drained, self.journal = self.journal, []
-        return drained
+    @contextmanager
+    def journalling(self):
+        """Journal the misses of the block; yields the list of
+        ``(table, key, value)`` entries they append to."""
+        previous, self.journal = self.journal, []
+        try:
+            yield self.journal
+        finally:
+            self.journal = previous
 
     def _note(self, table: str, key: Tuple, value):
         if self.journal is not None:

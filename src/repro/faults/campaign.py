@@ -289,9 +289,9 @@ def scheduled_runner(invoke, monitor, ctx):
     The determinism guard: handing ``runner=scheduled_runner`` to
     :func:`crash_step_campaign` must change *nothing* — same fired
     faults, same verdicts — because a single-vCPU schedule has exactly
-    one enabled choice at every decision and the concurrency plane's
-    journal rollback must be observation-equivalent to the sequential
-    whole-monitor snapshot.
+    one enabled choice at every decision, and the scope of a scheduled
+    hypercall (its lock plan's values and its vCPU's) must roll back
+    exactly what the scope of a sequential one (every value) does.
     """
     from repro.concurrency import DeterministicScheduler, Schedule
 
@@ -697,23 +697,23 @@ class ScriptWorkloads:
         return self.positions[vid] < len(self.scripts[vid])
 
     def plan_step(self, vid):
-        """``(detail, hypercall, locks)`` of vCPU ``vid``'s current
-        step: its ``step`` yield's detail, then what
-        :func:`~repro.security.transitions.step_lock_plan` gives."""
-        from repro.security.transitions import step_lock_plan
-        step = self.scripts[vid][self.positions[vid]]
-        return (type(step).__name__,) + step_lock_plan(self.state, step)
+        """vCPU ``vid``'s current step dispatched and its lock plan
+        resolved, once: a
+        :class:`~repro.security.transitions.StepPlan`."""
+        from repro.security.transitions import plan_step
+        return plan_step(self.state, self.scripts[vid][self.positions[vid]])
 
     def count_step(self):
         self.state.step_count += 1
 
-    def run_step(self, vid):
-        """Run vCPU ``vid``'s current step, already counted and with its
-        lock plan held (position unchanged); a step mis-sequenced after
-        an aborted hypercall is a skip."""
+    def run_step(self, vid, plan):
+        """Run vCPU ``vid``'s current step as ``plan`` dispatched it,
+        already counted and with the plan's locks held (position
+        unchanged); a step mis-sequenced after an aborted hypercall is
+        a skip."""
         from repro.security.transitions import execute_step
         try:
-            execute_step(self.state, self.scripts[vid][self.positions[vid]])
+            execute_step(self.state, plan)
         except SecurityError:
             pass
 

@@ -28,7 +28,7 @@ one tempting shortcut, reproducing the paper's negative examples:
 * :class:`NoScrubMonitor` — destroys enclaves without scrubbing their
   EPC pages, leaking secrets to the next owner.
 * :class:`NonTransactionalMonitor` — runs every hypercall without the
-  snapshot-rollback transaction, so a mid-hypercall failure strands
+  rollback transaction, so a mid-hypercall failure strands
   partial mutations (the pre-transactional monitor; caught by the
   crash-step fault campaign rather than by any single invariant).
 * :class:`MissingLockMonitor` — drops the strict-2PL lock acquisition
@@ -415,7 +415,7 @@ class NoScrubMonitor(RustMonitor):
 
 @_register
 class NonTransactionalMonitor(RustMonitor):
-    """Runs every hypercall body without the snapshot-rollback wrapper.
+    """Runs every hypercall body without the rollback wrapper.
 
     This is the monitor as it was before crash consistency: correct on
     every *successful* hypercall (all structural invariants hold, all

@@ -197,28 +197,10 @@ class PhysMemory:
         wpp = self._wpp
         return sum([wpp - words.count(0) for words in self._frames.values()])
 
-    def checkpoint(self) -> Dict[int, Tuple[int, ...]]:
-        """Cheap checkpoint for transactional rollback (the frame map;
-        the tuples are shared, never copied)."""
-        return dict(self._frames)
-
-    def restore_checkpoint(self, checkpoint: Dict[int, Tuple[int, ...]]):
-        """Roll back to a :meth:`checkpoint` (transactional abort).  A
-        frame whose tuple is not the very one it held before is queued
-        for re-hashing; the rest keep their cached digests."""
-        frames = dict(checkpoint)
-        current = self._frames
-        self._frames = frames
-        changed = [frame for frame in current.keys() | frames.keys()
-                   if current.get(frame) is not frames.get(frame)]
-        if changed:
-            self._fingerprint = None
-            self._dirty_frames.update(changed)
-
     def apply_undo(self, frames: Mapping[int, Tuple[int, ...]],
                    words: Mapping[int, int]):
-        """Restore journalled frames, then journalled words (concurrent
-        transactional rollback).
+        """Restore journalled frames, then journalled words (the
+        rollback of a :class:`~repro.hyperenclave.txn.TxnScope`).
 
         ``frames`` maps a frame to its pre-transaction words and
         ``words`` a word index to its pre-transaction value; a word

@@ -199,11 +199,12 @@ class RustMonitor:
         order), with a function in the set applied to the first
         argument (the ``eid``).
 
-        The scheduler's script driver takes this plan before the body
-        runs, and the transactional wrapper takes whatever of it is not
-        held yet (see :mod:`repro.concurrency.locks`).  A hypercall
-        without a declared set — a planted bug's own override — plans
-        nothing.  ``MissingLockMonitor`` overrides this with ``()``.
+        The scheduler's script driver resolves this plan once per step
+        and takes it before the body runs; the transactional wrapper
+        resolves and takes it itself only for a body entered any other
+        way (see :mod:`repro.concurrency.locks`).  A hypercall without
+        a declared set — a planted bug's own override — plans nothing.
+        ``MissingLockMonitor`` overrides this with ``()``.
         """
         return tuple(name(args[0]) if callable(name) else name
                      for name in getattr(hypercall, "lock_set", ()))

@@ -1,4 +1,4 @@
-"""Crash-consistent hypercalls: snapshot-rollback transactions.
+"""Crash-consistent hypercalls: one undo scope per hypercall.
 
 The paper's Sec. 5.2 claim quantifies over *every* hypercall — including
 the ones that die halfway through.  ``hc_add_page`` is five mutations
@@ -6,38 +6,36 @@ long (EPCM allocate, frame copy, GPT map, EPT map, measure); if the
 frame pool runs dry between the GPT map and the EPT map, the naive
 monitor leaves a mapping with no backing translation and an EPCM entry
 nothing points at.  The :func:`transactional` decorator makes every
-hypercall atomic: capture a checkpoint on entry, and on *any* failure —
-validation, resource exhaustion, or an injected fault — restore the
-checkpoint before re-raising, so the observable state machine only ever
-moves in whole hypercalls.
+hypercall atomic: it opens a :class:`TxnScope` on entry and, on *any*
+failure — validation, resource exhaustion, or an injected fault — rolls
+the scope back before re-raising, so the observable state machine only
+ever moves in whole hypercalls.
 
 Every structure a hypercall mutates but physical memory holds one
 immutable value, and a mutation stores a new one (see
 :mod:`repro.hyperenclave.hardware`); :data:`STRUCTURE_TABLE` names them
-and says how to read and write each value.  Rolling back is putting
-kept values back.  Two rollback strategies, same contract:
+and says how to read and write each value.  A scope keeps two things:
 
-* **Sequential** (no scheduler installed): :func:`capture` keeps the
-  value of every structure plus the physical frame map (which
-  transitively holds every page table); :func:`restore` puts them back.
-* **Concurrent** (running as a scheduled vCPU task): putting back every
-  value would clobber *other vCPUs'* in-flight work.  Instead each task
-  keeps a :class:`TxnScope`: a first-write-wins undo journal of
-  physical memory (fed by the ``phys.write`` hooks, one record per word
-  or per whole frame), and the values of the structures of the
-  hypercall's declared lock set and of the task's own vCPU.  The scope
-  opens only once the whole lock set is held — the scheduler's script
-  driver takes it before the body runs, and a hypercall entered any
-  other way takes it on entry — so 2PL guarantees nobody else touches
-  a kept structure until release, and nothing another vCPU did while
-  this one waited for a lock is ever undone.  Rolling back undoes
-  exactly the aborted vCPU's footprint.  Remote TLB flushes already
-  sent by a shootdown are deliberately not undone — flushing a cache is
-  always safe, and real IPIs cannot be recalled.
+* a first-write-wins undo journal of physical memory, fed by the
+  ``phys.write`` hooks (one record per word or per whole frame), which
+  covers every page table, frame copy and scrub;
+* the values of the structures the hypercall may mutate, read when it
+  opens.  Outside a vCPU task that is every structure.  On a scheduled
+  vCPU task it is the structures of the hypercall's lock plan and the
+  task's own vCPU: putting back every value would clobber *other
+  vCPUs'* in-flight work.  The scope opens only once the whole plan is
+  held — the scheduler's script driver takes it before the body runs,
+  and a hypercall entered any other way takes it on entry — so 2PL
+  guarantees nobody else touches a kept structure until release, and
+  nothing another vCPU did while this one waited for a lock is ever
+  undone.
 
-Restoration runs with the fault plane and the scheduler hooks
-suspended: rolling back must not itself trip a ``phys.write`` injection
-or hand the CPU away mid-undo.
+Rolling back writes the journal and the kept values back, so it undoes
+exactly the aborted hypercall's footprint.  Remote TLB flushes already
+sent by a shootdown are deliberately not undone — flushing a cache is
+always safe, and real IPIs cannot be recalled.  Rolling back runs with
+the fault plane and the scheduler hooks suspended: it must not itself
+trip a ``phys.write`` injection or hand the CPU away mid-undo.
 """
 
 import functools
@@ -79,8 +77,8 @@ def _write_directory(monitor, _key, value):
 #: one.  The names are the lock names (a vCPU is touched only by its
 #: own task and has none), in global lock order, so the enclave
 #: directory is put back before the enclaves in it.  Physical memory is
-#: too big for a value and has no entry: it rolls back through its
-#: frame map checkpoint and the undo journal.
+#: too big for a value and has no entry: it rolls back through the
+#: undo journal.
 STRUCTURE_TABLE = {
     "enclaves": (None,
                  lambda monitor, _key: (monitor.enclaves, monitor._next_eid),
@@ -124,19 +122,6 @@ def _put_back(monitor, values):
         write(monitor, key, value)
 
 
-def capture(monitor):
-    """Checkpoint everything a hypercall may mutate: the physical frame
-    map and the value of every structure."""
-    return monitor.phys.checkpoint(), structure_values(monitor)
-
-
-def restore(monitor, checkpoint):
-    """Rewind the monitor to ``checkpoint`` (undoes partial hypercalls)."""
-    frames, values = checkpoint
-    monitor.phys.restore_checkpoint(frames)
-    _put_back(monitor, values)
-
-
 def monitor_digest(monitor) -> Tuple:
     """A comparable value of the security-relevant monitor state.
 
@@ -153,32 +138,33 @@ def monitor_digest(monitor) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent rollback: the per-task undo scope
+# The undo scope
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class TxnScope:
-    """The undo footprint of one in-flight concurrent hypercall.
+    """The undo footprint of one in-flight hypercall.
 
     * ``journal`` and ``frame_journal`` — physical memory overwritten
-      by *this* task, first write wins per word.  A single word write
+      inside the scope, first write wins per word.  A single word write
       (:func:`repro.concurrency.scheduler.record_phys_write`) records
       ``index -> old word`` in ``journal``; a frame operation records
       ``frame -> (len(journal) at the time, old words)`` in
       ``frame_journal``, once per frame, and a later word of a frame
       journalled whole is already covered.  Covers every page-table
       entry, frame copy, and scrub, because all tables live in physical
-      memory.  :meth:`word_journal` reads both back one word at a time.
-    * ``values`` — ``(name, value)`` for each structure of the
-      hypercall's lock set and for the task's own vCPU, read when the
-      scope opens with the set held.  Under strict 2PL no other task
-      can have mutated one of them between then and abort, so putting
-      the values back is exact.  The lock of an enclave that does not
-      exist keeps nothing.
+      memory.
+    * ``values`` — ``(name, value)`` for each structure the scope puts
+      back, read when it opens.  Outside a vCPU task that is every
+      structure of :data:`STRUCTURE_TABLE`.  On a vCPU's task it is the
+      structures of the hypercall's lock plan and the vCPU's own, read
+      with the plan held: under strict 2PL no other task can have
+      mutated one of them between then and abort, so putting the values
+      back is exact.  The lock of an enclave that does not exist keeps
+      nothing.
     """
 
-    vid: int
     words_per_page: int
     values: List[Tuple] = field(default_factory=list)
     journal: Dict[int, int] = field(default_factory=dict)
@@ -186,16 +172,21 @@ class TxnScope:
         default_factory=dict)
 
     @classmethod
-    def begin(cls, monitor, vid, plan) -> "TxnScope":
-        """Open vCPU ``vid``'s scope with the locks of ``plan`` held."""
-        values = []
-        for name in (*plan, f"cpu:{vid}"):
-            key, read, _write = _entry(name)
-            try:
-                values.append((name, read(monitor, key)))
-            except KeyError:
-                pass        # the lock of an enclave that is not live
-        return cls(vid=vid, values=values,
+    def begin(cls, monitor, vid=None, plan=()) -> "TxnScope":
+        """Open a scope on ``monitor``: outside any vCPU task when
+        ``vid`` is None, else on vCPU ``vid``'s task with the locks of
+        ``plan`` held."""
+        if vid is None:
+            values = structure_values(monitor)
+        else:
+            values = []
+            for name in (*plan, f"cpu:{vid}"):
+                key, read, _write = _entry(name)
+                try:
+                    values.append((name, read(monitor, key)))
+                except KeyError:
+                    pass        # the lock of an enclave that is not live
+        return cls(values=values,
                    words_per_page=monitor.phys.config.words_per_page)
 
     def record_word(self, index, old_value):
@@ -211,25 +202,10 @@ class TxnScope:
         if frame not in self.frame_journal:
             self.frame_journal[frame] = (len(self.journal), old_words)
 
-    def word_journal(self) -> Dict[int, int]:
-        """The journal one word at a time: word index -> pre-transaction
-        value, in the order the words were first written.  A frame
-        record stands for each of its words in offset order, zeros
-        included, so this equals a journal kept word by word."""
-        words = list(self.journal.items())
-        view = {}
-        taken = 0
-        for frame, (position, old_words) in self.frame_journal.items():
-            view.update(words[taken:position])
-            taken = position
-            base = frame * self.words_per_page
-            for offset, value in enumerate(old_words):
-                view.setdefault(base + offset, value)
-        view.update(words[taken:])
-        return view
-
     def rollback(self, monitor):
-        """Undo this task's footprint; leaves other vCPUs' work alone."""
+        """Put back what the scope kept: the journalled memory and the
+        kept values.  Whatever the scope did not keep — other vCPUs'
+        work — is left alone."""
         with conc.suspended(), faults.suspended():
             monitor.phys.apply_undo(
                 {frame: old_words for frame, (_position, old_words)
@@ -238,29 +214,23 @@ class TxnScope:
             _put_back(monitor, self.values)
 
 
-def _run_concurrent(fn, monitor, args, kwargs, task):
-    """The scheduled-vCPU flavour of a transactional hypercall."""
-    plan = monitor.lock_plan(fn, args)
-    try:
+def _open_scope(monitor, fn, args) -> TxnScope:
+    """Hold the lock plan of ``fn`` for ``args`` and open its scope.
+    Outside a vCPU task there is no plan.  On a task it is the plan the
+    script driver took for the step when the step dispatched to this
+    very body (its lock set is ``fn``'s); a body entered any other way
+    resolves its plan and takes it without a yield."""
+    vid = conc.current_vid()
+    if vid is None:
+        return TxnScope.begin(monitor)
+    handed = conc.take_step_plan()
+    if handed is not None and \
+            getattr(handed.handler, "lock_set", None) is fn.lock_set:
+        plan = handed.locks
+    else:
+        plan = monitor.lock_plan(fn, args)
         conc.take_locks(plan)
-        scope = TxnScope.begin(monitor, task.vid, plan)
-        task.txn_scope = scope
-        try:
-            return fn(monitor, *args, **kwargs)
-        except HypercallError:
-            scope.rollback(monitor)
-            raise
-        except (FaultInjected, HypervisorError) as exc:
-            scope.rollback(monitor)
-            raise HypercallAborted(fn.__name__, exc) from exc
-    finally:
-        task.txn_scope = None
-        # Strict 2PL exit: drop every lock, yield the hc.return point,
-        # and self-check rule 2.  This runs on the abort path too —
-        # including a vCPU crash, whose park is delivered *at* that
-        # yield, after the locks are gone: a crashed vCPU can strand
-        # work, never locks.
-        conc.release_locks(fn.__name__)
+    return TxnScope.begin(monitor, vid, plan)
 
 
 def transactional(*lock_set):
@@ -274,18 +244,17 @@ def transactional(*lock_set):
     which ``functools.wraps`` copies onto every wrapper;
     :meth:`~repro.hyperenclave.monitor.RustMonitor.lock_plan` reads it.
 
-    * Validation rejections (:class:`HypercallError`) re-raise as-is —
-      the rollback is a no-op for them, but running it anyway means the
-      guarantee does not depend on validations preceding mutations.
-    * Mid-sequence failures (injected faults, exhausted allocators, any
-      other hypervisor error) re-raise as the typed
-      :class:`HypercallAborted`, chaining the cause.
+    Every call holds its lock plan, opens a :class:`TxnScope`
+    (see the module docstring for what it keeps), runs the body, and
+    releases every lock on the way out:
 
-    On a scheduled vCPU task the journal-based :class:`TxnScope` path
-    is used instead of the whole-monitor snapshot; see the module
-    docstring for why.  It takes any lock of the plan the task does not
-    hold yet, without a yield — for a script step the scheduler's
-    driver already holds the whole plan.
+    * Validation rejections (:class:`HypercallError`) roll back and
+      re-raise as-is — the rollback is a no-op for them, but running it
+      anyway means the guarantee does not depend on validations
+      preceding mutations.
+    * Mid-sequence failures (injected faults, exhausted allocators, any
+      other hypervisor error) roll back and re-raise as the typed
+      :class:`HypercallAborted`, chaining the cause.
 
     The undecorated body stays reachable as ``__wrapped__`` — the
     deliberately broken ``NonTransactionalMonitor`` uses it, and the
@@ -302,20 +271,23 @@ def transactional(*lock_set):
 
         @functools.wraps(fn)
         def wrapper(self, *args, **kwargs):
-            task = conc.current_task()
-            if task is not None:
-                return _run_concurrent(fn, self, args, kwargs, task)
-            checkpoint = capture(self)
             try:
-                return fn(self, *args, **kwargs)
-            except HypercallError:
-                with faults.suspended():
-                    restore(self, checkpoint)
-                raise
-            except (FaultInjected, HypervisorError) as exc:
-                with faults.suspended():
-                    restore(self, checkpoint)
-                raise HypercallAborted(fn.__name__, exc) from exc
+                scope = _open_scope(self, fn, args)
+                with conc.journalling(scope):
+                    try:
+                        return fn(self, *args, **kwargs)
+                    except (FaultInjected, HypervisorError) as exc:
+                        scope.rollback(self)
+                        if isinstance(exc, HypercallError):
+                            raise
+                        raise HypercallAborted(fn.__name__, exc) from exc
+            finally:
+                # Strict 2PL exit: drop every lock, yield the hc.return
+                # point, and self-check rule 2.  This runs on the abort
+                # path too — including a vCPU crash, whose park is
+                # delivered *at* that yield, after the locks are gone:
+                # a crashed vCPU can strand work, never locks.
+                conc.release_locks(fn.__name__)
 
         return wrapper
 

@@ -18,8 +18,8 @@ stores are ignored, loads return the next oracle value.  Everything else
 hits the real simulated memory.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     HypercallError,
@@ -211,22 +211,35 @@ def _resolve(state, step, write) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+class StepPlan(NamedTuple):
+    """A step resolved once (:func:`plan_step`): the bound ``hc_*``
+    ``handler`` it dispatches to, or None with the ``refusal``, and the
+    ``locks`` the monitor plans for the handler."""
+
+    step: Step
+    handler: Optional[Callable]
+    refusal: Optional[str]
+    locks: Tuple[str, ...]
+
+
 def apply_step(state, step) -> StepOutcome:
     """Apply one step to ``state`` (in place) and count it.
 
     Under the deterministic scheduler a script step is not applied in
-    one go: the scheduler's driver parks at the step (``step`` is a
-    branch kind, so the explorer may hand the CPU to another vCPU
-    between any two steps of a workload), counts it, takes the lock
-    plan of its hypercall (:func:`step_lock_plan`), and only then runs
-    :func:`execute_step`.
+    one go: the scheduler's driver plans it (:func:`plan_step`), parks
+    at the step (``step`` is a branch kind, so the explorer may hand
+    the CPU to another vCPU between any two steps of a workload),
+    counts it, takes the plan's locks, and only then runs
+    :func:`execute_step` with the plan.
     """
     state.step_count += 1
-    return execute_step(state, step)
+    return execute_step(state, plan_step(state, step))
 
 
-def execute_step(state, step) -> StepOutcome:
-    """Apply one step to ``state`` (in place) without counting it."""
+def execute_step(state, plan: StepPlan) -> StepOutcome:
+    """Apply one planned step to ``state`` (in place) without counting
+    it."""
+    step = plan.step
     if isinstance(step, LocalCompute):
         return _apply_local(state, step)
     if isinstance(step, MemLoad):
@@ -234,20 +247,25 @@ def execute_step(state, step) -> StepOutcome:
     if isinstance(step, MemStore):
         return _apply_store(state, step)
     if isinstance(step, Hypercall):
-        return _apply_hypercall(state, step)
+        return _apply_hypercall(plan)
     raise SecurityError(f"unknown step {step!r}")
 
 
-def step_lock_plan(state, step) -> Tuple[Optional[str], Tuple[str, ...]]:
-    """``(hypercall, locks)``: the monitor method a step dispatches to
-    and the locks it declares (:meth:`RustMonitor.lock_plan`), or
-    ``(None, ())`` for a step that dispatches none."""
+def plan_step(state, step) -> StepPlan:
+    """Dispatch ``step`` and resolve the lock plan of its handler, once
+    (see :class:`StepPlan`).
+
+    The dispatch reads only the step and the running vCPU's active
+    principal, which only that vCPU's own ``enter`` and ``exit``
+    change, so a plan the scheduler's driver makes before it parks at
+    the step still holds when the body runs."""
     if not isinstance(step, Hypercall):
-        return None, ()
-    handler, _refusal = _dispatch(state, step)
+        return StepPlan(step, None, None, ())
+    handler, refusal = _dispatch(state, step)
     if handler is None:
-        return None, ()
-    return handler.__name__, state.monitor.lock_plan(handler, step.args)
+        return StepPlan(step, None, refusal, ())
+    return StepPlan(step, handler, None,
+                    state.monitor.lock_plan(handler, step.args))
 
 
 def _apply_local(state, step) -> StepOutcome:
@@ -323,12 +341,12 @@ def _dispatch(state, step):
     return getattr(state.monitor, f"hc_{step.name}"), None
 
 
-def _apply_hypercall(state, step) -> StepOutcome:
-    handler, refusal = _dispatch(state, step)
-    if handler is None:
-        return StepOutcome(step, False, refusal)
+def _apply_hypercall(plan) -> StepOutcome:
+    step = plan.step
+    if plan.handler is None:
+        return StepOutcome(step, False, plan.refusal)
     try:
-        result = handler(*step.args)
+        result = plan.handler(*step.args)
     except (HypercallError, HypervisorError) as exc:
         return StepOutcome(step, False, f"rejected: {exc}")
     return StepOutcome(step, True, f"hc_{step.name}", result)

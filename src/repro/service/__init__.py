@@ -1,7 +1,7 @@
 """``repro.service`` — the durable campaign orchestrator.
 
 The paper's central robustness claim is that page-table transactions
-survive a crash at any step via snapshot-rollback; this package gives
+survive a crash at any step via rollback; this package gives
 the *checking infrastructure itself* the same property.  A campaign
 run through the orchestrator is crash-safe end to end:
 

@@ -301,10 +301,9 @@ class CampaignStep:
     def _warm(self):
         from repro.engine import workers as worker_module
 
-        # Preloaded entries and the journalling flag are inherited by
-        # every worker the pool forks after this point.
+        # Preloaded entries are inherited by every worker the pool
+        # forks after this point; every shard journals its misses.
         preloaded = self.store.memo.preload_memo(worker_module.MEMO)
-        worker_module.MEMO.enable_journal()
         if preloaded:
             REGISTRY.inc("service.memo_preloaded", preloaded)
             _trace.event("service.memo-preload", entries=preloaded)

@@ -28,13 +28,12 @@ class RecordingScripts(ScriptWorkloads):
         super().__init__(state, scripts)
         self.outcomes = tuple([] for _ in scripts)
 
-    def run_step(self, vid):
-        step = self.scripts[vid][self.positions[vid]]
+    def run_step(self, vid, plan):
         try:
-            applied = execute_step(self.state, step).applied
+            applied = execute_step(self.state, plan).applied
         except SecurityError:
             applied = None
-        self.outcomes[vid].append((step, applied))
+        self.outcomes[vid].append((plan.step, applied))
 
 
 def racing_scripts(ctx, teardown_steps):

@@ -1,13 +1,14 @@
 """Determinism guard (satellite): the concurrency plane must be
-invisible at one vCPU.
+invisible at one vCPU, on each arch.
 
 The whole fault-injection crash-step campaign re-runs with every armed
 hypercall wrapped in a single-task deterministic schedule.  A one-vCPU
 schedule has exactly one enabled choice at every decision, so the
 sequential and scheduled campaigns must be *identical* — same
 injectable steps, same :class:`FiredFault` traces, same verdicts —
-even though the scheduled runs roll back through the per-task journal
-instead of the whole-monitor snapshot.
+even though the two open different scopes: a sequential hypercall's
+keeps every structure's value, a scheduled one's only those of its
+lock plan and its vCPU.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.faults import (
     default_world_factory,
     scheduled_runner,
 )
+from repro.hyperenclave.constants import ARCH_CONFIGS
 
 
 def record_key(run):
@@ -26,9 +28,9 @@ def record_key(run):
             run.fired_faults)
 
 
-@pytest.fixture(scope="module")
-def campaigns():
-    factory = default_world_factory()
+@pytest.fixture(scope="module", params=sorted(ARCH_CONFIGS))
+def campaigns(request):
+    factory = default_world_factory(ARCH_CONFIGS[request.param])
     calls = default_workload()
     sequential = crash_step_campaign(factory, calls, seed=0)
     scheduled = crash_step_campaign(factory, calls, seed=0,

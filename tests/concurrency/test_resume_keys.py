@@ -249,7 +249,6 @@ TASK_MUTATIONS = {
     "parked": True,
     "done": True,
     "exc": RuntimeError("died"),
-    "txn_scope": object(),
 }
 
 

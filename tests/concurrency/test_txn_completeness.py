@@ -1,28 +1,38 @@
-"""Checkpoint completeness (satellite): every mutable field a hypercall
-can touch must be (a) visible to ``monitor_digest`` and (b) reverted by
-``capture``/``restore``.
+"""Scope completeness (satellite): every mutable field a hypercall can
+touch must be (a) visible to ``monitor_digest`` and (b) reverted by the
+rollback of the hypercall's ``TxnScope``.
 
-The property is checked mutator-by-mutator: each mutation must *change*
+The property is checked mutator-by-mutator, inside one transactional
+hypercall that aborts after its mutations: each mutation must *change*
 the digest — proving the digest actually watches that field, so the
-revert assertion is not vacuous — and a restore must bring the digest
-back exactly.  The enclaves directory, once a dict the checkpoint held
-by reference and a mutation changed in place (the historical
-shallow-copy trap), is a read-only mapping each change replaces.
+revert assertion is not vacuous — and the abort must bring the digest
+back exactly.  The hypercall runs both outside any vCPU task, where its
+scope keeps every structure, and as vCPU 1's scheduled task, where it
+keeps its lock plan's structures and vCPU 1, on both arches.  The
+enclaves directory, once a dict a checkpoint held by reference and a
+mutation changed in place (the historical shallow-copy trap), is a
+read-only mapping each change replaces.
 """
 
 from functools import partial
 
 import pytest
 
-from repro.hyperenclave.constants import TINY, WORD_BYTES
+from repro.concurrency import (
+    LOCK_ENCLAVES,
+    LOCK_EPCM,
+    LOCK_FRAMES,
+    DeterministicScheduler,
+    enclave_lock,
+)
+from repro.errors import HypercallAborted, HypervisorError
+from repro.hyperenclave.constants import ARCH_CONFIGS, WORD_BYTES
 from repro.hyperenclave.enclave import EnclaveState
 from repro.hyperenclave.epcm import PageState
 from repro.hyperenclave.monitor import RustMonitor
-from repro.hyperenclave.txn import capture, monitor_digest, restore
+from repro.hyperenclave.txn import monitor_digest, transactional
 
 from tests.conftest import build_enclave_world
-
-PAGE = TINY.page_size
 
 
 def free_epc_frame(monitor):
@@ -32,8 +42,8 @@ def free_epc_frame(monitor):
 
 def mutate_phys_word(monitor, eid):
     frame = free_epc_frame(monitor)
-    monitor.phys.write_word(TINY.frame_base(frame) + 3 * WORD_BYTES,
-                            0xC0FFEE)
+    monitor.phys.write_word(
+        monitor.config.frame_base(frame) + 3 * WORD_BYTES, 0xC0FFEE)
 
 
 def mutate_allocator(monitor, eid):
@@ -42,7 +52,7 @@ def mutate_allocator(monitor, eid):
 
 def mutate_epcm(monitor, eid):
     monitor.epcm.record(free_epc_frame(monitor), eid, PageState.REG,
-                        va=40 * PAGE)
+                        va=40 * monitor.config.page_size)
 
 
 def mutate_enclave_directory(monitor, eid):
@@ -84,7 +94,21 @@ def mutate_vcpu_roots(monitor, eid):
 
 
 def mutate_tlb(monitor, eid):
-    monitor.cpus[1].tlb.insert(eid, (16 * PAGE, False), 0x9000)
+    monitor.cpus[1].tlb.insert(eid, (16 * monitor.config.page_size, False),
+                               0x9000)
+
+
+def mutate_by_creating_an_enclave(monitor, eid):
+    """The whole ECREATE body: a new directory entry, ``_next_eid``,
+    a SECS page and two fresh page tables.  (``reserve_data_frame``
+    changes only the primary OS's bookkeeping of untrusted frames,
+    which no digest component watches.)"""
+    page = monitor.config.page_size
+    mbuf_pa = monitor.config.frame_base(
+        monitor.primary_os.reserve_data_frame())
+    RustMonitor.hc_create.__wrapped__(
+        monitor, elrange_base=32 * page, elrange_size=page,
+        mbuf_va=13 * page, mbuf_pa=mbuf_pa, mbuf_size=page)
 
 
 MUTATORS = [
@@ -101,32 +125,63 @@ MUTATORS = [
     mutate_vcpu_register,
     mutate_vcpu_roots,
     mutate_tlb,
+    mutate_by_creating_an_enclave,
 ]
 
+MODES = ("sequential", "scheduled")
 
+
+@transactional(LOCK_ENCLAVES, enclave_lock, LOCK_EPCM, LOCK_FRAMES)
+def abort_after(monitor, eid, *mutators):
+    """A hypercall on enclave ``eid`` that runs ``mutators``, each
+    required to move the digest, then aborts."""
+    for mutate in mutators:
+        before = monitor_digest(monitor)
+        mutate(monitor, eid)
+        assert monitor_digest(monitor) != before, \
+            f"the digest does not observe {mutate.__name__} — the " \
+            f"revert check would be vacuous"
+    raise HypervisorError("abort after the mutations")
+
+
+def run_aborted(mode, monitor, eid, mutators):
+    """Run :func:`abort_after` outside any task, or as vCPU 1's task of
+    a two-task schedule whose vCPU 0 does nothing."""
+    def call():
+        abort_after(monitor, eid, *mutators)
+
+    if mode == "sequential":
+        call()
+        return
+    result = DeterministicScheduler(monitor, [lambda: None, call]).run()
+    for exc in result.task_errors.values():
+        raise exc
+
+
+def world(arch):
+    return build_enclave_world(monitor_cls=partial(RustMonitor, num_vcpus=2),
+                               config=ARCH_CONFIGS[arch])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
 @pytest.mark.parametrize("mutate", MUTATORS,
                          ids=[m.__name__ for m in MUTATORS])
-def test_checkpoint_reverts_the_field(mutate):
-    monitor, _app, eid = build_enclave_world(
-        monitor_cls=partial(RustMonitor, num_vcpus=2))
+def test_the_scope_reverts_the_field(mutate, arch, mode):
+    monitor, _app, eid = world(arch)
     before = monitor_digest(monitor)
-    checkpoint = capture(monitor)
-    mutate(monitor, eid)
-    assert monitor_digest(monitor) != before, \
-        "the digest does not observe this field — the revert check " \
-        "below would be vacuous"
-    restore(monitor, checkpoint)
+    with pytest.raises(HypercallAborted):
+        run_aborted(mode, monitor, eid, [mutate])
     assert monitor_digest(monitor) == before
 
 
-def test_all_mutations_at_once_revert():
-    monitor, _app, eid = build_enclave_world(
-        monitor_cls=partial(RustMonitor, num_vcpus=2))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_all_mutations_at_once_revert(arch, mode):
+    monitor, _app, eid = world(arch)
     before = monitor_digest(monitor)
-    checkpoint = capture(monitor)
-    for mutate in MUTATORS:
-        mutate(monitor, eid)
-    restore(monitor, checkpoint)
+    with pytest.raises(HypercallAborted):
+        run_aborted(mode, monitor, eid, MUTATORS)
     assert monitor_digest(monitor) == before
 
 
@@ -134,19 +189,3 @@ def test_the_directory_refuses_an_in_place_write():
     monitor, _app, eid = build_enclave_world()
     with pytest.raises(TypeError):
         monitor.enclaves[999] = monitor.enclaves[eid]
-
-
-def test_restore_survives_an_enclave_created_after_capture():
-    """A hypercall that *created* an enclave must fully vanish."""
-    monitor, _app, eid = build_enclave_world()
-    before = monitor_digest(monitor)
-    checkpoint = capture(monitor)
-    mbuf_pa = TINY.frame_base(monitor.primary_os.reserve_data_frame())
-    monitor.hc_create(elrange_base=32 * PAGE, elrange_size=PAGE,
-                      mbuf_va=13 * PAGE, mbuf_pa=mbuf_pa,
-                      mbuf_size=PAGE)
-    assert monitor_digest(monitor) != before
-    restore(monitor, checkpoint)
-    # reserve_data_frame mutated only the primary OS's bookkeeping of
-    # untrusted frames, which no digest component watches.
-    assert monitor_digest(monitor) == before

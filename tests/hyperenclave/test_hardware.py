@@ -1,6 +1,7 @@
 """Physical memory (sparse-but-dense-semantics), TLB, vCPU."""
 
 import hashlib
+from contextlib import ExitStack
 from types import SimpleNamespace
 
 import pytest
@@ -137,12 +138,6 @@ class DensePhys:
             self.write(dst * self.wpp + offset,
                        self.words[src * self.wpp + offset])
 
-    def load(self, items):
-        """Load a :meth:`PhysMemory.snapshot`: ``(frame, words)`` pairs."""
-        self.words = [0] * len(self.words)
-        for frame, words in items:
-            self.words[frame * self.wpp:(frame + 1) * self.wpp] = words
-
     def rollback(self):
         for index, value in self.journal.items():
             self.words[index] = value
@@ -200,7 +195,7 @@ def _ops(wpp, mutators_only=False):
             st.tuples(st.just("clone")),
             st.tuples(st.just("digests")),
             st.tuples(st.just("save")),
-            st.tuples(st.just("restore_checkpoint"), st.integers(0, 3)),
+            st.tuples(st.just("rollback")),
         ]
     return st.lists(st.one_of(*branches), max_size=25)
 
@@ -214,22 +209,28 @@ def _machine(config):
 def _in_txn(machine, scope, body):
     """Run ``body`` as a scheduled vCPU task inside ``scope``."""
     def task():
-        conc.current_task().txn_scope = scope
-        body()
+        with conc.journalling(scope):
+            body()
 
     result = conc.DeterministicScheduler(machine, [task]).run()
     for exc in result.task_errors.values():
         raise exc
 
 
-def _apply(machine, ref, ops, eager):
+def _apply(machine, ref, ops, eager, stack=None):
     """Apply ``ops`` to the store and the reference side by side.
 
     ``eager`` compares frame digests after every operation instead of
-    only at ``digests`` ops.  Returns the stores ``clone`` left behind,
-    each with the reference contents and digests it must keep."""
+    only at ``digests`` ops.  Inside a vCPU task's scope, ``save``
+    commits: it opens a new scope on ``stack`` (an ``ExitStack``) and
+    the reference starts a new journal; ``rollback`` rolls the open
+    scope back to the last save, or to where the first scope opened,
+    and the reference rolls its journal back.  Returns the stores
+    ``clone`` left behind, each with the reference contents and digests
+    it must keep."""
     wpp = ref.wpp
-    saved, left = [], []
+    left = []
+    saved = ref.snapshot()
     for op in ops:
         phys = machine.phys
         if op[0] == "write":
@@ -252,11 +253,14 @@ def _apply(machine, ref, ops, eager):
             left.append((phys, ref.snapshot(), ref.frame_digests()))
             machine.phys = phys.clone()
         elif op[0] == "save":
-            saved.append((phys.snapshot(), phys.checkpoint()))
-        elif op[0] != "digests" and saved:
-            snapshot, checkpoint = saved[op[1] % len(saved)]
-            phys.restore_checkpoint(checkpoint)
-            ref.load(snapshot)
+            stack.enter_context(conc.journalling(
+                TxnScope.begin(machine, 0, ())))
+            ref.journal.clear()
+            saved = ref.snapshot()
+        elif op[0] == "rollback":
+            conc.txn_scope().rollback(machine)
+            ref.rollback()
+            assert ref.snapshot() == saved
         if eager or op[0] == "digests":
             assert machine.phys.frame_digests() == ref.frame_digests()
         for frame in FRAMES:
@@ -265,13 +269,31 @@ def _apply(machine, ref, ops, eager):
     return left
 
 
+def word_journal(scope):
+    """``scope``'s journal one word at a time: word index ->
+    pre-transaction value, in the order the words were first written.
+    A frame record stands for each of its words in offset order, zeros
+    included, so this equals a journal kept word by word."""
+    words = list(scope.journal.items())
+    view = {}
+    taken = 0
+    for frame, (position, old_words) in scope.frame_journal.items():
+        view.update(words[taken:position])
+        taken = position
+        base = frame * scope.words_per_page
+        for offset, value in enumerate(old_words):
+            view.setdefault(base + offset, value)
+    view.update(words[taken:])
+    return view
+
+
 def _check_txn(machine, ref, scope):
     """The store matches the reference inside the transaction (its
     per-word journal included, entry for entry and in order) and again
     after both roll back."""
     phys = machine.phys
     assert phys.snapshot() == ref.snapshot()
-    assert list(scope.word_journal().items()) == list(ref.journal.items())
+    assert list(word_journal(scope).items()) == list(ref.journal.items())
     assert phys.frame_digests() == ref.frame_digests()
     scope.rollback(machine)
     ref.rollback()
@@ -311,14 +333,18 @@ class TestFrameOpsDifferential:
         _apply(machine, ref, setup, eager=False)
         ref.journal.clear()
         eager = data.draw(st.booleans())
-        scope = TxnScope.begin(machine, 0, ())
-        left = []
-        _in_txn(machine, scope,
-                lambda: left.extend(_apply(machine, ref, ops, eager)))
+        left, scopes = [], []
+
+        def body():
+            with ExitStack() as stack:
+                left.extend(_apply(machine, ref, ops, eager, stack))
+                scopes.append(conc.txn_scope())
+
+        _in_txn(machine, TxnScope.begin(machine, 0, ()), body)
         for old, snapshot, digests in left:
             assert old.snapshot() == snapshot
             assert old.frame_digests() == digests
-        _check_txn(machine, ref, scope)
+        _check_txn(machine, ref, scopes[0])
 
     @pytest.mark.parametrize("config", [TINY, TINY_ARM],
                              ids=["x86_64", "vmsav8_64"])

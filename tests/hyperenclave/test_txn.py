@@ -38,12 +38,7 @@ from repro.faults.campaign import (
 )
 from repro.hyperenclave.constants import ARCH_CONFIGS, TINY
 from repro.hyperenclave.monitor import RustMonitor
-from repro.hyperenclave.txn import (
-    capture,
-    monitor_digest,
-    restore,
-    structure_values,
-)
+from repro.hyperenclave.txn import monitor_digest, structure_values
 
 FACTORY = default_world_factory()
 CALLS = default_workload()
@@ -168,15 +163,49 @@ class TestAbortSemantics:
                 monitor.pt_allocator.alloc()
 
 
+class DigestAtFault(FaultPlane):
+    """A plane that raises at the armed hit and keeps the monitor's
+    digest as it was there, mid-hypercall."""
+
+    def __init__(self, monitor):
+        super().__init__()
+        self.monitor = monitor
+        self.digest = None
+
+    def hit(self, site, label=None):
+        try:
+            return super().hit(site, label=label)
+        except FaultInjected:
+            self.digest = monitor_digest(self.monitor)
+            raise
+
+
 class TestCheckpointRestore:
-    def test_capture_restore_roundtrip(self):
-        monitor, ctx = world_at(4)  # mid-lifecycle, enclave exists
-        checkpoint = capture(monitor)
+    @pytest.mark.parametrize(
+        "index", range(len(CALLS)),
+        ids=[f"{i}-{name}" for i, (name, _invoke) in enumerate(CALLS)])
+    def test_abort_at_the_last_crash_point_rolls_back(self, index):
+        """Each call of the workload, aborted at the last of its own
+        crash points, leaves the pre-call digest behind although the
+        digest had moved by then.  ``init`` alone commits its one
+        mutation after its only crash point; unaborted, it moves the
+        digest too."""
+        name, invoke = CALLS[index]
+        site = hypercall_site(name)
+        monitor, ctx = world_at(index)
         digest = monitor_digest(monitor)
-        CALLS[4][1](monitor, ctx)  # init mutates state
-        assert monitor_digest(monitor) != digest
-        restore(monitor, checkpoint)
+        plane = DigestAtFault(monitor).arm(
+            site, index=STEP_TABLE[index][site] - 1)
+        with installed(plane):
+            with pytest.raises(HypercallAborted):
+                invoke(monitor, ctx)
         assert monitor_digest(monitor) == digest
+        if name == "init":
+            assert plane.digest == digest
+            invoke(monitor, ctx)
+            assert monitor_digest(monitor) != digest
+        else:
+            assert plane.digest != digest
 
     def test_digest_ignores_tlb_flush_count(self):
         monitor, _ctx = world_at(2)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
+from repro.engine.executor import ShardedExecutor, stable_shard
 from repro.errors import CheckpointMismatch, ShardQuarantined
 from repro.faults import interleaving_campaign
 from repro.service import (
@@ -219,6 +220,26 @@ class TestWarmMemoReuse:
                     os.path.join(warmed, "memo.log"))
         result = run_durable_campaign(spec_for(), warmed, workers=2)
         assert repr(result) == clean_repr(tmp_path_factory)
+
+    def test_a_pool_forked_before_the_campaign_journals(self, tmp_path,
+                                                        fresh_memo):
+        """Every shard journals its workers' memo misses, however early
+        the pool forked: a campaign on a pool whose two slots forked
+        before it leaves the memo log a campaign on its own pool
+        leaves."""
+        spec = CampaignSpec(max_schedules=12, preemption_bound=1)
+        with ShardedExecutor(2) as pool:
+            # one unit per slot: both worker processes fork here
+            keys = ["0", "1", "2", "3"]
+            assert {stable_shard(f"builtins:abs\x1f{key}", 2)
+                    for key in keys} == {0, 1}
+            pool.map("builtins:abs", [-1, -2, -3, -4], keys=keys)
+            early = CampaignStore(str(tmp_path / "early"))
+            run_durable_campaign(spec, early, executor=pool)
+        own = CampaignStore(str(tmp_path / "own"))
+        run_durable_campaign(spec, own, workers=2)
+        assert len(own.memo) > 0
+        assert len(early.memo) == len(own.memo)
 
 
 class TestQuarantinedShards:

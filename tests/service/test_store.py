@@ -148,9 +148,10 @@ class TestMemoStore:
         # The entries the executor ships are exactly what lands in the
         # store: pickle-roundtrip them the way a shard result would.
         memo = CheckMemo()
-        memo.enable_journal()
-        memo.journal.append(("observation", (1, 2, 0, 7), ("diff",)))
-        drained = pickle.loads(pickle.dumps(memo.drain_journal()))
+        with memo.journalling() as journal:
+            memo._note("observation", (1, 2, 0, 7), ("diff",))
+        memo._note("observation", (3, 4, 0, 7), ("outside",))
+        drained = pickle.loads(pickle.dumps(journal))
         store = MemoStore(str(tmp_path / "memo.log"))
         assert store.extend(drained) == 1
-        assert memo.drain_journal() == []
+        assert memo.journal is None
