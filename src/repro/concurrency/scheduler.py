@@ -19,9 +19,10 @@ it is really interrupted — at a ``shootdown.ipi``, or at a
 ``phys.write`` a hand-made schedule forces.  A body that starts while
 a forced preemption is still pending borrows a pooled fiber from
 :mod:`repro.concurrency.arena` so it can suspend mid-stack; every other
-body is a plain function call whose yields resolve inline (see
-:meth:`DeterministicScheduler._decide_inline`).  No thread is created
-or joined per run.
+body is a plain function call whose yields resolve inline.  Either
+way one routine makes every decision
+(:meth:`DeterministicScheduler._decide`).  No thread is created or
+joined per run.
 
 The module doubles as the instrumentation plane (mirroring
 ``repro.faults.plane``): all hooks are module-level functions that
@@ -35,7 +36,7 @@ inside a task or not.
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.concurrency.arena import process_arena
 from repro.concurrency.locks import LockManager
@@ -99,9 +100,18 @@ class Schedule:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One scheduling decision: who ran, who else could have."""
+#: Builds a record from the tuple of its fields, skipping the
+#: keyword-checking ``__new__``: ``_new(Decision, fields)``.
+_new = tuple.__new__
+
+
+class Decision(NamedTuple):
+    """One scheduling decision: who ran, who else could have.
+
+    Records are named tuples, built with one ``tuple.__new__``: they
+    refuse attribute assignment, build from keywords, pickle, and hash
+    and compare by value.
+    """
 
     index: int
     chosen: int
@@ -110,8 +120,7 @@ class Decision:
     kinds: Tuple[Tuple[int, str], ...]   # (vid, parked-at kind) per enabled
 
 
-@dataclass(frozen=True)
-class YieldPoint:
+class YieldPoint(NamedTuple):
     """One executed yield: where a vCPU handed control back."""
 
     vid: int
@@ -207,15 +216,20 @@ class DeterministicScheduler:
     The body's own yields (``phys.write``, ``shootdown.ipi``) are the
     only ones with a stack under them.  Once every forced preemption
     index is behind ``len(decisions)`` (monotone — decisions only grow)
-    each of them must pick the running task itself: ``_pick`` falls
+    each of them must pick the running task itself: the pick falls
     through *forced* (none pending) to *last* (the running task), and
     a body never waits for a lock because its whole plan is held
     before it starts.  Such a body runs as a plain function call, its
-    yields resolved through :meth:`_decide_inline` with zero control
-    transfers (:meth:`_can_inline`).  A body that starts while a forced
+    yields decided inline with zero control transfers
+    (:meth:`_can_inline`).  A body that starts while a forced
     preemption is pending runs on a pooled fiber
     (:mod:`repro.concurrency.arena`), which can suspend mid-stack under
     strict token passing.
+
+    One routine, :meth:`_decide`, makes every decision, from the loop
+    or inline from the yielding task, and appends its
+    :class:`Decision` and its pick to ``trace``, which is kept beside
+    ``decisions`` so nothing rebuilds it.
     """
 
     def __init__(self, monitor, workloads, schedule=None, *, probe=None):
@@ -231,6 +245,7 @@ class DeterministicScheduler:
             fns = list(workloads)
         self.tasks = [Task(vid=vid, fn=fn) for vid, fn in enumerate(fns)]
         self.decisions: List[Decision] = []
+        self.trace: List[int] = []         # chosen vid per decision
         self.yields: List[YieldPoint] = []
         self.stale: List[object] = []
         self._preempt = dict(self.schedule.preemptions)
@@ -270,14 +285,16 @@ class DeterministicScheduler:
                     # whole script inside the cached prefix
                     self._gens[task.vid] = self._drive(task)
             while True:
-                chosen = self._loop_decide()
+                chosen = self._decide()
                 if chosen is None:
                     break
                 self._advance(chosen)
                 if self._spliced is not None:
                     self._splice()
                     break
-                self._probe_now()
+                if self.probe is not None:
+                    # outside any task, where every hook no-ops
+                    self.stale.extend(self.probe(self.monitor) or ())
         return self.result()
 
     def _splice(self):
@@ -293,7 +310,7 @@ class DeterministicScheduler:
             schedule=self.schedule,
             decisions=tuple(self.decisions),
             yields=tuple(self.yields),
-            trace=tuple(d.chosen for d in self.decisions),
+            trace=tuple(self.trace),
             lock_violations=tuple(self.locks.violations),
             stale_translations=tuple(self.stale),
             task_errors={t.vid: t.exc for t in self.tasks
@@ -311,107 +328,86 @@ class DeterministicScheduler:
         finally:
             self._current = None
 
-    # -- scheduling policy ------------------------------------------------------
+    # -- the decision -----------------------------------------------------------
 
-    def _runnable(self, task) -> bool:
-        return task.waiting_lock is None or \
-            not self.locks.would_block(task.vid, task.waiting_lock)
+    def _decide(self, yielding=None) -> Optional[Task]:
+        """Make one scheduling decision and return the chosen task.
 
-    def _pick(self, enabled):
-        forced = self._preempt.get(len(self.decisions))
-        if forced is not None:
-            for task in enabled:
-                if task.vid == forced:
-                    return task
-        if self._last is not None:
-            for task in enabled:
-                if task.vid == self._last:
-                    return task
-        return min(enabled, key=lambda t: t.vid)
-
-    # -- decision machinery -----------------------------------------------------
-
-    def _loop_decide(self) -> Optional[Task]:
-        """One scheduling decision made from the loop; returns the
-        chosen task, or None once every task is done."""
-        live = [t for t in self.tasks if not t.done]
-        if not live:
-            return None
-        enabled = [t for t in live if self._runnable(t)]
+        The pick is the vCPU a forced preemption names at this index,
+        else the last pick, else the lowest vCPU, among the enabled
+        ones: not done, and free to take the lock they wait for.  From
+        the loop (``yielding`` None) this returns None once every task
+        is done.  From inside the ``yielding`` task, which strict token
+        passing lets see exactly what the loop would, it decides only
+        when the pick is that task — under a small preemption bound
+        almost always — and the record and the probe happen inline.
+        Any other pick (a preemption, a lock handover, a finished task)
+        returns None with nothing recorded, and the task suspends so
+        the loop decides; the :class:`RunResult` is the same.
+        """
+        locks = self.locks
+        enabled = [task for task in self.tasks if not task.done and (
+            task.waiting_lock is None
+            or not locks.would_block(task.vid, task.waiting_lock))]
         if not enabled:
-            raise RuntimeError(
-                "scheduler deadlock: "
-                + "; ".join(f"vcpu{t.vid} waits on "
-                            f"{t.waiting_lock!r}" for t in live))
+            live = [task for task in self.tasks if not task.done]
+            if live and yielding is None:
+                raise RuntimeError(
+                    "scheduler deadlock: "
+                    + "; ".join(f"vcpu{t.vid} waits on "
+                                f"{t.waiting_lock!r}" for t in live))
+            return None
+        index = len(self.decisions)
+        forced = self._preempt.get(index)
+        last = self._last
+        chosen = None
+        for task in enabled:
+            if task.vid == forced:
+                chosen = task
+                break
+            if task.vid == last:
+                chosen = task
+        if chosen is None:
+            chosen = enabled[0]
+        if yielding is not None and chosen is not yielding:
+            return None
         if self.snapshots is not None:
             self.snapshots.offer(self)
-        chosen = self._pick(enabled)
-        self.decisions.append(Decision(
-            index=len(self.decisions),
-            chosen=chosen.vid,
-            chosen_kind=chosen.pending_kind,
-            enabled=tuple(t.vid for t in enabled),
-            kinds=tuple((t.vid, t.pending_kind) for t in enabled)))
-        self._last = chosen.vid
+        vid = chosen.vid
+        self.decisions.append(_new(Decision, (
+            index, vid, chosen.pending_kind,
+            tuple([task.vid for task in enabled]),
+            tuple([(task.vid, task.pending_kind) for task in enabled]))))
+        self.trace.append(vid)
+        self._last = vid
+        if yielding is not None:
+            SCHED_STATS["inline_decisions"] += 1
+            if self.probe is not None:
+                # hook-free, as on the loop: silence this thread (a
+                # fiber's, for a body on a fiber)
+                _TLS.depth += 1
+                try:
+                    self.stale.extend(self.probe(self.monitor) or ())
+                finally:
+                    _TLS.depth -= 1
         return chosen
 
     def _record_yield(self, task, kind, detail):
         """The front half of every yield: the record, the crash check,
         the pending-kind update."""
-        task.yield_index += 1
-        self.yields.append(YieldPoint(
-            vid=task.vid, yield_index=task.yield_index, kind=kind,
-            detail=detail, locks_held=self.locks.held_by(task.vid)))
-        if (not task.crashed and self.schedule.crash is not None
-                and self.schedule.crash == (task.vid, task.yield_index)):
-            task.crashed = True
-            raise FaultInjected(VCPU_CRASH_SITE,
-                                hit=task.yield_index, label=kind)
+        vid = task.vid
+        index = task.yield_index = task.yield_index + 1
+        self.yields.append(_new(YieldPoint, (
+            vid, index, kind, detail, self.locks.held_by(vid))))
         if task.crashed:
             # the crash already fired; the vCPU must not execute further
             raise _VCpuParked()
+        crash = self.schedule.crash
+        if crash is not None and crash == (vid, index):
+            task.crashed = True
+            raise FaultInjected(VCPU_CRASH_SITE, hit=index, label=kind)
         task.pending_kind = kind
         task.pending_detail = detail
-
-    def _decide_inline(self, task) -> bool:
-        """Decide the next step from inside the yielding task itself.
-
-        Strict token passing means the parked world is frozen while
-        this vCPU runs, so the yielding task can evaluate exactly the
-        pick the loop would make.  When that pick is the yielding vCPU
-        itself — the overwhelmingly common case under a small
-        preemption bound, where every non-preempted decision just
-        continues the running vCPU — the decision, its record, and the
-        probe all happen inline and no control transfer occurs.  Any
-        other pick (a preemption, a lock handover, a finished task)
-        suspends the task so the loop decides, and the recorded
-        :class:`RunResult` is byte-identical either way.
-        """
-        live = [t for t in self.tasks if not t.done]
-        enabled = [t for t in live if self._runnable(t)]
-        if not enabled or self._pick(enabled) is not task:
-            return False
-        if self.snapshots is not None:
-            self.snapshots.offer(self)
-        self.decisions.append(Decision(
-            index=len(self.decisions),
-            chosen=task.vid,
-            chosen_kind=task.pending_kind,
-            enabled=tuple(t.vid for t in enabled),
-            kinds=tuple((t.vid, t.pending_kind) for t in enabled)))
-        self._last = task.vid
-        SCHED_STATS["inline_decisions"] += 1
-        if self.probe is not None:
-            # The probe normally runs outside any task, where
-            # instrumentation hooks no-op; ``suspended`` gives it the
-            # same hook-free environment inside one.
-            with suspended():
-                self.stale.extend(self.probe(self.monitor) or ())
-        return True
-
-    def _probe_now(self):
-        if self.probe is not None:
-            self.stale.extend(self.probe(self.monitor) or ())
 
     # -- hook dispatch ----------------------------------------------------------
 
@@ -420,7 +416,7 @@ class DeterministicScheduler:
         callable's): record it, then decide inline or park the task's
         fiber."""
         self._record_yield(task, kind, detail)
-        if self._decide_inline(task):
+        if self._decide(task) is not None:
             return
         fiber = self._fiber_of.get(task.vid)
         if fiber is None:
@@ -432,13 +428,13 @@ class DeterministicScheduler:
     def _release_locks(self, task, where):
         """Drop the task's locks; defer the hc.return yield if scripted."""
         released = self.locks.release_all(task.vid)
-        if self.script_workloads is not None and not _suspended():
+        if self.script_workloads is not None and not _TLS.depth:
             # hoisted: the driver emits the hc.return yield once the
             # step's stack has unwound (see class docstring)
             self._deferred[task.vid] = where
             return released
         try:
-            if not _suspended():
+            if not _TLS.depth:
                 self._task_yield(task, "hc.return", where)
         finally:
             self.locks.check_none_held(task.vid, f"return from {where}")
@@ -569,7 +565,7 @@ class DeterministicScheduler:
         if (plan is not None and plan.completes
                 and len(self.decisions) > self._max_forced):
             self._spliced = plan.resume(self)
-        if self._spliced is not None or not self._decide_inline(task):
+        if self._spliced is not None or self._decide(task) is None:
             yield
 
     def _fiber_step(self, task, fn):
@@ -599,7 +595,17 @@ class DeterministicScheduler:
 # ---------------------------------------------------------------------------
 
 _ACTIVE: Optional[DeterministicScheduler] = None
-_TLS = threading.local()
+
+
+class _PlaneLocal(threading.local):
+    """Per thread: how many blocks silence the hooks (:func:`suspended`,
+    an inline probe), and the undo scope :func:`journalling` set."""
+
+    depth = 0
+    txn_scope = None
+
+
+_TLS = _PlaneLocal()
 
 
 def active_scheduler() -> Optional[DeterministicScheduler]:
@@ -633,14 +639,10 @@ def current_vid() -> Optional[int]:
     return None if task is None else task.vid
 
 
-def _suspended() -> bool:
-    return getattr(_TLS, "depth", 0) > 0
-
-
 @contextmanager
 def suspended():
     """Silence all hooks on this thread (rollback must not re-enter)."""
-    _TLS.depth = getattr(_TLS, "depth", 0) + 1
+    _TLS.depth += 1
     try:
         yield
     finally:
@@ -650,7 +652,7 @@ def suspended():
 def yield_point(kind, detail=None):
     """A potential context switch; no-op outside a scheduled task."""
     sched = _ACTIVE
-    if sched is None or _suspended():
+    if sched is None or _TLS.depth:
         return
     task = sched._current
     if task is None:
@@ -673,7 +675,7 @@ def take_locks(names):
     vCPU holds already is skipped, and another vCPU holding one is a
     :class:`~repro.errors.LockProtocolViolation`."""
     sched = _ACTIVE
-    if sched is None or _suspended():
+    if sched is None or _TLS.depth:
         return
     task = sched._current
     if task is None:
@@ -703,7 +705,7 @@ def release_locks(where):
 def guard_mutation(name):
     """Rule-3 checkpoint: a ``name``-guarded structure is being written."""
     sched = _ACTIVE
-    if sched is None or _suspended():
+    if sched is None or _TLS.depth:
         return
     task = sched._current
     if task is None:
@@ -715,7 +717,7 @@ def guard_mutation(name):
 def journalling(scope):
     """Make ``scope`` (a :class:`~repro.hyperenclave.txn.TxnScope`) the
     one :func:`txn_scope` finds on this thread while the block runs."""
-    previous = getattr(_TLS, "txn_scope", None)
+    previous = _TLS.txn_scope
     _TLS.txn_scope = scope
     try:
         yield scope
@@ -732,7 +734,7 @@ def txn_scope():
     Frame operations look it up once per frame and record the whole
     frame; single words go through :func:`record_phys_write`.
     """
-    return None if _suspended() else getattr(_TLS, "txn_scope", None)
+    return None if _TLS.depth else _TLS.txn_scope
 
 
 def record_phys_write(index, old_value):

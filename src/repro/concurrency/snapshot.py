@@ -181,19 +181,21 @@ class SnapshotNode:
     """A frozen mid-execution world plus everything needed to resume.
 
     ``state`` is only ever used as a clone source; the cached prefix
-    records (decisions, yields, stale findings, lock violations) are
-    seeded into the resuming scheduler so its :class:`RunResult` is
-    byte-identical to a from-scratch run.
+    records (decisions, their trace, yields, stale findings, lock
+    violations) are seeded into the resuming scheduler so its
+    :class:`RunResult` is byte-identical to a from-scratch run.  The
+    trace is the prefix the node is keyed by.
     """
 
-    __slots__ = ("state", "metas", "decisions", "yields", "stale",
-                 "lock_violations", "last", "depth", "nbytes")
+    __slots__ = ("state", "metas", "decisions", "trace", "yields",
+                 "stale", "lock_violations", "last", "depth", "nbytes")
 
-    def __init__(self, state, metas, decisions, yields, stale,
+    def __init__(self, state, metas, decisions, trace, yields, stale,
                  lock_violations, last, nbytes):
         self.state = state
         self.metas = metas
         self.decisions = decisions
+        self.trace = trace
         self.yields = yields
         self.stale = stale
         self.lock_violations = lock_violations
@@ -207,6 +209,7 @@ class SnapshotNode:
     def apply_to(self, sched):
         """Seed a fresh scheduler with this node's cached prefix."""
         sched.decisions = list(self.decisions)
+        sched.trace = list(self.trace)
         sched.yields = list(self.yields)
         sched.stale = list(self.stale)
         sched.locks.violations = list(self.lock_violations)
@@ -216,17 +219,18 @@ class SnapshotNode:
 
 class RunTail:
     """The end of one leaf run, from its first resume key on: the
-    records it appended from there, every vCPU's final
-    :class:`TaskMeta`, and the frozen final state (interned by
-    :meth:`SnapshotTree.intern_final`).  Shared by every
+    records it appended from there (the trace beside the decisions),
+    every vCPU's final :class:`TaskMeta`, and the frozen final state
+    (interned by :meth:`SnapshotTree.intern_final`).  Shared by every
     :class:`Completion` of the run."""
 
-    __slots__ = ("decisions", "yields", "stale", "lock_violations",
-                 "metas", "final")
+    __slots__ = ("decisions", "trace", "yields", "stale",
+                 "lock_violations", "metas", "final")
 
-    def __init__(self, decisions, yields, stale, lock_violations, metas,
-                 final):
+    def __init__(self, decisions, trace, yields, stale, lock_violations,
+                 metas, final):
         self.decisions = decisions
+        self.trace = trace
         self.yields = yields
         self.stale = stale
         self.lock_violations = lock_violations
@@ -265,11 +269,10 @@ class Completion:
         decisions = tail.decisions[self.decisions:]
         shift = len(sched.decisions) - self.index
         if shift:
-            decisions = [conc.Decision(
-                index=d.index + shift, chosen=d.chosen,
-                chosen_kind=d.chosen_kind, enabled=d.enabled,
-                kinds=d.kinds) for d in decisions]
+            decisions = [d._replace(index=d.index + shift)
+                         for d in decisions]
         sched.decisions.extend(decisions)
+        sched.trace.extend(tail.trace[self.decisions:])
         sched.yields.extend(tail.yields[self.yields:])
         sched.stale.extend(tail.stale[self.stale:])
         sched.locks.violations.extend(
@@ -480,14 +483,14 @@ class SnapshotPlan:
                 or not _parked_in_drivers(sched):
             # a single live vCPU can never branch
             return
-        prefix = tuple(d.chosen for d in sched.decisions)
+        prefix = tuple(sched.trace)
         key = (self.world_key, prefix)
         if key in tree.nodes:
             # an earlier run of this prefix captured the identical
             # state (deterministic execution)
             tree.nodes.move_to_end(key)
             return
-        tree.insert(key, self._capture(sched))
+        tree.insert(key, self._capture(sched, prefix))
 
     def resume(self, sched) -> Optional[Completion]:
         """At a driver park of a leaf run past its last forced
@@ -534,6 +537,7 @@ class SnapshotPlan:
         if noted:
             _key, d0, y0, s0, v0 = noted[0]
             tail = RunTail(tuple(sched.decisions[d0:]),
+                           tuple(sched.trace[d0:]),
                            tuple(sched.yields[y0:]),
                            tuple(sched.stale[s0:]),
                            tuple(sched.locks.violations[v0:]),
@@ -551,13 +555,14 @@ class SnapshotPlan:
                                              s - s0, v - v0, nbytes))
         return self.state if hit is None else final.clone()
 
-    def _capture(self, sched) -> SnapshotNode:
+    def _capture(self, sched, trace) -> SnapshotNode:
         with conc.suspended():
             frozen = self.state.clone()
         return SnapshotNode(
             state=frozen,
             metas=tuple(self._task_meta(task) for task in sched.tasks),
             decisions=tuple(sched.decisions),
+            trace=trace,
             yields=tuple(sched.yields),
             stale=tuple(sched.stale),
             lock_violations=tuple(sched.locks.violations),
@@ -631,7 +636,7 @@ def static_key(state, schedule):
     if oracle is None:
         oracle_key = None
     elif type(oracle) is DataOracle:
-        oracle_key = (tuple(oracle._values), oracle._cycle)
+        oracle_key = (oracle._values, oracle._cycle)
     else:
         return None
     return (type(state), type(monitor), state.use_spec_walk, oracle_key,

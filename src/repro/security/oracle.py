@@ -21,7 +21,7 @@ class DataOracle:
     """A deterministic stream of 64-bit values."""
 
     def __init__(self, values=(), cycle=True):
-        self._values = [v & ((1 << 64) - 1) for v in values]
+        self._values = tuple(v & ((1 << 64) - 1) for v in values)
         self._cursor = 0
         self._cycle = cycle
 
@@ -53,9 +53,10 @@ class DataOracle:
         return self._cursor
 
     def fork(self):
-        """A copy at the same position (for cloned worlds)."""
-        clone = DataOracle(self._values, self._cycle)
-        clone._cursor = self._cursor
+        """A copy at the same position (for cloned worlds), sharing the
+        masked values, which are an immutable tuple."""
+        clone = object.__new__(DataOracle)
+        vars(clone).update(vars(self))
         return clone
 
 

@@ -8,7 +8,7 @@ carrying a standalone-replayable ``(seed, schedule)``.
 
 import pytest
 
-from repro.concurrency import Schedule, scheduler as conc
+from repro.concurrency import SCHED_STATS, Schedule, scheduler as conc
 from repro.concurrency.arena import Fiber
 from repro.faults import interleaving_campaign, make_interleaved_run
 from repro.hyperenclave import buggy
@@ -89,6 +89,17 @@ class TestNonTransactionalDeadlock:
 FIBER_PARKS = {RustMonitor: 4, buggy.MissingLockMonitor: 14,
                buggy.NoShootdownMonitor: 0}
 
+#: ``sched.*`` counts of the same campaigns, also per arch: decisions
+#: made inline by the yielding task, and scheduler runs (two per
+#: schedule with the noninterference world).  A change that moves
+#: decisions between the inline and the loop path keeps every record
+#: and digest, so only this pin sees it.
+SCHED_PINS = {RustMonitor: {"inline_decisions": 3304, "runs": 356},
+              buggy.MissingLockMonitor: {"inline_decisions": 1356,
+                                         "runs": 130},
+              buggy.NoShootdownMonitor: {"inline_decisions": 3170,
+                                         "runs": 350}}
+
 
 class TestFiberParks:
     @pytest.mark.parametrize("monitor_cls", list(FIBER_PARKS),
@@ -107,7 +118,10 @@ class TestFiberParks:
             return park(fiber, timeout)
 
         monkeypatch.setattr(Fiber, "park", recording)
+        before = dict(SCHED_STATS)
         interleaving_campaign(monitor_cls, preemption_bound=2, seed=0,
                               config=ARCH_CONFIGS[arch])
         assert set(parks) <= {"shootdown.ipi"}
         assert len(parks) == FIBER_PARKS[monitor_cls]
+        assert {key: SCHED_STATS[key] - before[key]
+                for key in SCHED_PINS[monitor_cls]} == SCHED_PINS[monitor_cls]

@@ -159,7 +159,8 @@ STATE_MUTATIONS = {
     "oracle": [
         ("oracle cursor", lambda s: s.oracle.next()),
         ("oracle values",
-         lambda s: s.oracle._values.__setitem__(0, s.oracle._values[0] ^ 1)),
+         lambda s: setattr(s.oracle, "_values",
+                           (s.oracle._values[0] ^ 1,) + s.oracle._values[1:])),
         ("oracle cycling", lambda s: setattr(s.oracle, "_cycle", False)),
     ],
     "monitor": [("monitor class",
@@ -262,6 +263,15 @@ def test_mutation_tables_cover_every_keyed_field():
     assert set(MONITOR_MUTATIONS) == KEYED_MONITOR_FIELDS - UNKEYED
     assert set(STATE_MUTATIONS) == KEYED_STATE_FIELDS
     assert set(TASK_MUTATIONS) == {f.name for f in dataclasses.fields(Task)}
+
+
+def test_static_key_reads_the_oracle_values():
+    """The masked values, as the tuple a fork shares, and the cycling
+    flag; a clone's oracle keys the same."""
+    state = SystemState(RustMonitor(TINY), DataOracle([3, -1, 1 << 70]))
+    key = static_key(state, PARK_SCHEDULE)
+    assert key[3] == ((3, (1 << 64) - 1, 0), True)
+    assert static_key(state.clone(), PARK_SCHEDULE) == key
 
 
 def _subclasses(cls):

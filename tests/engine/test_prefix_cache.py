@@ -28,9 +28,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.concurrency import snapshot
+from repro.concurrency import DeterministicScheduler, snapshot
 from repro.concurrency.snapshot import (
     Completion,
+    SnapshotNode,
     SnapshotTree,
     locality_key,
     process_tree,
@@ -218,6 +219,45 @@ def test_spliced_completions_match_from_scratch(monitor_cls, arch, crash,
     assert delta["snapshot_cache.decisions_spliced"] > 0
     assert {kind for kind, count in carried.items() if count} \
         >= _carried(monitor_cls, crash)
+
+
+@pytest.mark.parametrize("arch", sorted(ARCH_CONFIGS))
+def test_every_run_keeps_its_trace_beside_its_decisions(arch, monkeypatch):
+    """Restored from a node, spliced from a completion or run whole,
+    every run of a bound-2 campaign (the noninterference world's too)
+    has the chosen vCPU of each decision as its trace, and decision
+    ``i`` has index ``i``."""
+    how = {}
+
+    def tag(cls, kind):
+        apply_to = cls.apply_to
+
+        def tagged(self, sched):
+            how.setdefault(sched, set()).add(kind)
+            apply_to(self, sched)
+
+        monkeypatch.setattr(cls, "apply_to", tagged)
+
+    tag(SnapshotNode, "restored")
+    tag(Completion, "spliced")
+    results = []
+    run = DeterministicScheduler.run
+
+    def recording(self):
+        result = run(self)
+        results.append((how.get(self, {"whole"}), result))
+        return result
+
+    monkeypatch.setattr(DeterministicScheduler, "run", recording)
+    interleaving_campaign(preemption_bound=2, config=ARCH_CONFIGS[arch])
+    kinds = Counter()
+    for ways, result in results:
+        assert result.trace == tuple(d.chosen for d in result.decisions)
+        assert [d.index for d in result.decisions] == \
+            list(range(len(result.decisions)))
+        kinds.update(ways)
+    assert set(kinds) == {"restored", "spliced", "whole"}, kinds
+    assert len(results) == 356
 
 
 class RaisingTrimMonitor(RustMonitor):

@@ -239,6 +239,19 @@ class TestDataOracle:
         fork = oracle.fork()
         assert fork.next() == oracle.next() == 2
 
+    def test_fork_shares_the_values_not_the_cursor(self):
+        oracle = DataOracle([1, 2, 3], cycle=False)
+        fork = oracle.fork()
+        assert fork._values is oracle._values
+        assert fork._cycle is False
+        assert [fork.next(), fork.next()] == [1, 2]
+        assert oracle.position == 0 and oracle.next() == 1
+
+    def test_values_are_masked_once_into_a_tuple(self):
+        oracle = DataOracle([-1, 1 << 64, 5])
+        assert oracle._values == ((1 << 64) - 1, 0, 5)
+        assert [oracle.next() for _ in range(3)] == [(1 << 64) - 1, 0, 5]
+
     def test_seeded_deterministic(self):
         assert [DataOracle.seeded(5).next() for _ in range(1)] == \
             [DataOracle.seeded(5).next()]
